@@ -14,12 +14,35 @@ the known output coordinates lies outside the span of the other unresolved
 rows there (later rows plus earlier rows whose input is still unknown).
 Determined bits are always correct, so the only failure mode is an
 undetermined information bit and a block is in error iff one occurs; no
-guesses are made.  MAP is the matching global test: the pattern is
-ambiguous iff some nonzero combination of information rows is supported
-entirely inside the erasure set.  Whenever that happens the SC decoder is
-also stuck (a bit forced by the observations would have to agree with both
-candidate words), so MAP failures are a per-trial subset of SC failures;
-``simulate`` checks the inclusion on every trial.
+guesses are made.  ``sc_decode_bec`` runs this decoder and recovers values.
+
+Whether SC fails needs less.  Compare it with the genie-aided decoder, in
+which every earlier input is known when branch j is decided, so the rule
+reduces to ``determined_masks``: u_j is determined iff g_j restricted to
+the known coordinates lies outside the span of the later rows there.  An
+earlier input is unknown in the real decoder only below an undetermined
+leaf, and frozen leaves are always known, so up to and including the first
+undetermined information bit both decoders see identical known and
+unknown masks at every node.  Hence SC fails iff some information leaf is
+undetermined under the genie rule.  That count runs top-down in n array
+stages over a batch of erasure patterns, one table lookup per node.
+
+MAP is the matching global test: the pattern is ambiguous iff some nonzero
+combination of information rows is supported entirely inside the erasure
+set.  Whenever that happens the SC decoder is also stuck (a bit forced by
+the observations would have to agree with both candidate words), so MAP
+failures are a per-trial subset of SC failures; ``simulate`` checks the
+inclusion on every trial.  The test uses the systematic form of the
+information rows, built once per code: each row has one pivot column where
+no other row has a 1.  A combination vanishing on the kept pivot columns
+uses only the orphan rows, whose pivots are erased, so the pattern is
+ambiguous iff the parity block (the rows on the non-pivot columns)
+restricted to orphan rows and kept columns has rank below the orphan
+count.  That rank runs on a zero-padded batch of patterns with the
+Four-Russians elimination of Albrecht, Bard and Hart ("Efficient
+multiplication of dense matrices over GF(2)"): reduce eight rows, build
+the XOR table of their 256 combinations, and clear those eight pivots from
+every row below with one lookup per row.
 """
 
 from __future__ import annotations
@@ -38,8 +61,8 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
 )
-from .gf2kernel import KernelProfile
-from .rng import subseed, uniform_matrix
+from .gf2kernel import KernelProfile, determined_masks
+from .rng import trial_uniforms, uniform_matrix
 from .serialize import fmt_real
 
 ERASED = -1
@@ -48,6 +71,12 @@ ERASED = -1
 WILSON_Z = q_inverse(0.025)
 
 MAX_BLOCK = 2**22
+
+# rows per Four-Russians block of the MAP rank test (256-entry XOR tables;
+# at most 8, since a row's table index is one packed byte), and the working
+# set of one sub-batch of trials: row stack plus tables
+M4RI_ROWS = 8
+M4RI_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -99,10 +128,7 @@ class PolarCode:
     @cached_property
     def info_indices(self) -> np.ndarray:
         """1-based information indices, ascending."""
-        mask = np.ones(self.block_length, dtype=bool)
-        for i in self.frozen:
-            mask[i - 1] = False
-        return np.flatnonzero(mask) + 1
+        return np.flatnonzero(self._info_mask) + 1
 
     @cached_property
     def _info_mask(self) -> np.ndarray:
@@ -146,40 +172,38 @@ class PolarCode:
         return v
 
     @cached_property
-    def _info_rows_packed(self) -> np.ndarray:
-        """Information generator rows bit-packed to (k, ceil(N/64)) uint64."""
-        return _pack_rows(
-            [self.generator_row(int(i)) for i in self.info_indices],
-            self.block_length,
-        )
+    def _det_table(self) -> np.ndarray:
+        """(2^ell, ell) bool: entry [K, j] says branch j is determined when
+        exactly the output coordinates in K are known and every earlier
+        branch input is known (``determined_masks``)."""
+        width = 1 << self.profile.ell
+        masks = _pack_rows(determined_masks(self.profile.kernel), width)
+        return np.ascontiguousarray(_unpack_bits(masks, width).T)
 
     @cached_property
     def _info_rref(self) -> tuple:
-        """Reduced row echelon form of the information rows.
+        """Systematic form of the information rows: (pivots, free, parity).
 
-        Returns (packed rows, pivot column per row).  Row operations keep the
-        row space, so rank tests on erasure-masked columns can use this form;
-        a row whose pivot column is unerased is independent of everything
-        else there, which shrinks the per-pattern elimination to the rows
-        with erased pivots.
+        The rows are brought to reduced row echelon form; row r then has a
+        single 1 among the pivot columns, at ``pivots[r]``.  ``free`` lists
+        the other columns, ascending, and ``parity`` holds the rows
+        restricted to them, bit-packed to (k, ceil(len(free)/64)) uint64.
         """
-        rows = [self.generator_row(int(i)) for i in self.info_indices]
-        pivots = []
-        reduced = []
-        for row in rows:
-            for pcol, prow in zip(pivots, reduced):
-                if (row >> pcol) & 1:
-                    row ^= prow
-            p = (row & -row).bit_length() - 1
-            for s, pcol in enumerate(pivots):
-                if (reduced[s] >> p) & 1:
-                    reduced[s] ^= row
-            pivots.append(p)
-            reduced.append(row)
-        return (
-            _pack_rows(reduced, self.block_length),
-            np.array(pivots, dtype=np.int64),
+        size = self.block_length
+        rows = _pack_rows(
+            [self.generator_row(int(i)) for i in self.info_indices], size
         )
+        pivots = np.empty(rows.shape[0], dtype=np.int64)
+        for r in range(rows.shape[0]):
+            row = rows[r].copy()
+            w = int(np.flatnonzero(row)[0])
+            low = int(row[w]) & -int(row[w])
+            pivots[r] = 64 * w + low.bit_length() - 1
+            hit = (rows[:, w] & np.uint64(low)) != 0
+            hit[r] = False
+            np.bitwise_xor(rows, row, out=rows, where=hit[:, None])
+        free = np.setdiff1d(np.arange(size), pivots)
+        return pivots, free, _pack_bits(_unpack_bits(rows, size)[:, free])
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +234,27 @@ class ErasureWord:
 
 
 def _pack_rows(rows, size: int) -> np.ndarray:
-    words = (size + 63) // 64
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    mask = (1 << 64) - 1
-    for r, row in enumerate(rows):
-        w = 0
-        while row:
-            out[r, w] = row & mask
-            row >>= 64
-            w += 1
-    return out
+    """Python-int row bitmasks packed to a writable (len(rows), ceil(size/64))
+    uint64 array, bit c of word w holding column 64 w + c."""
+    nbytes = 8 * ((size + 63) // 64)
+    buf = b"".join(int(r).to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8).astype(np.uint64)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack bool (..., m) along the last axis to (..., ceil(m/64)) uint64,
+    bit c of word w holding entry 64 w + c."""
+    m = bits.shape[-1]
+    nbytes = 8 * ((m + 63) // 64)
+    out = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
+    out[..., : (m + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of ``_pack_bits`` for a 2-D array: (r, words) to bool (r, m)."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little").astype(bool)
 
 
 def _encode_batch(u: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -414,23 +449,108 @@ def sc_decode_bec(word: ErasureWord, code: PolarCode) -> ScResult:
     return ScResult(u=u, undetermined=tuple(int(i) for i in undet))
 
 
-def _rank_deficient(m: np.ndarray) -> bool:
-    """True iff the bit-packed (k, words) uint64 matrix has rank < k."""
-    k = m.shape[0]
-    rows = m.copy()
-    for i in range(k):
-        row = rows[i]
-        w = np.flatnonzero(row)
-        if w.size == 0:
-            return True
-        wi = w[0]
-        word = int(row[wi])
-        bit = np.uint64(word & -word)
-        below = rows[i + 1 :]
-        if below.shape[0]:
-            hit = (below[:, wi] & bit).astype(bool)
-            below[hit] ^= row
-    return False
+def _sc_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
+    """Per-row SC failure of a (B, N) batch of erasure masks.
+
+    Runs the genie-aided rule, under which every earlier input is known, in
+    n stages.  Word positions are held as n base-ell digit axes, most
+    significant first.  Each stage reads the known mask of every kernel node
+    off the last position digit, drops that axis and appends the branch axis
+    in its place at the end, so after n stages the axes are the branch
+    digits b_1..b_n of the channel index.
+    """
+    ell = code.profile.ell
+    n = code.n
+    b = erased.shape[0]
+    det = code._det_table
+    mask_t = np.uint8 if ell <= 8 else np.uint16
+    known = ~erased.reshape((b,) + (ell,) * n)
+    for ax in range(n, 0, -1):
+        lead = (slice(None),) * ax
+        kmask = known[lead + (0,)].astype(mask_t)
+        for c in range(1, ell):
+            kmask |= known[lead + (c,)].astype(mask_t) << c
+        known = det.take(kmask, axis=0)
+    return (~known.reshape(b, code.block_length) & code._info_mask).any(axis=1)
+
+
+def _gf2_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, R, W) batch of bit-packed GF(2) matrices; ``a`` is
+    overwritten.
+
+    Four-Russians elimination (Albrecht-Bard-Hart): each block of
+    M4RI_ROWS rows is fully reduced among itself, the XOR table of all
+    combinations of its rows is built, and every row below clears the
+    block's pivot columns with one table lookup.
+    """
+    bsz, nrows, _ = a.shape
+    rank = np.zeros(bsz, dtype=np.int64)
+    tri = np.arange(bsz)
+    table = np.zeros((bsz, 1 << M4RI_ROWS) + a.shape[2:], dtype=np.uint64)
+    for top in range(0, nrows, M4RI_ROWS):
+        blk = a[:, top : top + M4RI_ROWS]
+        h = blk.shape[1]
+        words = np.empty((bsz, h), dtype=np.intp)
+        bits = np.empty((bsz, h), dtype=np.uint64)
+        for i in range(h):
+            row = blk[:, i].copy()
+            w = (row != 0).argmax(axis=1)
+            word = row[tri, w]
+            bit = word & -word  # lowest set bit; 0 for a zero row
+            hit = (blk[tri, :, w] & bit[:, None]) != 0
+            hit[:, i] = False
+            np.bitwise_xor(blk, row[:, None, :], out=blk, where=hit[:, :, None])
+            words[:, i] = w
+            bits[:, i] = bit
+        rank += np.count_nonzero(bits, axis=1)
+        below = a[:, top + h :]
+        if below.shape[1] == 0:
+            break
+        for i in range(h):
+            np.bitwise_xor(
+                table[:, : 1 << i], blk[:, i, None, :], out=table[:, 1 << i : 2 << i]
+            )
+        cols = below[tri[:, None], :, words] & bits[:, :, None]
+        index = np.packbits(cols != 0, axis=1, bitorder="little")[:, 0]
+        below ^= table[tri[:, None], index]
+    return rank
+
+
+def _map_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
+    """Per-row MAP ambiguity of a (B, N) batch of erasure masks.
+
+    In systematic form a combination of information rows vanishes on the
+    pivot columns exactly where it leaves out every row whose pivot is
+    kept, so a nonzero codeword inside the erasure set is a nonzero
+    combination of the orphan rows (erased pivots) that vanishes on the
+    kept free columns: the word is ambiguous iff the parity block
+    restricted to (orphan rows, kept free columns) has rank below the
+    orphan count.  With more orphans than kept columns that holds without
+    elimination.
+    """
+    if code.k == 0:
+        return np.zeros(erased.shape[0], dtype=bool)
+    pivots, free, parity = code._info_rref
+    orphan = erased[:, pivots]
+    kept = ~erased[:, free]
+    count = orphan.sum(axis=1)
+    out = count > kept.sum(axis=1)
+    test = np.flatnonzero((count > 0) & ~out)
+    if test.size == 0:
+        return out
+    # similar orphan counts share a sub-batch, which keeps the zero padding small
+    test = test[np.argsort(count[test], kind="stable")]
+    nw = parity.shape[1]
+    step = max(1, M4RI_BYTES // ((int(count[test[-1]]) + (1 << M4RI_ROWS)) * nw * 8))
+    for lo in range(0, test.size, step):
+        sel = test[lo : lo + step]
+        cnt = count[sel]
+        t, r = np.nonzero(orphan[sel])
+        slot = np.arange(t.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        a = np.zeros((sel.size, int(cnt[-1]), nw), dtype=np.uint64)
+        a[t, slot] = parity[r] & _pack_bits(kept[sel])[t]
+        out[sel] = _gf2_ranks(a) < cnt
+    return out
 
 
 def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
@@ -444,23 +564,7 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
         raise MismatchedLevel(
             f"word length {len(word)} does not match block length {code.block_length}"
         )
-    return "ambiguous" if _map_ambiguous(word.erased_mask(), code) else "unique"
-
-
-def _map_ambiguous(erased: np.ndarray, code: PolarCode) -> bool:
-    if code.k == 0:
-        return False
-    rows, pivots = code._info_rref
-    orphan = erased[pivots]
-    if not orphan.any():
-        return False
-    # rows with surviving pivots are independent on the kept columns and
-    # already eliminated from the orphans, so only the orphans can collapse
-    nwords = rows.shape[1]
-    keep = np.zeros(8 * nwords, dtype=np.uint8)
-    keep[: (erased.size + 7) // 8] = np.packbits(~erased, bitorder="little")
-    words = keep.view(np.uint64)
-    return _rank_deficient(rows[orphan] & words[None, :])
+    return "ambiguous" if _map_failures(word.erased_mask()[None, :], code)[0] else "unique"
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple:
@@ -539,30 +643,24 @@ def simulate(
 
     Both failure events depend only on the erasure pattern (the code is
     linear with frozen zeros), so trials run on the all-zero word. Trial t
-    uses the pattern of ``transmit_bec(0, eps, subseed(seed, t))``.  Every
-    trial asserts the MAP-implies-SC failure inclusion.
+    uses the pattern of ``transmit_bec(0, eps, subseed(seed, t))``; each
+    chunk of trials draws its patterns and runs both decoders as a batch,
+    so reports do not depend on ``chunk``.  Every trial asserts the
+    MAP-implies-SC failure inclusion.
     """
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
     if trials < 1:
         raise DomainError("trials must be >= 1")
     size = code.block_length
-    info = code._info_mask
     sc_errors = 0
     map_errors = 0
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        pat = np.empty((b, size), dtype=bool)
-        for t in range(b):
-            draws = uniform_matrix(subseed(seed, done + t), 1, size)[0]
-            pat[t] = draws < eps
-        y = np.where(pat, np.int8(ERASED), np.int8(0))
-        u = _sc_batch(y, code)
-        sc_fail = ((u == ERASED) & info[None, :]).any(axis=1)
-        map_fail = np.fromiter(
-            (_map_ambiguous(pat[t], code) for t in range(b)), dtype=bool, count=b
-        )
+        erased = trial_uniforms(seed, done, b, size) < eps
+        sc_fail = _sc_failures(erased, code)
+        map_fail = _map_failures(erased, code)
         if (map_fail & ~sc_fail).any():
             t = int(np.flatnonzero(map_fail & ~sc_fail)[0])
             raise AssertionError(

@@ -57,9 +57,10 @@ def subseed(seed: int, index: int) -> int:
     return mix64((seed & _MASK) ^ (((index + 1) * GAMMA) & _MASK))
 
 
-def subseeds(seed: int, count: int) -> np.ndarray:
+def subseeds(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """``subseed(seed, i)`` for i in start..start+count-1."""
     with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
+        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         idx *= np.uint64(GAMMA)
         idx ^= np.uint64(seed & _MASK)
     return _mix64_np(idx)
@@ -94,10 +95,25 @@ def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
 
 def uniform_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) doubles in [0, 1); row r comes from the derived stream r."""
+    return _uniform_rows(subseeds(seed, rows), cols)
+
+
+def trial_uniforms(seed: int, start: int, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) doubles; row r is ``uniform_matrix(subseed(seed, start + r), 1, cols)[0]``.
+
+    That is the draw of one word per trial seed, so a batch of trials gets
+    exactly the words drawn one trial at a time.
+    """
+    subs = _mix64_np(subseeds(seed, rows, start) ^ np.uint64(GAMMA))
+    return _uniform_rows(subs, cols)
+
+
+def _uniform_rows(subs: np.ndarray, cols: int) -> np.ndarray:
+    """Row r holds the first ``cols`` uniforms of the stream seeded subs[r]."""
+    rows = subs.size
     out = np.empty((rows, cols), dtype=np.float64)
     if rows == 0 or cols == 0:
         return out
-    subs = subseeds(seed, rows)
     with np.errstate(over="ignore"):
         steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GAMMA)
         ctr = subs[:, None] + steps[None, :]

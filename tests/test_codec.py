@@ -14,7 +14,9 @@ from polarkit.codec import (
     ScResult,
     SimulationReport,
     _branch_rule,
+    _map_failures,
     _sc_batch,
+    _sc_failures,
     encode,
     map_decode_bec,
     sc_decode_bec,
@@ -22,6 +24,7 @@ from polarkit.codec import (
     transmit_bec,
     wilson_interval,
 )
+from polarkit.becpolar import enumerate_level
 from polarkit.construct import digit_reverse, polar_selection
 from polarkit.errors import (
     DimensionTooLarge,
@@ -29,12 +32,13 @@ from polarkit.errors import (
     FrozenBitNonzero,
     IndexOutOfRange,
     MismatchedLevel,
+    NotPolarizing,
 )
-from polarkit.gf2kernel import BitMatrix, determined_masks
+from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
-from polarkit.rng import subseed
+from polarkit.rng import subseed, trial_uniforms
 
-from conftest import ARIKAN, L3, np_gf2_rank
+from conftest import ARIKAN, L3, np_gf2_rank, random_invertible
 
 
 
@@ -58,6 +62,20 @@ def row_bits(code, i):
     r = code.generator_row(i)
     return np.array([(r >> c) & 1 for c in range(code.block_length)],
                     dtype=np.uint8)
+
+
+def random_polarizing(rng, ell):
+    while True:
+        try:
+            return kernel_profile(random_invertible(rng, ell))
+        except NotPolarizing:
+            continue
+
+
+def all_patterns(size):
+    """Every erasure pattern on size positions, pattern p erasing bit c of p."""
+    p = np.arange(1 << size)
+    return ((p[:, None] >> np.arange(size)) & 1).astype(bool)
 
 
 class TestPolarCode:
@@ -301,6 +319,66 @@ class TestExactFailureProbabilities:
             assert Fraction(map_fail, 1 << size) == Fraction(1, 2**w)
 
 
+class TestRandomKernels:
+    """The batched genie-aided SC count and the M4RI rank test against
+    independent references on random polarizing kernels at n = 2."""
+
+    @pytest.mark.parametrize("ell,seed,samples", [
+        (4, 1, None), (4, 2, None), (5, 3, 4000), (5, 4, 4000),
+        (6, 5, 4000), (6, 6, 4000),
+    ])
+    def test_batched_decoders_match_references(self, ell, seed, samples):
+        rng = np.random.default_rng(seed)
+        prof = random_polarizing(rng, ell)
+        size = ell * ell
+        # a polar information set with about one index in ten flipped, so
+        # that both outcomes of both decoders stay common
+        sel = polar_selection(enumerate_level(prof.kernel, 0.5, 2), rng.uniform(0.2, 0.6))
+        info = np.zeros(size, dtype=bool)
+        info[sel.indices - 1] = True
+        info ^= rng.random(size) < 0.1
+        code = PolarCode(profile=prof, n=2,
+                         frozen=frozenset(int(i) + 1 for i in np.flatnonzero(~info)))
+        if samples is None:
+            erased = all_patterns(size)
+        else:
+            erased = rng.random((samples, size)) < rng.uniform(0.1, 0.7, (samples, 1))
+        sc = _sc_failures(erased, code)
+        u = _sc_batch(np.where(erased, np.int8(ERASED), np.int8(0)), code)
+        assert np.array_equal(sc, ((u == ERASED) & code._info_mask).any(axis=1))
+        amb = _map_failures(erased, code)
+        assert not (amb & ~sc).any()
+        gen = np.stack([row_bits(code, int(i)) for i in code.info_indices])
+        for t in rng.choice(len(erased), 400, replace=False):
+            rank = np_gf2_rank(gen[:, ~erased[t]]) if (~erased[t]).any() else 0
+            assert amb[t] == (rank < code.k)
+        if samples is None:
+            # every pattern: ambiguous iff it contains the support of a nonzero
+            # codeword; mark the supports, then close upward one bit at a time
+            combos = all_patterns(code.k)[1:].astype(np.uint8)
+            supports = (combos @ gen % 2) @ (1 << np.arange(size))
+            inside = np.zeros(1 << size, dtype=bool)
+            inside[supports] = True
+            for c in range(size):
+                halves = inside.reshape(-1, 2, 1 << c)
+                halves[:, 1] |= halves[:, 0]
+            assert np.array_equal(amb, inside)
+
+    def test_single_info_bit_matches_level_z(self):
+        rng = np.random.default_rng(7)
+        prof = random_polarizing(rng, 4)
+        cdf = enumerate_level(prof.kernel, 0.5, 2)
+        erased = all_patterns(16)
+        for i in range(1, 17):
+            code = PolarCode(profile=prof, n=2,
+                             frozen=frozenset(range(1, 17)) - {i})
+            sc = int(_sc_failures(erased, code).sum())
+            amb = int(_map_failures(erased, code).sum())
+            assert Fraction(sc, 1 << 16) == Fraction(cdf.value_at(i).value)
+            w = code.generator_row(i).bit_count()
+            assert Fraction(amb, 1 << 16) == Fraction(1, 2**w)
+
+
 class TestMapDecode:
     def test_matches_rank_oracle_exhaustive(self, arikan, cdf_cache):
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 3), 0.5)
@@ -328,6 +406,19 @@ class TestMapDecode:
             got = map_decode_bec(ErasureWord(y), code)
             seen = {tuple(w[~erased]) for w in words}
             assert got == ("unique" if len(seen) == len(words) else "ambiguous")
+
+    def test_batch_matches_rank_oracle(self, arikan, cdf_cache):
+        # 256 information rows and up to ~150 orphans: many Four-Russians
+        # blocks per word, and more than one sub-batch of words
+        code = PolarCode.from_selection(
+            arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 9), 0.5))
+        rng = np.random.default_rng(3)
+        erased = rng.random((180, 512)) < rng.uniform(0.4, 0.56, (180, 1))
+        amb = _map_failures(erased, code)
+        assert 0.2 < amb.mean() < 0.9
+        gen = np.stack([row_bits(code, int(i)) for i in code.info_indices])
+        want = [np_gf2_rank(gen[:, ~e]) < code.k for e in erased]
+        assert amb.tolist() == want
 
     def test_rate_zero_is_always_unique(self, arikan):
         code = PolarCode(profile=arikan, n=2, frozen=frozenset({1, 2, 3, 4}))
@@ -388,10 +479,37 @@ class TestSimulate:
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5)
         code = PolarCode.from_selection(arikan, sel)
         a = simulate(code, 0.5, 200, seed=4)
-        b = simulate(code, 0.5, 200, seed=4, chunk=64)
-        assert (a.sc_errors, a.map_errors) == (b.sc_errors, b.map_errors)
+        for chunk in (1, 17, 64, 2048):
+            assert simulate(code, 0.5, 200, seed=4, chunk=chunk) == a
         c = simulate(code, 0.5, 200, seed=5)
         assert (a.sc_errors, a.map_errors) != (c.sc_errors, c.map_errors)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+    def test_chunk_patterns_are_per_trial_words(self, seed):
+        zeros = np.zeros(27, dtype=np.int8)
+        for start, rows in ((0, 40), (2040, 16), (4090, 9)):
+            erased = trial_uniforms(seed, start, rows, 27) < 0.4
+            for r in range(rows):
+                word = transmit_bec(zeros, 0.4, subseed(seed, start + r))
+                assert np.array_equal(erased[r], word.erased_mask())
+
+    def test_edge_cases(self, arikan, l3prof):
+        rate_zero = PolarCode(profile=arikan, n=4, frozen=frozenset(range(1, 17)))
+        rep = simulate(rate_zero, 0.7, 50, seed=2)
+        assert (rep.sc_errors, rep.map_errors) == (0, 0)
+        code = PolarCode(profile=l3prof, n=2, frozen=frozenset({1, 2, 4}))
+        rep = simulate(code, 0.0, 50, seed=2)
+        assert (rep.sc_errors, rep.map_errors) == (0, 0)
+        rep = simulate(code, 1.0, 50, seed=2)
+        assert (rep.sc_errors, rep.map_errors) == (50, 50)
+        # at full rate every word is a codeword: any erasure is fatal to both
+        full = full_rate(l3prof, 2)
+        rep = simulate(full, 0.1, 300, seed=8, chunk=70)
+        zeros = np.zeros(9, dtype=np.int8)
+        hit = sum(transmit_bec(zeros, 0.1, subseed(8, t)).erasure_count > 0
+                  for t in range(300))
+        assert 0 < hit < 300
+        assert (rep.sc_errors, rep.map_errors) == (hit, hit)
 
     def test_dominance_under_stress(self, l3prof, cdf_cache):
         # the per-trial inclusion assertion inside simulate is the check

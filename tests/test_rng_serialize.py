@@ -47,6 +47,7 @@ class TestDerivedStreams:
         s = 123456789
         vec = subseeds(s, 16)
         assert [int(v) for v in vec] == [subseed(s, i) for i in range(16)]
+        assert np.array_equal(subseeds(s, 5, start=9), vec[9:14])
 
     def test_uniform_matrix_rows_are_streams(self):
         m = uniform_matrix(7, 5, 12)
