@@ -28,13 +28,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import (
-    BitMatrix,
-    determined_masks,
-    is_polarizing,
-    MAX_PERMUTATION_ELL,
-    _rank,
-)
+from .gf2kernel import MASK_DTYPE, BitMatrix, determined_masks, is_polarizing, partial_distances
 from .serialize import dumps_17g, fmt_real
 
 _LN2 = math.log(2.0)
@@ -99,26 +93,17 @@ class ErasurePolynomialSet:
 def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
     """Exact one-step splitting of a BEC under the kernel.
 
-    Enumerates all 2^ell erasure patterns; the polarizing property is checked
-    when the permutation search is feasible (ell <= 8), otherwise only
-    invertibility is enforced.
+    Counts all 2^ell erasure patterns E at once: E leaves the mask K = ~E
+    known, so branch j's weight-k count is the number of masks K with
+    ell - k known coordinates at which the branch is undetermined.
     """
-    if m.ell <= MAX_PERMUTATION_ELL:
-        if not is_polarizing(m):
-            raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
-    elif _rank(m.rows) < m.ell:
-        raise NotPolarizing("kernel is singular")
+    if not is_polarizing(m):
+        raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
 
     ell = m.ell
-    det = determined_masks(m)
-    counts = [[0] * (ell + 1) for _ in range(ell)]
-    full = (1 << ell) - 1
-    for E in range(1 << ell):
-        K = full ^ E
-        w = E.bit_count()
-        for j in range(ell):
-            if not ((det[j] >> K) & 1):
-                counts[j][w] += 1
+    undet = ~determined_masks(m)
+    erased = ell - np.bitwise_count(np.arange(1 << ell, dtype=MASK_DTYPE))
+    counts = [np.bincount(erased[undet[j]], minlength=ell + 1).tolist() for j in range(ell)]
     comp = [
         [math.comb(ell, k) - counts[j][ell - k] for k in range(ell + 1)]
         for j in range(ell)
@@ -493,8 +478,6 @@ def sample_paths(
             mj, pj = _step_arrays(modes[sel], payloads[sel], j, t)
             modes[sel] = mj
             payloads[sel] = pj
-
-    from .gf2kernel import partial_distances  # local import avoids cycle at import time
 
     dist = partial_distances(g)
     logd = np.array([math.log2(d) for d in dist])

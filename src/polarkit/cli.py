@@ -25,8 +25,8 @@ from .errors import (
     PrefixTooDeep,
     SingularMatrix,
 )
-from .gf2kernel import BitMatrix, kernel_profile
-from .serialize import dumps_17g, fmt_real
+from .gf2kernel import BitMatrix, kernel_profile, profile_to_json
+from .serialize import fmt_real
 
 EXIT_OK = 0
 EXIT_BAD_KERNEL = 2
@@ -148,27 +148,7 @@ def _exact_cdf(g, cfg, depth):
 
 
 def cmd_kernel_analyze(cfg: ExperimentConfig) -> str:
-    prof = kernel_profile(_kernel(cfg))
-    doc = {
-        "kernel": prof.kernel.to_literal(),
-        "ell": prof.ell,
-        "partial_distances": list(prof.partial_distances),
-        "exponent": prof.exponent,
-        "second_exponent": prof.second_exponent,
-        "row_weights": list(prof.row_weights),
-        "weight_exponent": prof.weight_exponent,
-        "weight_second_exponent": prof.weight_second_exponent,
-        "derived_h": prof.derived_h.to_literal(),
-        "h_partial_distances": list(prof.h_partial_distances),
-        "h_exponent": prof.h_exponent,
-        "h_second_exponent": prof.h_second_exponent,
-        "h_monotone": prof.h_monotone,
-        "c3_constant": prof.c3_constant,
-        "comp_branch_degrees": list(prof.comp_branch_degrees),
-        "comp_branch_indices": list(prof.comp_branch_indices),
-        "comp_map_consistent": prof.comp_map_consistent,
-    }
-    return dumps_17g(doc, indent=2) + "\n"
+    return profile_to_json(kernel_profile(_kernel(cfg))) + "\n"
 
 
 def cmd_polarize(cfg: ExperimentConfig) -> str:

@@ -176,9 +176,7 @@ class PolarCode:
         """(2^ell, ell) bool: entry [K, j] says branch j is determined when
         exactly the output coordinates in K are known and every earlier
         branch input is known (``determined_masks``)."""
-        width = 1 << self.profile.ell
-        masks = _pack_rows(determined_masks(self.profile.kernel), width)
-        return np.ascontiguousarray(_unpack_bits(masks, width).T)
+        return np.ascontiguousarray(determined_masks(self.profile.kernel).T)
 
     @cached_property
     def _info_rref(self) -> tuple:

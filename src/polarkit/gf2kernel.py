@@ -1,22 +1,26 @@
 """Square GF(2) kernels: inversion, polarization test, distance profile.
 
 Rows are stored as machine-word bitmasks (bit c = column c), so Hamming
-weights are popcounts and row combinations are single XORs.  Kernel sizes are
-small (ell <= 16 everywhere, ell <= 8 for the permutation search), which keeps
-the exhaustive subset enumerations used here comfortably cheap.
+weights are popcounts and row combinations are single XORs.  Kernels have
+ell <= 16, so the quantities defined over all 2^ell coordinate subsets (the
+determination table, row spans) are whole-array numpy passes over at most
+65536 uint16 masks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DimensionTooLarge, NotPolarizing, SingularMatrix
 from .serialize import dumps_17g
 
 MAX_ELL = 16
-MAX_PERMUTATION_ELL = 8
+# holds every row and coordinate mask of a kernel with ell <= MAX_ELL
+MASK_DTYPE = np.uint16
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,34 @@ class BitMatrix:
     def __repr__(self):
         return f"BitMatrix({self.to_literal()!r})"
 
+    @cached_property
+    def _determined(self) -> np.ndarray:
+        """The table behind ``determined_masks``, from the row-by-row
+        elimination of every known-coordinate mask K at once.
+
+        ``basis[h, K]`` is the reduced basis vector of K with leading bit h
+        (0 when there is none).  Going from the last row up, ``rows[j] & K``
+        is reduced against it from the top bit down; it is independent iff a
+        nonzero remainder is left, which then joins the basis at its own
+        leading bit.  Only bits of the later rows can lead a basis vector, so
+        only those are reduced.
+        """
+        masks = np.arange(1 << self.ell, dtype=MASK_DTYPE)
+        # row ell takes the zero remainders (frexp(0) has exponent 0) and is never read
+        basis = np.zeros((self.ell + 1, masks.size), dtype=MASK_DTYPE)
+        det = np.empty((self.ell, masks.size), dtype=bool)
+        later = 0
+        for j in range(self.ell - 1, -1, -1):
+            w = masks & self.rows[j]
+            for h in range(later.bit_length() - 1, -1, -1):
+                if (later >> h) & 1:
+                    w ^= basis[h] * ((w >> h) & 1)
+            np.not_equal(w, 0, out=det[j])
+            basis[np.frexp(w)[1] - 1, masks] = w
+            later |= self.rows[j]
+        det.setflags(write=False)
+        return det
+
 
 @dataclass(frozen=True)
 class BecChannel:
@@ -150,108 +182,60 @@ def gf2_invert(m: BitMatrix) -> BitMatrix:
     return BitMatrix(ell, tuple((aug[i] >> ell) & mask for i in range(ell)))
 
 
-def _triangular_witness(m: BitMatrix):
-    """A column permutation making the matrix upper triangular, or None.
-
-    Returned as a tuple sigma with new column j = old column sigma[j].
-    """
-    ell = m.ell
-    for sigma in itertools.permutations(range(ell)):
-        ok = True
-        for i in range(1, ell):
-            row = m.rows[i]
-            for j in range(i):
-                if (row >> sigma[j]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return sigma
-    return None
-
-
 def is_polarizing(m: BitMatrix) -> bool:
     """True iff the kernel is invertible and no column permutation of it is
-    upper triangular (brute force over all ell! permutations)."""
-    if m.ell > MAX_PERMUTATION_ELL:
-        raise DimensionTooLarge(
-            f"permutation search supports ell <= {MAX_PERMUTATION_ELL}"
-        )
+    upper triangular.
+
+    Column permutations keep the rows in place, so a triangular form is forced
+    from the bottom up: each row, last first, must have exactly one 1 outside
+    the columns already claimed by the rows below it, and that column is then
+    claimed (Korada-Sasoglu-Urbanke, arXiv:0901.0536).  The kernel polarizes
+    iff some row breaks this.
+    """
     if _rank(m.rows) < m.ell:
         return False
-    return _triangular_witness(m) is None
+    used = 0
+    for row in reversed(m.rows):
+        rest = row & ~used
+        if rest.bit_count() != 1:
+            return True
+        used |= rest
+    return False
 
 
 def partial_distances(m: BitMatrix) -> tuple[int, ...]:
     """D_i = Hamming distance from row i to the span of rows i+1..ell-1.
 
-    The last row's span is {0}, so D_{ell-1} is its weight.  Spans have at
-    most 2^(ell-1) elements and are enumerated directly.
+    The last row's span is {0}, so D_{ell-1} is its weight.  Spans are built
+    from the bottom row up by doubling: the span of rows i.. is the span of
+    rows i+1.. (the one D_i reads) followed by that span XOR row i.
     """
     if _rank(m.rows) < m.ell:
         raise SingularMatrix("partial distances need an invertible kernel")
-    ell = m.ell
-    out = []
-    for i in range(ell):
-        later = m.rows[i + 1 :]
-        best = ell + 1
-        for bits in range(1 << len(later)):
-            v = 0
-            k = bits
-            idx = 0
-            while k:
-                if k & 1:
-                    v ^= later[idx]
-                idx += 1
-                k >>= 1
-            d = (m.rows[i] ^ v).bit_count()
-            if d < best:
-                best = d
-        out.append(best)
+    out = [0] * m.ell
+    span = np.zeros(1, dtype=MASK_DTYPE)
+    for i in range(m.ell - 1, -1, -1):
+        shifted = span ^ m.rows[i]
+        out[i] = int(np.bitwise_count(shifted).min())
+        span = np.concatenate((span, shifted))
     return tuple(out)
 
 
-def determined_masks(m: BitMatrix) -> tuple[int, ...]:
-    """For each branch j, a bitset over known-coordinate masks K (0..2^ell-1):
-    bit K is set iff row j restricted to K is linearly independent of the later
-    rows restricted to K, i.e. iff the branch-j input is determined when
+def determined_masks(m: BitMatrix) -> np.ndarray:
+    """Read-only (ell, 2^ell) bool table: entry [j, K] is set iff row j
+    restricted to the known-coordinate mask K is linearly independent of the
+    later rows restricted to K, i.e. iff the branch-j input is determined when
     exactly the coordinates in K are known.
+
+    Built once per ``BitMatrix`` instance and kept on it.
     """
-    ell = m.ell
-    out = [0] * ell
-    for K in range(1 << ell):
-        basis = {}
-        for j in range(ell - 1, -1, -1):
-            v = m.rows[j] & K
-            w = v
-            while w:
-                h = w.bit_length() - 1
-                if h in basis:
-                    w ^= basis[h]
-                else:
-                    break
-            if w:
-                out[j] |= 1 << K
-                basis[w.bit_length() - 1] = w
-    return tuple(out)
+    return m._determined
 
 
 def min_determining_weights(m: BitMatrix) -> tuple[int, ...]:
     """Per branch, the minimum number of known coordinates that determine it."""
-    ell = m.ell
-    table = determined_masks(m)
-    out = []
-    for j in range(ell):
-        best = ell
-        t = table[j]
-        for K in range(1 << ell):
-            if (t >> K) & 1:
-                w = K.bit_count()
-                if w < best:
-                    best = w
-        out.append(best)
-    return tuple(out)
+    weights = np.bitwise_count(np.arange(1 << m.ell, dtype=MASK_DTYPE))
+    return tuple(np.where(determined_masks(m), weights, m.ell).min(axis=1).tolist())
 
 
 def _mean_pop_var(values) -> tuple[float, float]:
@@ -302,11 +286,8 @@ class KernelProfile:
 
 def kernel_profile(m: BitMatrix) -> KernelProfile:
     """Full profile of a polarizing kernel; raises NotPolarizing otherwise."""
-    if m.ell <= MAX_PERMUTATION_ELL:
-        if not is_polarizing(m):
-            raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
-    elif _rank(m.rows) < m.ell:
-        raise SingularMatrix("kernel is singular")
+    if not is_polarizing(m):
+        raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
 
     ell = m.ell
     log_ell = math.log2(ell)

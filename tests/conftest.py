@@ -77,3 +77,12 @@ def random_invertible(rng: np.random.Generator, ell: int) -> BitMatrix:
         m = BitMatrix.from_rows(rows.tolist())
         if gf2_rank(list(m.rows)) == ell:
             return m
+
+
+def kron_power(power: int) -> BitMatrix:
+    """The power-fold Kronecker power of the 2x2 kernel 10;11."""
+    g = np.array([[1, 0], [1, 1]])
+    a = g
+    for _ in range(power - 1):
+        a = np.kron(a, g)
+    return BitMatrix.from_rows(a.tolist())

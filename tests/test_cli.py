@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from polarkit.cli import (
 )
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 
-from conftest import ARIKAN
+from conftest import ARIKAN, kron_power
 
 
 def run(argv, capsys):
@@ -279,3 +280,23 @@ class TestOutputFile:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+
+class TestGoldenBytes:
+    """Exact stdout for the 16x16 kernel 10;11 (x)4, recorded before the
+    subset tables moved to numpy."""
+
+    golden = Path(__file__).parent / "golden"
+
+    g16 = kron_power(4).to_literal()
+
+    def test_kernel_analyze_g16(self, capsys):
+        rc, out, _ = run(["kernel-analyze", "--kernel", self.g16], capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "kernel_analyze_g16.json").read_text()
+
+    def test_polarize_g16_n2(self, capsys):
+        argv = ["polarize", "--kernel", self.g16, "--n", "2", "--eps", "0.5"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "polarize_g16_n2_eps0.5.csv").read_text()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gf2_rank, np_gf2_rank, random_invertible
+from conftest import gf2_rank, kron_power, np_gf2_rank, random_invertible
+from polarkit.becpolar import split_erasure_polynomials
 from polarkit.errors import (
     DimensionTooLarge,
     NotPolarizing,
@@ -32,6 +33,33 @@ def span_distance_oracle(rows, i):
     for r in rows[i + 1:]:
         span |= {tuple(a ^ b for a, b in zip(s, r)) for s in span}
     return min(sum(a ^ b for a, b in zip(rows[i], s)) for s in span)
+
+
+def triangular_by_permutation(m):
+    """True iff some column permutation makes the matrix upper triangular,
+    by trying every permutation."""
+    for sigma in itertools.permutations(range(m.ell)):
+        seen = 0
+        for i in range(1, m.ell):
+            seen |= 1 << sigma[i - 1]
+            if m.rows[i] & seen:
+                break
+        else:
+            return True
+    return False
+
+
+def permuted_triangular(rng, ell):
+    """Upper unit-triangular matrix with random columns permuted randomly."""
+    a = np.triu(rng.integers(0, 2, (ell, ell)), 1) | np.eye(ell, dtype=np.int64)
+    return a[:, rng.permutation(ell)]
+
+
+def determined_by_rank(rows, j, known):
+    """Row j is outside the span of the later rows on the columns in mask
+    ``known``, by direct rank counts."""
+    restricted = [r & known for r in rows]
+    return gf2_rank(restricted[j:]) == gf2_rank(restricted[j + 1:]) + 1
 
 
 def all_invertible(ell):
@@ -130,11 +158,40 @@ class TestIsPolarizing:
         for m in mats:
             assert is_polarizing(m) == oracle(m)
 
-    def test_large_ell_unsupported(self):
-        rng = np.random.default_rng(5)
-        m = random_invertible(rng, 9)
-        with pytest.raises(DimensionTooLarge):
-            is_polarizing(m)
+    def test_matches_permutation_oracle_up_to_ell7(self):
+        mats = [
+            BitMatrix(ell, tuple((bits >> (r * ell)) & ((1 << ell) - 1) for r in range(ell)))
+            for ell in (1, 2, 3)
+            for bits in range(1 << (ell * ell))
+        ]
+        rng = np.random.default_rng(29)
+        for ell in range(4, 8):
+            for _ in range(25):
+                mats.append(BitMatrix.from_rows(rng.integers(0, 2, (ell, ell)).tolist()))
+                a = permuted_triangular(rng, ell)
+                mats.append(BitMatrix.from_rows(a.tolist()))
+                a[rng.integers(ell), rng.integers(ell)] ^= 1
+                mats.append(BitMatrix.from_rows(a.tolist()))
+        outcomes = set()
+        for m in mats:
+            want = gf2_rank(list(m.rows)) == m.ell and not triangular_by_permutation(m)
+            assert is_polarizing(m) == want, m
+            outcomes.add((m.ell, want))
+        assert all((ell, want) in outcomes for ell in range(2, 8) for want in (False, True))
+
+    def test_wide_kernels(self):
+        rng = np.random.default_rng(31)
+        assert is_polarizing(kron_power(4))
+        for ell in range(9, 17):
+            assert is_polarizing(random_invertible(rng, ell))
+            assert not is_polarizing(BitMatrix.from_rows(permuted_triangular(rng, ell).tolist()))
+        tri = BitMatrix.from_rows(permuted_triangular(rng, 12).tolist())
+        singular = BitMatrix(10, (1023, 1023) + tuple(1 << c for c in range(2, 10)))
+        for m in (tri, singular):
+            with pytest.raises(NotPolarizing):
+                kernel_profile(m)
+            with pytest.raises(NotPolarizing):
+                split_erasure_polynomials(m)
 
 
 class TestPartialDistances:
@@ -184,7 +241,7 @@ class TestDeterminedMasks:
                     later = a[j + 1:, cols]
                     with_j = a[j:, cols]
                     want = np_gf2_rank(with_j) == np_gf2_rank(later) + 1
-                    assert bool((table[j] >> K) & 1) == want
+                    assert table[j, K] == want
 
     def test_monotone_in_known_set(self):
         # knowing more coordinates never loses determination
@@ -193,10 +250,10 @@ class TestDeterminedMasks:
             ell = m.ell
             for j in range(ell):
                 for K in range(1 << ell):
-                    if not ((table[j] >> K) & 1):
+                    if not table[j, K]:
                         continue
                     for c in range(ell):
-                        assert (table[j] >> (K | (1 << c))) & 1
+                        assert table[j, K | (1 << c)]
 
     def test_min_weights(self):
         assert min_determining_weights(BitMatrix.from_literal("10;11")) == (2, 1)
@@ -207,11 +264,84 @@ class TestDeterminedMasks:
                 min(
                     K.bit_count()
                     for K in range(1 << ell)
-                    if (table[j] >> K) & 1
+                    if table[j, K]
                 )
                 for j in range(ell)
             )
             assert min_determining_weights(m) == want
+
+
+    def test_read_only_and_built_once(self):
+        m = BitMatrix.from_literal("100;110;101")
+        table = determined_masks(m)
+        assert table.shape == (3, 8) and table.dtype == bool
+        assert not table.flags.writeable
+        assert determined_masks(m) is table
+        assert determined_masks(BitMatrix.from_literal("100;110;101")) is not table
+
+
+class TestRandomKernelOracles:
+    """The subset tables of random kernels with ell = 6..12 against direct
+    rank counts and explicit spans."""
+
+    def test_table_on_sampled_masks(self):
+        rng = np.random.default_rng(37)
+        for ell in range(6, 13):
+            m = random_invertible(rng, ell)
+            a = np.array(m.as_lists())
+            table = determined_masks(m)
+            full = (1 << ell) - 1
+            for K in [0, full, *rng.integers(0, full, 30).tolist()]:
+                cols = [c for c in range(ell) if (K >> c) & 1]
+                for j in range(ell):
+                    want = np_gf2_rank(a[j:, cols]) == np_gf2_rank(a[j + 1:, cols]) + 1
+                    assert table[j, K] == want, (m, j, K)
+
+    def test_partial_distances(self):
+        rng = np.random.default_rng(41)
+        for ell in (6, 7, 8):
+            for _ in range(4):
+                m = random_invertible(rng, ell)
+                rows = [tuple(r) for r in m.as_lists()]
+                want = tuple(span_distance_oracle(rows, i) for i in range(ell))
+                assert partial_distances(m) == want
+
+    def test_min_weights_by_scan(self):
+        rng = np.random.default_rng(43)
+        for ell in range(6, 13):
+            m = random_invertible(rng, ell)
+            want = tuple(
+                next(
+                    w
+                    for w in range(ell + 1)
+                    for cols in itertools.combinations(range(ell), w)
+                    if determined_by_rank(m.rows, j, sum(1 << c for c in cols))
+                )
+                for j in range(ell)
+            )
+            assert min_determining_weights(m) == want
+
+
+class TestSixteen:
+    """Exact identities of the ell = 16 tables."""
+
+    def test_capacity_conservation(self):
+        # the branches left undetermined by an erasure pattern number its
+        # weight, so summed over branches the weight-k count is k C(16, k)
+        for m in (kron_power(4), random_invertible(np.random.default_rng(47), 16)):
+            counts = split_erasure_polynomials(m).counts
+            for k in range(17):
+                assert sum(row[k] for row in counts) == k * math.comb(16, k)
+
+    def test_g16_partial_distances(self):
+        assert partial_distances(kron_power(4)) == tuple(
+            2 ** i.bit_count() for i in range(16)
+        )
+
+    def test_g16_profile(self):
+        p = kernel_profile(kron_power(4))
+        assert p.comp_map_consistent
+        assert sorted(p.comp_branch_degrees) == sorted(p.h_partial_distances)
 
 
 class TestKernelProfile:
