@@ -9,6 +9,7 @@ resolved config, so reruns produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -321,7 +322,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     top = _Parser(prog="polarkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in _COMMANDS:

@@ -14,7 +14,17 @@ the known output coordinates lies outside the span of the other unresolved
 rows there (later rows plus earlier rows whose input is still unknown).
 Determined bits are always correct, so the only failure mode is an
 undetermined information bit and a block is in error iff one occurs; no
-guesses are made.  ``sc_decode_bec`` runs this decoder and recovers values.
+guesses are made.  ``sc_decode_bec`` runs this decoder on one word and
+recovers values.  A subtree without information indices decodes to the
+frozen zeros and re-encodes to all-known zeros whatever it receives, so it
+is skipped (the rate-0 nodes of Alamdar-Yazdi and Kschischang, "A
+simplified successive-cancellation decoder for polar codes").  Each visited
+node decodes its kernel nodes together: a branch rule is one lookup in a
+per-code table keyed by (known-output mask, unresolved-earlier mask) and
+filled lazily from ``_branch_rule``, and one kernel stage re-encodes through
+two 2^ell-entry tables, output erasures from the erased branches and output
+values from the branch values.  Nodes just above the leaves run on
+Python-int masks.
 
 Whether SC fails needs less.  Compare it with the genie-aided decoder, in
 which every earlier input is known when branch j is decided, so the rule
@@ -77,6 +87,10 @@ MAX_BLOCK = 2**22
 # set of one sub-batch of trials: row stack plus tables
 M4RI_ROWS = 8
 M4RI_BYTES = 2 << 20
+
+# widest kernel whose SC branch rules are kept in a dense table: ell rows of
+# 2^(2 ell - 1) int32 entries, 1 MiB at ell = 8
+DENSE_RULE_ELL = 8
 
 
 @dataclass(frozen=True)
@@ -145,6 +159,35 @@ class PolarCode:
     def _node_tables(self) -> dict:
         return {}
 
+    @cached_property
+    def _info_prefix(self) -> list:
+        """Entry i counts the information indices among the first i."""
+        return [0, *np.cumsum(self._info_mask).tolist()]
+
+    @cached_property
+    def _sc_rules(self) -> "_ScRules":
+        return _ScRules(self)
+
+    @cached_property
+    def _reencode(self) -> tuple:
+        """One kernel stage of ternary re-encoding as two (2^ell, ell) bool
+        tables: row E of the first marks the outputs known when exactly the
+        inputs in E are erased (those on no row of E), row V of the second
+        the output values of input bits V."""
+        ell = self.profile.ell
+        rows = self.profile.kernel.rows
+        vals = np.zeros(1 << ell, dtype=np.int64)
+        used = np.zeros(1 << ell, dtype=np.int64)
+        for j in range(ell):
+            np.bitwise_xor(vals[: 1 << j], rows[j], out=vals[1 << j : 2 << j])
+            np.bitwise_or(used[: 1 << j], rows[j], out=used[1 << j : 2 << j])
+        bits = 1 << np.arange(ell, dtype=np.int64)
+        known = (used[:, None] & bits) == 0
+        ones = (vals[:, None] & bits) != 0
+        known.setflags(write=False)
+        ones.setflags(write=False)
+        return known, ones
+
     def generator_row(self, i: int) -> int:
         """Kronecker generator row of channel index i as a column bitmask.
 
@@ -211,12 +254,14 @@ class ErasureWord:
     symbols: np.ndarray
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int8)
+        # validate before the int8 cast, which would wrap 257 to 1 and
+        # truncate 1.7 to 1
+        sym = np.asarray(self.symbols)
         if sym.ndim != 1:
             raise DomainError("symbols must be one-dimensional")
         if not np.isin(sym, (0, 1, ERASED)).all():
             raise DomainError("symbols must be 0, 1, or ERASED")
-        sym = sym.copy()
+        sym = sym.astype(np.int8)
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
 
@@ -270,11 +315,12 @@ def _encode_batch(u: np.ndarray, code: PolarCode) -> np.ndarray:
 
 def encode(u, code: PolarCode) -> np.ndarray:
     """Encode channel-ordered input bits u (frozen positions must be 0)."""
-    u = np.asarray(u, dtype=np.uint8)
+    u = np.asarray(u)
     if u.shape != (code.block_length,):
         raise DomainError(f"input length must be {code.block_length}")
-    if (u > 1).any():
+    if not np.isin(u, (0, 1)).all():
         raise DomainError("input bits must be 0 or 1")
+    u = u.astype(np.uint8)
     fro = np.fromiter(code.frozen, dtype=np.int64) if code.frozen else np.array([], np.int64)
     if fro.size and u[fro - 1].any():
         bad = int(fro[np.flatnonzero(u[fro - 1])[0]])
@@ -288,13 +334,14 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
     Symbol k is erased iff output k of the splitmix64 stream with the given
     seed maps below eps, so the word is a pure function of (x, eps, seed).
     """
-    x = np.asarray(x, dtype=np.int8)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise DomainError("codeword must be one-dimensional")
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
-    if ((x != 0) & (x != 1)).any():
+    if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
+    x = x.astype(np.int8)
     draws = uniform_matrix(seed, 1, x.size)[0]
     return ErasureWord(np.where(draws < eps, np.int8(ERASED), x))
 
@@ -375,64 +422,103 @@ class ScResult:
         return not self.undetermined
 
 
-def _sc_batch(y: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Decode B ternary words at once; returns (B, N) ternary inputs."""
+class _ScRules:
+    """Packed SC branch rules of one code, filled lazily from ``_branch_rule``.
+
+    The rule of branch j with known-output mask K and unresolved-earlier mask
+    P sits at key K | P << ell as alpha | beta << ell, or as 0 when the branch
+    is undetermined (a determined branch always has alpha != 0).  Up to
+    DENSE_RULE_ELL the entries live in a dense array, -1 marking one not yet
+    filled; wider kernels, whose 2^(2 ell - 1) keys per branch do not fit,
+    read ``_branch_rule``'s own cache.
+    """
+
+    def __init__(self, code: PolarCode):
+        self.code = code
+        self.ell = ell = code.profile.ell
+        self.dense = None
+        if ell <= DENSE_RULE_ELL:
+            # P only has bits below j < ell, so every key is below 2^(2 ell - 1)
+            self.dense = np.full((ell, 1 << (2 * ell - 1)), -1, dtype=np.int32)
+
+    def _packed(self, j: int, key: int) -> int:
+        ell = self.ell
+        det, alpha, beta = _branch_rule(self.code, j, key & ((1 << ell) - 1), key >> ell)
+        return alpha | beta << ell if det else 0
+
+    def one(self, j: int, key: int) -> int:
+        if self.dense is None:
+            return self._packed(j, key)
+        r = int(self.dense[j, key])
+        if r < 0:
+            r = self.dense[j, key] = self._packed(j, key)
+        return r
+
+    def many(self, j: int, keys: np.ndarray) -> np.ndarray:
+        if self.dense is None:
+            return np.array([self._packed(j, k) for k in keys.tolist()], dtype=np.int64)
+        table = self.dense[j]
+        r = table[keys]
+        if r.min() < 0:
+            for k in np.unique(keys[r < 0]).tolist():
+                table[k] = self._packed(j, k)
+            r = table[keys]
+        return r
+
+
+def _sc_decode(y: np.ndarray, code: PolarCode) -> np.ndarray:
+    """SC-decode one ternary word; returns the (N,) ternary input estimate.
+
+    A node of span ell^m > ell holds its word as a known mask and a value
+    array (values are read only where known), groups it into ell^(m-1)
+    kernel nodes and decodes its branches in order, each from one rule
+    lookup per kernel node; rate-0 branches are skipped.  Nodes of span ell,
+    whose branches are leaves, run on Python-int masks.  Every node returns
+    its re-encoding, one ``_reencode`` row per kernel node.
+    """
     ell = code.profile.ell
-    g = code._kernel_array
-    info = code._info_mask
-    shifts = (1 << np.arange(ell, dtype=np.uint32))[None, None, :]
+    rules = code._sc_rules
+    enc_known, enc_ones = code._reencode
+    cum = code._info_prefix
+    weights = 1 << np.arange(ell, dtype=np.int64)
+    u = np.zeros(code.block_length, dtype=np.int8)
 
-    def rec(base: int, yy: np.ndarray):
-        b, span = yy.shape
-        if span == 1:
-            if info[base]:
-                u = yy.copy()
-            else:
-                u = np.zeros_like(yy)
-            return u, u
-        lc = span // ell
-        y3 = yy.reshape(b, lc, ell)
-        kmask = ((y3 != ERASED).astype(np.uint32) * shifts).sum(axis=2, dtype=np.uint32)
-        xbits = ((y3 == 1).astype(np.uint32) * shifts).sum(axis=2, dtype=np.uint32)
-        pbits = np.zeros((b, lc), dtype=np.uint32)
-        perased = np.zeros((b, lc), dtype=np.uint32)
-        uparts = []
-        vparts = []
+    def leaves(base: int, kmask: int, xbits: int):
+        pbits = perased = 0
         for j in range(ell):
-            keys = (kmask.astype(np.uint64) << np.uint64(32)) | perased.astype(np.uint64)
-            uq, inv = np.unique(keys, return_inverse=True)
-            det_t = np.empty(uq.size, dtype=bool)
-            alpha_t = np.empty(uq.size, dtype=np.uint32)
-            beta_t = np.empty(uq.size, dtype=np.uint32)
-            for s, keyval in enumerate(uq):
-                det_t[s], alpha_t[s], beta_t[s] = _branch_rule(
-                    code, j, int(keyval >> np.uint64(32)), int(keyval & np.uint64(0xFFFFFFFF))
-                )
-            inv = inv.reshape(b, lc)
-            val = (
-                np.bitwise_count(xbits & alpha_t[inv])
-                ^ np.bitwise_count(pbits & beta_t[inv])
-            ) & 1
-            w = np.where(det_t[inv], val.astype(np.int8), np.int8(ERASED))
-            uj, vj = rec(base + j * lc, w)
-            pbits |= (vj == 1).astype(np.uint32) << np.uint32(j)
-            perased |= (vj == ERASED).astype(np.uint32) << np.uint32(j)
-            uparts.append(uj)
-            vparts.append(vj)
-        # re-encode one kernel stage from the child words (ternary: any
-        # erased operand on a used row erases the output symbol)
-        x3 = np.empty((b, lc, ell), dtype=np.int8)
-        for c in range(ell):
-            acc = np.zeros((b, lc), dtype=np.int8)
-            erb = np.zeros((b, lc), dtype=bool)
-            for j in range(ell):
-                if g[j, c]:
-                    acc ^= vparts[j] == 1
-                    erb |= vparts[j] == ERASED
-            x3[:, :, c] = np.where(erb, np.int8(ERASED), acc)
-        return np.concatenate(uparts, axis=1), x3.reshape(b, span)
+            if cum[base + j + 1] == cum[base + j]:
+                continue  # frozen: u_j = 0, known
+            r = rules.one(j, kmask | perased << ell)
+            if r:
+                v = ((xbits | pbits << ell) & r).bit_count() & 1
+                u[base + j] = v
+                pbits |= v << j
+            else:
+                u[base + j] = ERASED
+                perased |= 1 << j
+        return enc_known[perased], enc_ones[pbits]
 
-    u, _ = rec(0, np.ascontiguousarray(y, dtype=np.int8))
+    def node(base: int, known: np.ndarray, ones: np.ndarray):
+        lc = known.size // ell
+        kmask = known.reshape(lc, ell) @ weights
+        xbits = ones.reshape(lc, ell) @ weights
+        if lc == 1:
+            return leaves(base, int(kmask[0]), int(xbits[0]))
+        pbits = np.zeros(lc, dtype=np.int64)
+        perased = np.zeros(lc, dtype=np.int64)
+        for j in range(ell):
+            b = base + j * lc
+            if cum[b + lc] == cum[b]:
+                continue  # rate-0 branch
+            r = rules.many(j, kmask | perased << ell)
+            val = np.bitwise_count((xbits | pbits << ell) & r) & 1
+            ck, co = node(b, r != 0, val)
+            pbits |= co * weights[j]
+            perased |= ~ck * weights[j]
+        return enc_known[perased].ravel(), enc_ones[pbits].ravel()
+
+    if cum[-1]:
+        node(0, y != ERASED, y == 1)
     return u
 
 
@@ -442,7 +528,7 @@ def sc_decode_bec(word: ErasureWord, code: PolarCode) -> ScResult:
         raise MismatchedLevel(
             f"word length {len(word)} does not match block length {code.block_length}"
         )
-    u = _sc_batch(word.symbols[None, :], code)[0]
+    u = _sc_decode(word.symbols, code)
     undet = np.flatnonzero((u == ERASED) & code._info_mask) + 1
     return ScResult(u=u, undetermined=tuple(int(i) for i in undet))
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from polarkit.becpolar import enumerate_level
+from polarkit.codec import ERASED, _branch_rule
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
@@ -86,3 +87,70 @@ def kron_power(power: int) -> BitMatrix:
     for _ in range(power - 1):
         a = np.kron(a, g)
     return BitMatrix.from_rows(a.tolist())
+
+
+def sc_batch(y: np.ndarray, code) -> np.ndarray:
+    """Reference SC decoder: B ternary words at once, (B, N) ternary inputs.
+
+    A plain recursion over every tree node, frozen subtrees included, that
+    re-reads each node's branch rules from ``_branch_rule`` and re-encodes
+    with one pass per kernel column; ``sc_decode_bec`` must match it on
+    every word.
+    """
+    ell = code.profile.ell
+    g = code._kernel_array
+    info = code._info_mask
+    shifts = (1 << np.arange(ell, dtype=np.uint32))[None, None, :]
+
+    def rec(base: int, yy: np.ndarray):
+        b, span = yy.shape
+        if span == 1:
+            if info[base]:
+                u = yy.copy()
+            else:
+                u = np.zeros_like(yy)
+            return u, u
+        lc = span // ell
+        y3 = yy.reshape(b, lc, ell)
+        kmask = ((y3 != ERASED).astype(np.uint32) * shifts).sum(axis=2, dtype=np.uint32)
+        xbits = ((y3 == 1).astype(np.uint32) * shifts).sum(axis=2, dtype=np.uint32)
+        pbits = np.zeros((b, lc), dtype=np.uint32)
+        perased = np.zeros((b, lc), dtype=np.uint32)
+        uparts = []
+        vparts = []
+        for j in range(ell):
+            keys = (kmask.astype(np.uint64) << np.uint64(32)) | perased.astype(np.uint64)
+            uq, inv = np.unique(keys, return_inverse=True)
+            det_t = np.empty(uq.size, dtype=bool)
+            alpha_t = np.empty(uq.size, dtype=np.uint32)
+            beta_t = np.empty(uq.size, dtype=np.uint32)
+            for s, keyval in enumerate(uq):
+                det_t[s], alpha_t[s], beta_t[s] = _branch_rule(
+                    code, j, int(keyval >> np.uint64(32)), int(keyval & np.uint64(0xFFFFFFFF))
+                )
+            inv = inv.reshape(b, lc)
+            val = (
+                np.bitwise_count(xbits & alpha_t[inv])
+                ^ np.bitwise_count(pbits & beta_t[inv])
+            ) & 1
+            w = np.where(det_t[inv], val.astype(np.int8), np.int8(ERASED))
+            uj, vj = rec(base + j * lc, w)
+            pbits |= (vj == 1).astype(np.uint32) << np.uint32(j)
+            perased |= (vj == ERASED).astype(np.uint32) << np.uint32(j)
+            uparts.append(uj)
+            vparts.append(vj)
+        # re-encode one kernel stage from the child words (ternary: any
+        # erased operand on a used row erases the output symbol)
+        x3 = np.empty((b, lc, ell), dtype=np.int8)
+        for c in range(ell):
+            acc = np.zeros((b, lc), dtype=np.int8)
+            erb = np.zeros((b, lc), dtype=bool)
+            for j in range(ell):
+                if g[j, c]:
+                    acc ^= vparts[j] == 1
+                    erb |= vparts[j] == ERASED
+            x3[:, :, c] = np.where(erb, np.int8(ERASED), acc)
+        return np.concatenate(uparts, axis=1), x3.reshape(b, span)
+
+    u, _ = rec(0, np.ascontiguousarray(y, dtype=np.int8))
+    return u

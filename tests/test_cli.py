@@ -106,6 +106,19 @@ class TestExitCodes:
         assert exc.value.code == EXIT_BAD_CONFIG
         capsys.readouterr()
 
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser per process: errors and successes repeat byte for byte
+        assert build_parser() is build_parser()
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["polarize", "--frequency", "3"])
+            assert exc.value.code == EXIT_BAD_CONFIG
+            seen.append(capsys.readouterr())
+            seen.append(run(["kernel-analyze", "--kernel", "100;110;101"], capsys))
+        assert seen[0] == seen[2] and seen[1] == seen[3]
+        assert seen[0].out == "" and "unrecognized arguments" in seen[0].err
+
 
 class TestKernelAnalyze:
     def test_values_match_profile(self, capsys):

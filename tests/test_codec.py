@@ -15,7 +15,6 @@ from polarkit.codec import (
     SimulationReport,
     _branch_rule,
     _map_failures,
-    _sc_batch,
     _sc_failures,
     encode,
     map_decode_bec,
@@ -38,7 +37,7 @@ from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
 from polarkit.rng import subseed, trial_uniforms
 
-from conftest import ARIKAN, L3, np_gf2_rank, random_invertible
+from conftest import ARIKAN, L3, kron_power, np_gf2_rank, random_invertible, sc_batch
 
 
 
@@ -155,6 +154,15 @@ class TestEncode:
         with pytest.raises(DomainError):
             encode(np.full(8, 2, dtype=np.uint8), code)
 
+    def test_values_checked_before_cast(self, arikan):
+        # 256 and 257 would wrap to 0 and 1 in uint8
+        code = full_rate(arikan, 2)
+        with pytest.raises(DomainError):
+            encode(np.array([256, 0, 0, 257]), code)
+        with pytest.raises(DomainError):
+            encode(np.array([1.0, 0.0, 0.5, 0.0]), code)
+        assert encode(np.array([1.0, 0.0, 0.0, 0.0]), code).tolist() == [1, 0, 0, 0]
+
 
 class TestErasureWord:
     def test_validation_and_views(self):
@@ -166,6 +174,16 @@ class TestErasureWord:
             ErasureWord(np.array([0, 2], dtype=np.int8))
         with pytest.raises(DomainError):
             ErasureWord(np.zeros((2, 2), dtype=np.int8))
+
+    def test_values_checked_before_cast(self):
+        # int8 would wrap 257 to 1 and 255 to -1, and truncate 1.7 to 1
+        with pytest.raises(DomainError):
+            ErasureWord(np.array([257, 0, 255]))
+        with pytest.raises(DomainError):
+            ErasureWord(np.array([1.7, 0.0, -1.0]))
+        w = ErasureWord(np.array([1.0, 0.0, -1.0]))
+        assert w.symbols.dtype == np.int8
+        assert w.symbols.tolist() == [1, 0, ERASED]
 
 
 class TestTransmit:
@@ -192,6 +210,11 @@ class TestTransmit:
             transmit_bec(np.zeros(4, dtype=np.int8), 1.5, seed=1)
         with pytest.raises(DomainError):
             transmit_bec(np.zeros((2, 2), dtype=np.int8), 0.5, seed=1)
+        # values outside {0, 1} that an int8 cast would map into it
+        with pytest.raises(DomainError):
+            transmit_bec(np.array([256, 1, 0]), 0.0, seed=1)
+        with pytest.raises(DomainError):
+            transmit_bec(np.array([1.7, 0.0]), 0.0, seed=1)
 
 
 class TestBranchRule:
@@ -273,7 +296,7 @@ class TestScDecode:
         for _ in range(10):
             erased = rng.random(32) < 0.5
             words.append(np.where(erased, np.int8(ERASED), np.int8(0)))
-        batch = _sc_batch(np.stack(words), code)
+        batch = sc_batch(np.stack(words), code)
         for t, y in enumerate(words):
             single = sc_decode_bec(ErasureWord(y), code)
             assert np.array_equal(batch[t], single.u)
@@ -282,6 +305,57 @@ class TestScDecode:
         code = full_rate(arikan, 3)
         with pytest.raises(MismatchedLevel):
             sc_decode_bec(ErasureWord(np.zeros(4, dtype=np.int8)), code)
+
+
+def oracle_words(code, rng):
+    """Codewords under random erasures, arbitrary ternary words, and words
+    with nothing and with everything erased."""
+    size = code.block_length
+    words = []
+    for frac in (0.2, 0.5, 0.8):
+        u = np.zeros(size, dtype=np.uint8)
+        u[code.info_indices - 1] = rng.integers(0, 2, code.k)
+        x = encode(u, code).astype(np.int8)
+        words.append(x)
+        words.append(np.where(rng.random(size) < frac, np.int8(ERASED), x))
+        words.append(rng.choice(np.array([0, 1, ERASED], dtype=np.int8), size,
+                                p=[(1 - frac) / 2, (1 - frac) / 2, frac]))
+    words.append(rng.integers(0, 2, size).astype(np.int8))
+    words.append(np.full(size, ERASED, dtype=np.int8))
+    return words
+
+
+class TestScOracle:
+    """``sc_decode_bec`` against the plain recursion ``sc_batch`` that visits
+    every node, on codes with random, empty and full information sets."""
+
+    @pytest.mark.parametrize("kernel,n", [
+        (ARIKAN, 1), (ARIKAN, 2), (ARIKAN, 4), (ARIKAN, 7), (ARIKAN, 10),
+        (L3, 1), (L3, 2), (L3, 3), (L3, 5),
+        ("random4", 1), ("random4", 3), ("random5", 2), ("random6", 2),
+        ("G8", 1), ("G8", 2), ("random9", 1), ("random9", 2), ("G16", 1),
+    ])
+    def test_matches_reference(self, kernel, n):
+        rng = np.random.default_rng([n, *kernel.encode()])
+        if kernel.startswith("random"):
+            prof = random_polarizing(rng, int(kernel[6:]))
+        elif kernel.startswith("G"):
+            prof = kernel_profile(kron_power(int(kernel[1:]).bit_length() - 1))
+        else:
+            prof = kernel_profile(BitMatrix.from_literal(kernel))
+        size = prof.ell**n
+        infos = [np.zeros(size, dtype=bool), np.ones(size, dtype=bool),
+                 rng.random(size) < 0.3, rng.random(size) < 0.7]
+        for info in infos:
+            code = PolarCode(profile=prof, n=n, frozen=frozenset(
+                int(i) + 1 for i in np.flatnonzero(~info)))
+            words = oracle_words(code, rng)
+            want = sc_batch(np.stack(words), code)
+            for y, u in zip(words, want):
+                res = sc_decode_bec(ErasureWord(y), code)
+                assert res.u.dtype == u.dtype and np.array_equal(res.u, u)
+                assert res.undetermined == tuple(
+                    int(i) + 1 for i in np.flatnonzero((u == ERASED) & info))
 
 
 class TestExactFailureProbabilities:
@@ -344,7 +418,7 @@ class TestRandomKernels:
         else:
             erased = rng.random((samples, size)) < rng.uniform(0.1, 0.7, (samples, 1))
         sc = _sc_failures(erased, code)
-        u = _sc_batch(np.where(erased, np.int8(ERASED), np.int8(0)), code)
+        u = sc_batch(np.where(erased, np.int8(ERASED), np.int8(0)), code)
         assert np.array_equal(sc, ((u == ERASED) & code._info_mask).any(axis=1))
         amb = _map_failures(erased, code)
         assert not (amb & ~sc).any()
