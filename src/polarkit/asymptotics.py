@@ -3,8 +3,7 @@
 The per-digit increments of log_ell(-log2 Z) behave like an i.i.d. sum with
 mean E and variance V taken from the kernel profile, so threshold events of
 the form Z <= 2^(-ell^nu) obey a central limit theorem.  This module carries
-the Q function (Maclaurin series below |t| = 3, Laplace continued fraction
-above; no external special-function dependency), its inverse, the
+the Q function (from the standard library's erfc), its inverse, the
 double-exponential thresholds, predicted CDF values, orthant probabilities
 of a correlated Gaussian pair, and the limiting polar/RM overlap fraction.
 """
@@ -20,7 +19,6 @@ from .errors import DegenerateVariance, DomainError
 from .extval import ExtendedUnitValue
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 
 # 20-point Gauss-Legendre rule; panels are narrow enough that this is exact
@@ -33,49 +31,12 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def _erf_series(x):
-    # Maclaurin erf, adequate for |x| <= 3/sqrt(2); terms collected and
-    # fsum'ed so the alternating cancellation costs nothing extra.
-    terms = [x]
-    term = x
-    xx = x * x
-    for n in range(1, 220):
-        term *= -xx / n
-        delta = term / (2 * n + 1)
-        terms.append(delta)
-        if abs(delta) <= 1e-19 * abs(terms[0]):
-            break
-    return _TWO_OVER_SQRT_PI * math.fsum(terms)
-
-
-def _mills_cf(t):
-    # Laplace continued fraction for Q(t)/phi(t), t >= 3:
-    # 1/(t + 1/(t + 2/(t + 3/(t + ...)))), evaluated by modified Lentz.
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    for k in range(1, 400):
-        a = 1.0 if k == 1 else float(k - 1)
-        d = t + a * d
-        if d == 0.0:
-            d = tiny
-        c = t + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return f
-
-
 def q_function(t: float) -> float:
-    """Gaussian upper tail Q(t) = P(N(0,1) >= t).
+    """Gaussian upper tail Q(t) = P(N(0,1) >= t), from ``math.erfc``.
 
-    Absolute error <= 1e-14 over |t| <= 8.  Q(-t) = 1 - Q(t) holds by
-    construction (negative arguments are reflected).
+    Relative error <= 1e-14 over 0 <= t <= 8 (about 1e-13 out to t = 37,
+    checked against mpmath).  Q(-t) = 1 - Q(t) holds by construction
+    (negative arguments are reflected).
     """
     if math.isnan(t):
         raise DomainError("q_function requires a real argument")
@@ -83,9 +44,7 @@ def q_function(t: float) -> float:
         return 1.0 - q_function(-t)
     if math.isinf(t):
         return 0.0
-    if t < 3.0:
-        return 0.5 * (1.0 - _erf_series(t * _SQRT1_2))
-    return _phi(t) * _mills_cf(t)
+    return 0.5 * math.erfc(t * _SQRT1_2)
 
 
 def q_inverse(p: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import MASK_DTYPE, BitMatrix, determined_masks, is_polarizing, partial_distances
+from .gf2kernel import MASK_DTYPE, BitMatrix, determined_masks, is_polarizing
 from .serialize import dumps_17g, fmt_real
 
 _LN2 = math.log(2.0)
@@ -161,20 +161,15 @@ class _EvolveTables:
             self.comp_lead.append(clead)
 
 
-def _eval_terms(terms, x, y):
-    """sum coeff * x^kx * y^ky over the term triples (ascending x power)."""
+def _eval_terms(terms, x, y, shift=0):
+    """sum coeff * x^(kx - shift) * y^ky over the term triples (ascending x power).
+
+    A nonzero ``shift`` factors x^shift out of every term, which is exact when
+    shift is at most the lowest x power.
+    """
     acc = None
     for a, kx, ky in terms:
-        t = a * x**kx * y**ky
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _bracket_terms(terms, lead, x, y):
-    """Same sum with x^lead factored out (exact: every kx >= lead)."""
-    acc = None
-    for a, kx, ky in terms:
-        t = a * x ** (kx - lead) * y**ky
+        t = a * x ** (kx - shift) * y**ky
         acc = t if acc is None else acc + t
     return acc
 
@@ -208,7 +203,7 @@ def _step_arrays(mode, payload, j, t: _EvolveTables):
         z = np.exp2(-lam)
         zc = 1.0 - z
         d = t.lead[j]
-        bracket = _bracket_terms(t.terms[j], d, z, zc)
+        bracket = _eval_terms(t.terms[j], z, zc, d)
         lam2 = d * lam - np.log2(bracket)
         small = lam2 <= SWITCH_BITS  # re-normalize toward LINEAR
         out_m[neg] = np.where(small, LINEAR, NEGLOG)
@@ -220,7 +215,7 @@ def _step_arrays(mode, payload, j, t: _EvolveTables):
         dd = np.exp2(-mu)
         dc = 1.0 - dd
         d = t.comp_lead[j]
-        bracket = _bracket_terms(t.comp_terms[j], d, dd, dc)
+        bracket = _eval_terms(t.comp_terms[j], dd, dc, d)
         mu2 = d * mu - np.log2(bracket)
         small = mu2 <= SWITCH_BITS
         out_m[comp] = np.where(small, LINEAR, COMPLOG)
@@ -434,75 +429,49 @@ def enumerate_level(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """One sampled polarization path.
-
-    ``sum_log_d`` and ``sum_log_w`` accumulate log2 of the branch partial
-    distance / row weight along the path.
-    """
-
-    digits: np.ndarray
-    z_final: ExtendedUnitValue
-    sum_log_d: float
-    sum_log_w: float
-
-
 def sample_paths(
     g: BitMatrix, eps: float, n: int, count: int, seed: int
-) -> list[PathSample]:
-    """``count`` i.i.d. uniform digit paths of length n with exact evolution.
+) -> np.ndarray:
+    """Final Z of ``count`` i.i.d. uniform digit paths of length n, exactly evolved.
 
-    Deterministic in (seed, parameters): path p draws its digits from the
-    derived splitmix64 stream p (see :mod:`polarkit.rng`).
+    Returns a length-``count`` structured array with fields ``mode`` (int8)
+    and ``payload`` (float64): entry p is the ExtendedUnitValue state of path
+    p.  Deterministic in (seed, parameters): path p draws its digits from the
+    derived splitmix64 stream p, so its digits are row p of
+    ``rng.path_digit_matrix(seed, count, n, ell)``.  Each level's digit
+    column is drawn inside the level loop; no (count, n) array is built.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
     if count < 0:
         raise DomainError("path count must be nonnegative")
     _check_depth(g.ell, n)
-    polys = split_erasure_polynomials(g)
-    t = _EvolveTables(polys)
-    ell = g.ell
-
-    digit_mat = rng.path_digit_matrix(seed, count, n, ell)
+    t = _EvolveTables(split_erasure_polynomials(g))
     root = ExtendedUnitValue.from_float(eps)
-    modes = np.full(count, root.mode, dtype=np.int8)
-    payloads = np.full(count, root.payload, dtype=np.float64)
+    out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
+    modes, payloads = out["mode"], out["payload"]
+    modes[:] = root.mode
+    payloads[:] = root.payload
+    subs = rng.subseeds(seed, count)
     for d in range(n):
-        col = digit_mat[:, d]
-        for j in range(ell):
+        col = rng.path_digits(subs, d, g.ell)
+        for j in range(g.ell):
             sel = col == j
             if not sel.any():
                 continue
-            mj, pj = _step_arrays(modes[sel], payloads[sel], j, t)
-            modes[sel] = mj
-            payloads[sel] = pj
-
-    dist = partial_distances(g)
-    logd = np.array([math.log2(d) for d in dist])
-    logw = np.array([math.log2(w) for w in g.row_weights()])
-    sum_d = logd[digit_mat].sum(axis=1) if n else np.zeros(count)
-    sum_w = logw[digit_mat].sum(axis=1) if n else np.zeros(count)
-
-    out = []
-    for p in range(count):
-        out.append(
-            PathSample(
-                digits=digit_mat[p].copy(),
-                z_final=ExtendedUnitValue(int(modes[p]), float(payloads[p])),
-                sum_log_d=float(sum_d[p]),
-                sum_log_w=float(sum_w[p]),
-            )
-        )
+            modes[sel], payloads[sel] = _step_arrays(modes[sel], payloads[sel], j, t)
     return out
 
 
 def level_from_samples(
-    samples: list[PathSample], g: BitMatrix, eps: float, n: int, seed: int
+    samples: np.ndarray, g: BitMatrix, eps: float, n: int, seed: int
 ) -> LevelCdf:
-    """Empirical LevelCdf built from sampled paths (source 'montecarlo')."""
-    lams = np.array([s.z_final.neglog2 for s in samples], dtype=np.float64)
+    """Empirical LevelCdf (source 'montecarlo') from ``sample_paths``' array.
+
+    lambda = -log2 Z comes from ``_neglog_array``, the convention of the exact
+    levels.
+    """
+    lams = _neglog_array(samples["mode"], samples["payload"])
     return LevelCdf(
         n=n,
         ell=g.ell,

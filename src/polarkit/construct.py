@@ -95,17 +95,17 @@ class SelectionBounds:
     dmin_upper: int
     map_lower: ExtendedUnitValue
 
+    def to_dict(self) -> dict:
+        return {
+            "union_bound": self.union_bound.as_pair(),
+            "union_neglog2": self.union_neglog2,
+            "sc_lower": self.sc_lower.as_pair(),
+            "dmin_upper": self.dmin_upper,
+            "map_lower": self.map_lower.as_pair(),
+        }
+
     def to_json(self) -> str:
-        return dumps_17g(
-            {
-                "union_bound": self.union_bound.as_pair(),
-                "union_neglog2": self.union_neglog2,
-                "sc_lower": self.sc_lower.as_pair(),
-                "dmin_upper": self.dmin_upper,
-                "map_lower": self.map_lower.as_pair(),
-            },
-            indent=2,
-        )
+        return dumps_17g(self.to_dict(), indent=2)
 
 
 def _target_size(ell: int, n: int, rate: float) -> int:
@@ -427,11 +427,5 @@ def selection_report_json(sel: SelectionSet,
                      for k, v in sorted(sel.metadata.items())},
     }
     if bounds is not None:
-        doc["bounds"] = {
-            "union_bound": bounds.union_bound.as_pair(),
-            "union_neglog2": bounds.union_neglog2,
-            "sc_lower": bounds.sc_lower.as_pair(),
-            "dmin_upper": bounds.dmin_upper,
-            "map_lower": bounds.map_lower.as_pair(),
-        }
+        doc["bounds"] = bounds.to_dict()
     return dumps_17g(doc, indent=2)

@@ -80,16 +80,26 @@ def reduce_digits(bits: np.ndarray, ell: int) -> np.ndarray:
     return (t >> np.uint64(32)).astype(np.int64)
 
 
-def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
-    """(count, n) i.i.d. uniform digits; row p comes from the derived stream p."""
-    out = np.empty((count, n), dtype=np.int64)
-    if count == 0 or n == 0:
-        return out
-    subs = subseeds(seed, count)
+def path_digits(subs: np.ndarray, d: int, ell: int) -> np.ndarray:
+    """Digit d (0-based) of every path, one path per derived-stream seed in ``subs``.
+
+    Output d of stream s reduced to {0..ell-1}: ``mix64(s + (d+1)*GAMMA)``.
+    A sampler draws one level's column at a time and never holds all n.
+    """
     with np.errstate(over="ignore"):
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA)
-        ctr = subs[:, None] + steps[None, :]
-    out[:] = reduce_digits(_mix64_np(ctr), ell)
+        ctr = subs + np.uint64(((d + 1) * GAMMA) & _MASK)
+    return reduce_digits(_mix64_np(ctr), ell)
+
+
+def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
+    """(count, n) i.i.d. uniform digits; row p comes from the derived stream p.
+
+    Column d is ``path_digits(subseeds(seed, count), d, ell)``.
+    """
+    out = np.empty((count, n), dtype=np.int64)
+    subs = subseeds(seed, count)
+    for d in range(n):
+        out[:, d] = path_digits(subs, d, ell)
     return out
 
 

@@ -10,7 +10,6 @@ from conftest import np_gf2_rank, random_invertible
 from polarkit.becpolar import (
     DEFAULT_BUDGET,
     LevelCdf,
-    PathSample,
     enumerate_level,
     enumerate_levels,
     evolve_exact,
@@ -25,7 +24,7 @@ from polarkit.errors import (
     RequiresExactCdf,
 )
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, ExtendedUnitValue
-from polarkit.gf2kernel import BitMatrix, partial_distances
+from polarkit.gf2kernel import BitMatrix, is_polarizing, partial_distances
 from polarkit.rng import path_digit_matrix
 
 
@@ -318,36 +317,60 @@ class TestEnumerate:
         assert got == sorted(got)
 
 
+def random_polarizing(seed, ell):
+    rng = np.random.default_rng(seed)
+    while True:
+        m = random_invertible(rng, ell)
+        if is_polarizing(m):
+            return m
+
+
+def assert_paths_match_evolve(g, eps, n, count, seed):
+    """Every sampled state equals evolve_exact on that path's stream digits."""
+    polys = split_erasure_polynomials(g)
+    got = sample_paths(g, eps, n, count, seed)
+    digits = path_digit_matrix(seed, count, n, g.ell)
+    for p in range(count):
+        z = evolve_exact(eps, digits[p].tolist(), polys)
+        assert (int(got["mode"][p]), float(got["payload"][p])) == (z.mode, z.payload)
+
+
 class TestSampling:
     def test_digits_come_from_rng_streams(self):
-        samples = sample_paths(ARIKAN, 0.5, 12, 25, seed=7)
-        want = path_digit_matrix(7, 25, 12, 2)
-        got = np.stack([s.digits for s in samples])
-        assert np.array_equal(got, want)
+        assert_paths_match_evolve(ARIKAN, 0.5, 12, 25, seed=7)
+        assert_paths_match_evolve(ARIKAN, 0.5, 40, 60, seed=42)
 
     def test_z_final_matches_evolve(self):
-        polys = split_erasure_polynomials(L3)
-        samples = sample_paths(L3, 0.3, 9, 10, seed=3)
-        dist = partial_distances(L3)
-        for s in samples:
-            assert s.z_final == evolve_exact(0.3, s.digits.tolist(), polys)
-            assert math.isclose(
-                s.sum_log_d,
-                sum(math.log2(dist[b]) for b in s.digits),
-                abs_tol=1e-12,
-            )
-            assert math.isclose(
-                s.sum_log_w,
-                sum(math.log2(L3.row_weights()[b]) for b in s.digits),
-                abs_tol=1e-12,
-            )
+        assert_paths_match_evolve(L3, 0.3, 9, 40, seed=3)
+        assert_paths_match_evolve(L3, 0.5, 30, 60, seed=43)
+        assert_paths_match_evolve(random_polarizing(17, 5), 0.5, 8, 50, seed=5)
+        assert_paths_match_evolve(random_polarizing(18, 6), 0.4, 5, 50, seed=6)
+
+    def test_result_layout(self):
+        for n, count in ((6, 0), (6, 1), (6, 17), (0, 5), (0, 0)):
+            got = sample_paths(L3, 0.3, n, count, seed=2)
+            assert len(got) == count
+            assert got["mode"].dtype == np.int8
+            assert got["payload"].dtype == np.float64
+        root = ExtendedUnitValue.from_float(0.3)
+        got = sample_paths(L3, 0.3, 0, 5, seed=2)
+        assert np.all(got["mode"] == root.mode)
+        assert np.all(got["payload"] == root.payload)
 
     def test_deterministic(self):
         a = sample_paths(ARIKAN, 0.5, 10, 50, seed=11)
         b = sample_paths(ARIKAN, 0.5, 10, 50, seed=11)
-        assert all(x.z_final == y.z_final for x, y in zip(a, b))
+        assert np.array_equal(a, b)
         c = sample_paths(ARIKAN, 0.5, 10, 50, seed=12)
-        assert any(x.z_final != y.z_final for x, y in zip(a, c))
+        assert not np.array_equal(a, c)
+
+    def test_sampled_lambda_matches_neglog2(self):
+        # deep enough that every mode band holds paths
+        samples = sample_paths(L3, 0.5, 30, 3000, seed=43)
+        assert set(np.unique(samples["mode"])) == {LINEAR, NEGLOG, COMPLOG}
+        emp = level_from_samples(samples, L3, 0.5, 30, seed=43)
+        want = [ExtendedUnitValue(int(m), float(p)).neglog2 for m, p in samples]
+        np.testing.assert_array_max_ulp(emp.neglogs_by_index, np.array(want), maxulp=2)
 
     def test_monte_carlo_matches_exact_cdf(self, cdf_cache):
         # empirical F at several thresholds within 99.9% Wilson bands

@@ -297,7 +297,8 @@ class TestOutputFile:
 
 class TestGoldenBytes:
     """Exact stdout for the 16x16 kernel 10;11 (x)4, recorded before the
-    subset tables moved to numpy."""
+    subset tables moved to numpy, and for a sampled level beyond the budget,
+    recorded when path sampling moved to arrays."""
 
     golden = Path(__file__).parent / "golden"
 
@@ -313,3 +314,10 @@ class TestGoldenBytes:
         rc, out, _ = run(argv, capsys)
         assert rc == EXIT_OK
         assert out == (self.golden / "polarize_g16_n2_eps0.5.csv").read_text()
+
+    def test_polarize_sampled_arikan_n24(self, capsys):
+        argv = ["polarize", "--n", "24", "--paths", "2000", "--seed", "11",
+                "--budget", "4096"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "polarize_sampled_n24_paths2000_seed11.csv").read_text()

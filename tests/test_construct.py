@@ -468,3 +468,4 @@ class TestReportJson:
         assert doc["bounds"]["dmin_upper"] == 32
         assert doc["bounds"]["map_lower"] == ["neglog", 66.0]
         assert doc["bounds"]["union_neglog2"] == b.union_neglog2
+        assert json.loads(b.to_json()) == doc["bounds"]

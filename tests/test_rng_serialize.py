@@ -7,6 +7,7 @@ from polarkit.rng import (
     GAMMA,
     mix64,
     path_digit_matrix,
+    path_digits,
     raw_stream,
     reduce_digits,
     subseed,
@@ -72,6 +73,22 @@ class TestDerivedStreams:
         long = path_digit_matrix(11, 30, 9, 3)
         short = path_digit_matrix(11, 30, 4, 3)
         assert np.array_equal(long[:, :4], short)
+
+    def test_path_digits_stack_to_matrix(self):
+        for count, n in ((30, 9), (0, 5), (7, 0), (0, 0)):
+            for ell in (2, 3, 7):
+                subs = subseeds(11, count)
+                cols = [path_digits(subs, d, ell) for d in range(n)]
+                stacked = np.array(cols, dtype=np.int64).reshape(n, count).T
+                assert np.array_equal(stacked, path_digit_matrix(11, count, n, ell))
+
+    def test_path_digits_are_stream_outputs(self):
+        # digit d of path p is output d of the derived stream p, reduced
+        subs = subseeds(5, 6)
+        for p in range(6):
+            want = reduce_digits(raw_stream(subseed(5, p), 12), 3)
+            got = [int(path_digits(subs, d, 3)[p]) for d in range(12)]
+            assert got == want.tolist()
 
     def test_digit_frequencies(self):
         d = path_digit_matrix(5, 200, 50, 3)
