@@ -20,7 +20,7 @@ branch and branch 1 the squaring branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -79,14 +79,8 @@ class ErasurePolynomialSet:
         )
 
     def to_json(self) -> str:
-        obj = {
-            "kernel": self.kernel.to_literal(),
-            "ell": self.ell,
-            "counts": [list(row) for row in self.counts],
-            "leading_degree": list(self.leading_degree),
-            "comp_counts": [list(row) for row in self.comp_counts],
-            "comp_leading_degree": list(self.comp_leading_degree),
-        }
+        obj = {"kernel": self.kernel.to_literal(), "ell": self.ell}
+        obj.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
         return dumps_17g(obj, indent=2)
 
 

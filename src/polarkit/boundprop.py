@@ -20,7 +20,7 @@ Also here: the runtime audit of the abstract polarization-process conditions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import AssumptionUnmet, DomainError
 from .extval import ExtendedUnitValue, _exp2
@@ -110,17 +110,7 @@ class ConditionReport:
     c5_note: str
 
     def to_json(self) -> str:
-        return dumps_17g(
-            {
-                "steps": self.steps,
-                "c2_violations": self.c2_violations,
-                "c3_violations": self.c3_violations,
-                "max_c3_constant_observed": self.max_c3_constant_observed,
-                "terminal_drift": self.terminal_drift,
-                "c5_note": self.c5_note,
-            },
-            indent=2,
-        )
+        return dumps_17g(asdict(self), indent=2)
 
 
 _C5_NOTE = (

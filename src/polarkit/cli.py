@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .gf2kernel import BitMatrix, kernel_profile, profile_to_json
-from .serialize import fmt_real
+from .serialize import csv_text, fmt_cell, fmt_real
 
 EXIT_OK = 0
 EXIT_BAD_KERNEL = 2
@@ -61,14 +61,7 @@ class ExperimentConfig:
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                s = ",".join(
-                    fmt_real(x) if isinstance(x, float) else str(x) for x in v
-                )
-            elif isinstance(v, float):
-                s = fmt_real(v)
-            else:
-                s = str(v)
+            s = ",".join(map(fmt_cell, v)) if isinstance(v, tuple) else fmt_cell(v)
             lines.append(f"{f.name} = {s}")
         return "\n".join(lines) + "\n"
 
@@ -130,6 +123,9 @@ def _resolve(args) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     if not cfg.n or any(d < 0 for d in cfg.n):
         raise ConfigError("n must list nonnegative depths")
+    for key in ("rate", "t", "beta"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"{key} must list at least one value")
     if math.isnan(cfg.eps) or not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError("eps must lie in [0, 1]")
     if cfg.trials < 1 or cfg.paths < 1 or cfg.budget < 1:
@@ -140,7 +136,7 @@ def _resolve(args) -> ExperimentConfig:
 def _kernel(cfg: ExperimentConfig) -> BitMatrix:
     try:
         return BitMatrix.from_literal(cfg.kernel)
-    except (DomainError, DimensionTooLarge) as exc:
+    except (DomainError, DimensionTooLarge, ValueError) as exc:
         raise ConfigError(f"bad kernel literal: {exc}") from exc
 
 
@@ -168,43 +164,26 @@ def cmd_scaling_verify(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps
-    lines = ["n,t,exact_F,predicted,abs_error"]
+    rows = []
     for depth in cfg.n:
         cdf = _exact_cdf(g, cfg, depth)
         for tval in cfg.t:
             thr = polar_threshold(depth, tval, prof, side="good")
             exact = float(cdf.cdf_at_neglog(thr.neglog2()))
             pred = channel_i * q_function(tval)
-            lines.append(
-                ",".join(
-                    [
-                        str(depth),
-                        fmt_real(tval),
-                        fmt_real(exact),
-                        fmt_real(pred),
-                        fmt_real(abs(exact - pred)),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((depth, tval, exact, pred, abs(exact - pred)))
+    return csv_text("n,t,exact_F,predicted,abs_error", rows)
 
 
 def cmd_exponent_verify(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
-    lines = ["n,beta,fraction"]
+    rows = []
     for depth in cfg.n:
         cdf = _exact_cdf(g, cfg, depth)
         for beta in cfg.beta:
             lam = math.pow(g.ell, beta * depth)
-            frac = float(cdf.cdf_at_neglog(lam))
-            lines.append(
-                ",".join([str(depth), fmt_real(beta), fmt_real(frac)])
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _loglog(v, ell: int) -> float:
-    return loglog_exponent(v, ell)
+            rows.append((depth, beta, float(cdf.cdf_at_neglog(lam))))
+    return csv_text("n,beta,fraction", rows)
 
 
 def cmd_selection_compare(cfg: ExperimentConfig) -> str:
@@ -215,45 +194,35 @@ def cmd_selection_compare(cfg: ExperimentConfig) -> str:
     r_rm = cfg.rate[-1]
     beta = cfg.beta[0]
     tval = cfg.t[0]
-    lines = ["n,rule,union_bound_loglog,dmin,map_lower_loglog,overlap_with_rm"]
+    rows = []
     for depth in cfg.n:
         cdf = _exact_cdf(g, cfg, depth)
         rm = construct.rm_selection(g, depth, r_rm)
-        rows = [
+        selections = [
             ("polar", construct.polar_selection(cdf, r)),
             ("rm", construct.rm_selection(g, depth, r)),
         ]
         m = construct.default_prefix_depth(depth, beta, prof, budget=cfg.budget)
         prefix = _exact_cdf(g, cfg, m) if m < depth else cdf
-        rows.append(
-            (
-                "hybrid",
-                construct.hybrid_selection(
-                    prefix, g, depth, r, beta, tval, pad_cdf=cdf
-                ),
-            )
-        )
-        for rule, sel in rows:
+        selections.append(("hybrid", construct.hybrid_selection(
+            prefix, g, depth, r, beta, tval, pad_cdf=cdf)))
+        for rule, sel in selections:
             bounds = construct.selection_bounds(sel, cdf, prof, cfg.eps)
-            lines.append(
-                ",".join(
-                    [
-                        str(depth),
-                        rule,
-                        fmt_real(_loglog(bounds.union_bound, g.ell)),
-                        str(bounds.dmin_upper),
-                        fmt_real(_loglog(bounds.map_lower, g.ell)),
-                        fmt_real(construct.overlap_fraction(sel, rm)),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((
+                depth,
+                rule,
+                loglog_exponent(bounds.union_bound, g.ell),
+                bounds.dmin_upper,
+                loglog_exponent(bounds.map_lower, g.ell),
+                construct.overlap_fraction(sel, rm),
+            ))
+    return csv_text(
+        "n,rule,union_bound_loglog,dmin,map_lower_loglog,overlap_with_rm", rows)
 
 
 def cmd_codec_sim(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
     prof = kernel_profile(g)
-    header = None
     rows = []
     for depth in cfg.n:
         cdf = _exact_cdf(g, cfg, depth)
@@ -261,10 +230,8 @@ def cmd_codec_sim(cfg: ExperimentConfig) -> str:
             sel = construct.polar_selection(cdf, r)
             code = codec.PolarCode.from_selection(prof, sel)
             rep = codec.simulate(code, cfg.eps, cfg.trials, cfg.seed)
-            head, row = rep.to_csv().strip().split("\n")
-            header = head
-            rows.append(row)
-    return header + "\n" + "\n".join(rows) + "\n"
+            rows.append(rep.csv_row())
+    return csv_text(codec.SimulationReport.CSV_HEADER, rows)
 
 
 def cmd_map_bound(cfg: ExperimentConfig) -> str:
@@ -275,7 +242,7 @@ def cmd_map_bound(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps
-    lines = ["n,rate,dmin_upper,map_lower_loglog,sc_union_loglog,theorem3_rhs"]
+    rows = []
     for depth in cfg.n:
         cdf = _exact_cdf(g, cfg, depth)
         for r in cfg.rate:
@@ -288,19 +255,16 @@ def cmd_map_bound(cfg: ExperimentConfig) -> str:
             rhs = depth * prof.weight_exponent + math.sqrt(
                 depth * prof.weight_second_exponent
             ) * q_inverse(r / channel_i)
-            lines.append(
-                ",".join(
-                    [
-                        str(depth),
-                        fmt_real(r),
-                        str(bounds.dmin_upper),
-                        fmt_real(_loglog(bounds.map_lower, g.ell)),
-                        fmt_real(_loglog(bounds.union_bound, g.ell)),
-                        fmt_real(rhs),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((
+                depth,
+                r,
+                bounds.dmin_upper,
+                loglog_exponent(bounds.map_lower, g.ell),
+                loglog_exponent(bounds.union_bound, g.ell),
+                rhs,
+            ))
+    return csv_text(
+        "n,rate,dmin_upper,map_lower_loglog,sc_union_loglog,theorem3_rhs", rows)
 
 
 _COMMANDS = {
@@ -355,10 +319,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, PrefixTooDeep, DimensionTooLarge) as exc:
         print(f"polarkit: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, DomainError) as exc:
-        print(f"polarkit: bad config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except PolarkitError as exc:
+    except (ConfigError, PolarkitError) as exc:
         print(f"polarkit: bad config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if cfg.out:

@@ -71,9 +71,9 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
 )
-from .gf2kernel import KernelProfile, determined_masks
+from .gf2kernel import MASK_DTYPE, KernelProfile, determined_masks
 from .rng import trial_uniforms, uniform_matrix
-from .serialize import fmt_real
+from .serialize import csv_text
 
 ERASED = -1
 
@@ -547,13 +547,12 @@ def _sc_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
     n = code.n
     b = erased.shape[0]
     det = code._det_table
-    mask_t = np.uint8 if ell <= 8 else np.uint16
     known = ~erased.reshape((b,) + (ell,) * n)
     for ax in range(n, 0, -1):
         lead = (slice(None),) * ax
-        kmask = known[lead + (0,)].astype(mask_t)
+        kmask = known[lead + (0,)].astype(MASK_DTYPE)
         for c in range(1, ell):
-            kmask |= known[lead + (c,)].astype(mask_t) << c
+            kmask |= known[lead + (c,)].astype(MASK_DTYPE) << c
         known = det.take(kmask, axis=0)
     return (~known.reshape(b, code.block_length) & code._info_mask).any(axis=1)
 
@@ -688,6 +687,11 @@ class SimulationReport:
     sc_interval: tuple = field(repr=False)
     map_interval: tuple = field(repr=False)
 
+    CSV_HEADER = (
+        "eps,n,rate,trials,sc_errors,map_errors,sc_rate,map_rate,"
+        "sc_wilson_lo,sc_wilson_hi,map_wilson_lo,map_wilson_hi"
+    )
+
     @property
     def sc_rate(self) -> float:
         return self.sc_errors / self.trials
@@ -696,28 +700,15 @@ class SimulationReport:
     def map_rate(self) -> float:
         return self.map_errors / self.trials
 
+    def csv_row(self) -> tuple:
+        return (
+            self.eps, self.n, self.rate, self.trials, self.sc_errors,
+            self.map_errors, self.sc_rate, self.map_rate, *self.sc_interval,
+            *self.map_interval,
+        )
+
     def to_csv(self) -> str:
-        head = (
-            "eps,n,rate,trials,sc_errors,map_errors,sc_rate,map_rate,"
-            "sc_wilson_lo,sc_wilson_hi,map_wilson_lo,map_wilson_hi"
-        )
-        row = ",".join(
-            [
-                fmt_real(self.eps),
-                str(self.n),
-                fmt_real(self.rate),
-                str(self.trials),
-                str(self.sc_errors),
-                str(self.map_errors),
-                fmt_real(self.sc_rate),
-                fmt_real(self.map_rate),
-                fmt_real(self.sc_interval[0]),
-                fmt_real(self.sc_interval[1]),
-                fmt_real(self.map_interval[0]),
-                fmt_real(self.map_interval[1]),
-            ]
-        )
-        return head + "\n" + row + "\n"
+        return csv_text(self.CSV_HEADER, [self.csv_row()])
 
 
 def simulate(

@@ -423,8 +423,7 @@ def selection_report_json(sel: SelectionSet,
         "rate": sel.rate,
         "count": sel.size,
         "rule": sel.rule,
-        "metadata": {k: (list(v) if isinstance(v, tuple) else v)
-                     for k, v in sorted(sel.metadata.items())},
+        "metadata": dict(sorted(sel.metadata.items())),
     }
     if bounds is not None:
         doc["bounds"] = bounds.to_dict()

@@ -10,7 +10,7 @@ determination table, row spans) are whole-array numpy passes over at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -337,23 +337,7 @@ def kernel_profile(m: BitMatrix) -> KernelProfile:
 
 def profile_to_json(p: KernelProfile) -> str:
     """Profile as JSON with reals at 17 significant digits."""
-    obj = {
-        "kernel": p.kernel.to_literal(),
-        "ell": p.ell,
-        "partial_distances": list(p.partial_distances),
-        "exponent": p.exponent,
-        "second_exponent": p.second_exponent,
-        "row_weights": list(p.row_weights),
-        "weight_exponent": p.weight_exponent,
-        "weight_second_exponent": p.weight_second_exponent,
-        "derived_h": p.derived_h.to_literal(),
-        "h_partial_distances": list(p.h_partial_distances),
-        "h_exponent": p.h_exponent,
-        "h_second_exponent": p.h_second_exponent,
-        "h_monotone": p.h_monotone,
-        "c3_constant": p.c3_constant,
-        "comp_branch_degrees": list(p.comp_branch_degrees),
-        "comp_branch_indices": list(p.comp_branch_indices),
-        "comp_map_consistent": p.comp_map_consistent,
-    }
+    obj = {"kernel": p.kernel.to_literal(), "ell": p.ell}
+    obj.update((f.name, getattr(p, f.name)) for f in fields(p)[1:])
+    obj["derived_h"] = p.derived_h.to_literal()
     return dumps_17g(obj, indent=2)

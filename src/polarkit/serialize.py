@@ -20,6 +20,24 @@ def fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_cell(v) -> str:
+    """One CSV cell: a str as given, an int by ``str``, anything else by
+    ``fmt_real`` (so a bool raises)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(v)
+    return fmt_real(v)
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line of ``fmt_cell`` cells per row, each
+    line ending in a newline."""
+    lines = [header]
+    lines.extend(",".join(map(fmt_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def dumps_17g(obj, indent: int = 0) -> str:
     """JSON text with floats rendered at 17 significant digits."""
     pad = " " * indent

@@ -11,6 +11,7 @@ from polarkit.cli import (
     EXIT_BAD_KERNEL,
     EXIT_BUDGET,
     EXIT_OK,
+    _COMMANDS,
     ConfigError,
     ExperimentConfig,
     build_parser,
@@ -75,6 +76,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _resolve(args)
 
+    @pytest.mark.parametrize("key", ["rate", "t", "beta"])
+    def test_resolve_rejects_empty_lists(self, key, tmp_path):
+        args = build_parser().parse_args(["codec-sim", f"--{key}="])
+        with pytest.raises(ConfigError, match=f"{key} must list"):
+            _resolve(args)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} =\n")
+        args = build_parser().parse_args(["selection-compare", "--config", str(path)])
+        with pytest.raises(ConfigError, match=f"{key} must list"):
+            _resolve(args)
+
 
 class TestExitCodes:
     def test_ok(self, capsys):
@@ -96,6 +108,17 @@ class TestExitCodes:
         rc, _, err = run(
             ["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4"], capsys)
         assert rc == EXIT_BAD_CONFIG and "must lie inside" in err
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("bad", [
+        ["--kernel", "12;11"], ["--kernel", "10;1"], ["--kernel", ";"],
+        ["--rate="], ["--t="], ["--beta="], ["--eps", "nan"]], ids=" ".join)
+    def test_bad_input_sweep(self, command, bad, capsys):
+        # malformed literals, empty lists and NaN reach every subcommand as
+        # one error line and the bad-config code, never a traceback
+        rc, out, err = run([command, "--n", "4", *bad], capsys)
+        assert rc == EXIT_BAD_CONFIG and out == ""
+        assert err.startswith("polarkit: bad config: ") and err.count("\n") == 1
 
     def test_usage_errors_exit_bad_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,12 +318,46 @@ class TestOutputFile:
         assert first == second
 
 
+L3 = "100;110;101"
+
+
 class TestGoldenBytes:
     """Exact stdout for the 16x16 kernel 10;11 (x)4, recorded before the
-    subset tables moved to numpy, and for a sampled level beyond the budget,
-    recorded when path sampling moved to arrays."""
+    subset tables moved to numpy, for a sampled level beyond the budget,
+    recorded when path sampling moved to arrays, and for every table
+    command on Arikan and L3, recorded before the tables moved to one CSV
+    writer."""
 
     golden = Path(__file__).parent / "golden"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("scaling_verify_arikan.csv",
+         ["scaling-verify", "--n", "8,10,12", "--t=-1,0,0.5,1,2,3"]),
+        ("scaling_verify_l3.csv",
+         ["scaling-verify", "--kernel", L3, "--eps", "0.3", "--n", "6,8",
+          "--t=-2,0,1.5,4"]),
+        ("exponent_verify_arikan.csv", ["exponent-verify", "--n", "10,12"]),
+        ("exponent_verify_l3.csv",
+         ["exponent-verify", "--kernel", L3, "--n", "6,8"]),
+        ("selection_compare_arikan.csv", ["selection-compare", "--n", "10,12"]),
+        ("selection_compare_l3.csv",
+         ["selection-compare", "--kernel", L3, "--n", "6"]),
+        ("codec_sim_arikan.csv",
+         ["codec-sim", "--n", "8", "--rate", "0.25,0.5", "--trials", "300",
+          "--seed", "3"]),
+        ("codec_sim_l3.csv",
+         ["codec-sim", "--kernel", L3, "--n", "4", "--rate", "0.3",
+          "--trials", "300", "--seed", "3"]),
+        ("map_bound_arikan.csv",
+         ["map-bound", "--n", "8,10", "--rate", "0.1,0.25,0.4"]),
+        ("map_bound_l3.csv",
+         ["map-bound", "--kernel", L3, "--n", "5", "--rate", "0.3"]),
+        ("kernel_analyze_l3.json", ["kernel-analyze", "--kernel", L3]),
+    ])
+    def test_table_commands(self, name, argv, capsys):
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_OK and err == ""
+        assert out == (self.golden / name).read_text()
 
     g16 = kron_power(4).to_literal()
 

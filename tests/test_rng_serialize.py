@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from polarkit.rng import (
     GAMMA,
@@ -15,7 +16,7 @@ from polarkit.rng import (
     uniform01,
     uniform_matrix,
 )
-from polarkit.serialize import dumps_17g, fmt_real
+from polarkit.serialize import csv_text, dumps_17g, fmt_real
 
 
 class TestMix64:
@@ -133,6 +134,17 @@ class TestSerialize:
             assert back["a"] == 0.1
             assert back["nested"]["lam"] == 2.0**-45
             assert back["flag"] is True and back["none"] is None
+
+    def test_csv_text_cells(self):
+        rows = [(3, "polar", 0.1, -math.inf), (-7, "", np.float64(1 / 3), 2.5)]
+        assert csv_text("a,b,c,d", rows) == (
+            "a,b,c,d\n"
+            "3,polar,0.10000000000000001,-inf\n"
+            "-7,,0.33333333333333331,2.5\n"
+        )
+        assert csv_text("a,b", []) == "a,b\n"
+        with pytest.raises(TypeError):
+            csv_text("flag", [(True,)])
 
     def test_dumps_17g_specials_as_strings(self):
         assert json.loads(dumps_17g({"x": math.inf}))["x"] == "inf"
