@@ -19,6 +19,7 @@ branch and branch 1 the squaring branch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -352,14 +353,20 @@ class LevelCdf:
 
         Uses the full (mode, payload) order, not the float lambda, so deeply
         polarized values that share an underflowed lambda still rank
-        correctly.
+        correctly.  Sorted once; every call returns the same read-only array.
         """
+        return self._z_order
+
+    @functools.cached_property
+    def _z_order(self) -> np.ndarray:
         if self._modes is None:
             raise RequiresExactCdf("ordering needs per-index values")
         # ascending z: NEGLOG (payload descending) < LINEAR < COMPLOG
         key0 = np.array([1, 0, 2], dtype=np.int8)[self._modes]
         key1 = np.where(self._modes == NEGLOG, -self._payloads, self._payloads)
-        return np.lexsort((np.arange(self.size), key1, key0))
+        order = np.lexsort((np.arange(self.size), key1, key0))
+        order.flags.writeable = False
+        return order
 
     def to_csv(self) -> str:
         lines = ["lambda"]
@@ -367,25 +374,19 @@ class LevelCdf:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_levels(
-    g: BitMatrix, eps: float, n: int, budget: int = DEFAULT_BUDGET
-):
-    """(mode, payload) arrays for every level 0..n, in tree order.
-
-    Level d holds ell^d entries; entry v's children sit at v*ell + j in level
-    d+1.  Raises BudgetExceeded when ell^n exceeds the node budget.
-    """
+def _levels(g: BitMatrix, eps: float, n: int, budget: int):
+    """Yield ``enumerate_levels``' levels one at a time, holding no level
+    beyond the one being expanded."""
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
     _check_depth(g.ell, n)
     if g.ell**n > budget:
         raise BudgetExceeded(f"{g.ell}^{n} exceeds the enumeration budget {budget}")
-    polys = split_erasure_polynomials(g)
-    t = _EvolveTables(polys)
+    t = _EvolveTables(split_erasure_polynomials(g))
     root = ExtendedUnitValue.from_float(eps)
     modes = np.array([root.mode], dtype=np.int8)
     payloads = np.array([root.payload], dtype=np.float64)
-    levels = [(modes, payloads)]
+    yield modes, payloads
     ell = g.ell
     for _ in range(n):
         size = len(modes) * ell
@@ -396,15 +397,26 @@ def enumerate_levels(
             nm[j::ell] = mj
             npay[j::ell] = pj
         modes, payloads = nm, npay
-        levels.append((modes, payloads))
-    return levels
+        yield modes, payloads
+
+
+def enumerate_levels(
+    g: BitMatrix, eps: float, n: int, budget: int = DEFAULT_BUDGET
+):
+    """(mode, payload) arrays for every level 0..n, in tree order.
+
+    Level d holds ell^d entries; entry v's children sit at v*ell + j in level
+    d+1.  Raises BudgetExceeded when ell^n exceeds the node budget.
+    """
+    return list(_levels(g, eps, n, budget))
 
 
 def enumerate_level(
     g: BitMatrix, eps: float, n: int, budget: int = DEFAULT_BUDGET
 ) -> LevelCdf:
-    """Exact LevelCdf at depth n by full tree enumeration."""
-    modes, payloads = enumerate_levels(g, eps, n, budget)[-1]
+    """Exact LevelCdf at depth n by full tree enumeration, two levels at a time."""
+    for modes, payloads in _levels(g, eps, n, budget):
+        pass
     lams = _neglog_array(modes, payloads)
     return LevelCdf(
         n=n,
@@ -463,8 +475,10 @@ def level_from_samples(
     """Empirical LevelCdf (source 'montecarlo') from ``sample_paths``' array.
 
     lambda = -log2 Z comes from ``_neglog_array``, the convention of the exact
-    levels.
+    levels.  An empty sample array has no distribution and is rejected.
     """
+    if len(samples) == 0:
+        raise DomainError("an empirical level needs at least one sampled path")
     lams = _neglog_array(samples["mode"], samples["payload"])
     return LevelCdf(
         n=n,

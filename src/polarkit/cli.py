@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import becpolar, codec, construct
 from .asymptotics import loglog_exponent, polar_threshold, q_function, q_inverse
@@ -41,21 +41,26 @@ class ConfigError(Exception):
     pass
 
 
+def _flag(default, help_text):
+    """A config field whose command-line flag carries ``help_text``."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment parameters; round-trips through key=value text."""
 
-    kernel: str = "10;11"
-    eps: float = 0.5
-    n: tuple = (10,)
-    rate: tuple = (0.5,)
-    t: tuple = (0.0,)
-    beta: tuple = (0.4, 0.6)
+    kernel: str = _flag("10;11", "kernel literal, rows ';'-joined")
+    eps: float = _flag(0.5, "erasure probability")
+    n: tuple = _flag((10,), "depth or comma sweep, e.g. 12,16,20")
+    rate: tuple = _flag((0.5,), "rate or comma list")
+    t: tuple = _flag((0.0,), "deviation t or comma grid")
+    beta: tuple = _flag((0.4, 0.6), "exponent beta or comma grid")
     seed: int = 1
     trials: int = 10000
     paths: int = DEFAULT_PATHS
     budget: int = DEFAULT_BUDGET
-    out: str = ""
+    out: str = _flag("", "output path (stdout when omitted)")
 
     def to_text(self) -> str:
         lines = []
@@ -66,22 +71,22 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
 def _parse_value(key: str, raw: str):
+    """A config value typed like the field's default; tuples split on ','."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default = _FIELDS[key].default
     raw = raw.strip()
     try:
-        if key == "kernel" or key == "out":
-            return raw
-        if key == "eps":
-            return float(raw)
-        if key in ("seed", "trials", "paths", "budget"):
-            return int(raw)
-        if key == "n":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        if key in ("rate", "t", "beta"):
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+        if isinstance(default, tuple):
+            cast = type(default[0])
+            return tuple(cast(p) for p in raw.split(",") if p.strip())
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -109,18 +114,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _resolve(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in ("kernel", "eps", "n", "rate", "t", "beta", "seed",
-                "trials", "paths", "budget", "out"):
-        v = getattr(args, key, None)
-        if v is None:
-            continue
-        overrides[key] = _parse_value(key, v) if isinstance(v, str) else v
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    cfg = replace(cfg, **{
+        key: _parse_value(key, v) if isinstance(v, str) else v
+        for key, v in vars(args).items() if key in _FIELDS and v is not None})
     if not cfg.n or any(d < 0 for d in cfg.n):
         raise ConfigError("n must list nonnegative depths")
     for key in ("rate", "t", "beta"):
@@ -294,17 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value experiment file")
-        p.add_argument("--kernel", help="kernel literal, rows ';'-joined")
-        p.add_argument("--eps", help="erasure probability")
-        p.add_argument("--n", help="depth or comma sweep, e.g. 12,16,20")
-        p.add_argument("--rate", help="rate or comma list")
-        p.add_argument("--t", help="deviation t or comma grid")
-        p.add_argument("--beta", help="exponent beta or comma grid")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--out", help="output path (stdout when omitted)")
+        for f in _FIELDS.values():
+            p.add_argument(f"--{f.name}", help=f.metadata.get("help"),
+                           type=int if type(f.default) is int else None)
     return top
 
 

@@ -321,10 +321,9 @@ def encode(u, code: PolarCode) -> np.ndarray:
     if not np.isin(u, (0, 1)).all():
         raise DomainError("input bits must be 0 or 1")
     u = u.astype(np.uint8)
-    fro = np.fromiter(code.frozen, dtype=np.int64) if code.frozen else np.array([], np.int64)
-    if fro.size and u[fro - 1].any():
-        bad = int(fro[np.flatnonzero(u[fro - 1])[0]])
-        raise FrozenBitNonzero(f"frozen index {bad} carries a nonzero bit")
+    bad = np.flatnonzero(u & ~code._info_mask)
+    if bad.size:
+        raise FrozenBitNonzero(f"frozen index {bad[0] + 1} carries a nonzero bit")
     return _encode_batch(u[None, :], code)[0]
 
 

@@ -35,7 +35,7 @@ from .errors import (
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
 from .gf2kernel import BitMatrix, KernelProfile, kernel_profile
 from .asymptotics import q_inverse
-from .serialize import dumps_17g
+from .serialize import csv_text, dumps_17g
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +72,7 @@ class SelectionSet:
         return len(self.indices)
 
     def to_csv(self) -> str:
-        lines = ["index"]
-        lines.extend(str(int(i)) for i in self.indices)
-        return "\n".join(lines) + "\n"
+        return csv_text("index", ((int(i),) for i in self.indices))
 
 
 @dataclass(frozen=True)
@@ -129,17 +127,23 @@ def digit_reverse(i: int, ell: int, n: int) -> int:
     return r + 1
 
 
-def _digit_scores(ell: int, n: int, lo: int, hi: int,
-                  table: np.ndarray) -> np.ndarray:
-    """Sum of table[digit] over digit positions lo..hi-1, for all ell^n paths."""
-    scores = np.zeros(ell**n)
-    if hi <= lo:
-        return scores
-    idx = np.arange(ell**n, dtype=np.int64)
-    for pos in range(lo, hi):
-        shift = ell ** (n - 1 - pos)
-        scores += table[(idx // shift) % ell]
-    return scores
+def _digit_table(values: np.ndarray, n: int, lo: int = 0,
+                 hi: int | None = None, op=np.add) -> np.ndarray:
+    """Entry i-1: values[b_p] reduced by ``op`` over digit positions lo..hi-1.
+
+    b_p is digit p of i-1 in base ell = len(values), b_0 most significant.
+    The reduction starts from op's identity and runs in ascending position
+    order.  Built by op.outer over the middle digits, then expanded over the
+    leading and trailing ones; the result is a fresh writable array.
+    """
+    ell = len(values)
+    hi = n if hi is None else hi
+    table = np.full(1, op.identity, dtype=values.dtype)
+    for _ in range(lo, hi):
+        table = op.outer(table, values).ravel()
+    out = np.empty((ell**lo, len(table), ell ** (n - hi)), dtype=table.dtype)
+    out[...] = table[:, None]
+    return out.ravel()
 
 
 def polar_selection(cdf: LevelCdf, rate: float) -> SelectionSet:
@@ -157,16 +161,14 @@ def rm_selection(g: BitMatrix, n: int, rate: float) -> SelectionSet:
     """The floor(ell^n * rate) indices of largest row weight, ties by index.
 
     Row weight of index i is the product over digits of the kernel row
-    weights; ranking uses float log2 weights (exact whenever the kernel's
-    row weights are powers of two).
+    weights, ranked as exact integers.
     """
-    ell = g.ell
-    k = _target_size(ell, n, rate)
-    logw = np.log2(np.array(g.row_weights(), dtype=np.float64))
-    scores = _digit_scores(ell, n, 0, n, logw)
-    order = np.lexsort((np.arange(ell**n), -scores))
+    k = _target_size(g.ell, n, rate)
+    weights = _digit_table(np.array(g.row_weights(), dtype=np.int64), n,
+                           op=np.multiply)
+    order = np.argsort(-weights, kind="stable")
     chosen = np.sort(order[:k]) + 1
-    return SelectionSet(n=n, ell=ell, rate=rate, indices=chosen, rule="rm",
+    return SelectionSet(n=n, ell=g.ell, rate=rate, indices=chosen, rule="rm",
                         metadata={})
 
 
@@ -246,25 +248,22 @@ def hybrid_selection_recursive(
     if math.isnan(t) or math.isinf(t):
         raise DomainError("t must be finite")
     k = _target_size(ell, n, rate)
-    size = ell**n
     logd = np.log2(np.array(prof.partial_distances, dtype=np.float64))
 
-    mask = np.ones(size, dtype=bool)
     if m0 > 0:
-        pref_of = np.arange(size, dtype=np.int64) // ell ** (n - m0)
-        lam_pref = cdf_prefix.neglogs_by_index
-        mask &= lam_pref[pref_of] > 2.0 ** (beta * m0)
-        rank_pref = _prefix_rank(cdf_prefix)[pref_of]
+        reps = ell ** (n - m0)
+        mask = np.repeat(cdf_prefix.neglogs_by_index > 2.0 ** (beta * m0), reps)
+        rank_pref = np.repeat(_prefix_rank(cdf_prefix), reps)
     else:
-        rank_pref = np.zeros(size, dtype=np.int64)
+        mask = np.ones(ell**n, dtype=bool)
+        rank_pref = np.zeros(ell**n, dtype=np.int64)
     for a, b in zip(schedule, schedule[1:]):
-        seg = _digit_scores(ell, n, a, b, logd)
-        mask &= seg >= (b - a) * (e2 - epsilon_slack)
+        mask &= _digit_table(logd, n, a, b) >= (b - a) * (e2 - epsilon_slack)
     last = schedule[-1]
     h_need = (n - last) * e2 + t * math.sqrt((n - last) * v2)
-    mask &= _digit_scores(ell, n, last, n, logd) >= h_need
+    mask &= _digit_table(logd, n, last) >= h_need
 
-    score = _digit_scores(ell, n, m0, n, logd)
+    score = _digit_table(logd, n, m0)
     cand = np.flatnonzero(mask)
     sub = np.lexsort((cand, rank_pref[cand], -score[cand]))
     chosen = cand[sub[:k]]
@@ -354,25 +353,9 @@ def selection_bounds(sel: SelectionSet, cdf: LevelCdf,
     zmax = cdf.value_at(int(sel0[np.argmax(rank[sel0])]) + 1)
     sc_lower = _sc_lower_from_z(zmax)
 
-    ell, n = sel.ell, sel.n
-    weights = np.array(profile.row_weights, dtype=np.float64)
-    logw = np.log2(weights)
-    wscore = np.zeros(len(sel0))
-    digits = np.empty((len(sel0), n), dtype=np.int64)
-    for pos in range(n):
-        d = (sel0 // ell ** (n - 1 - pos)) % ell
-        digits[:, pos] = d
-        wscore += logw[d]
-    near = np.flatnonzero(wscore <= wscore.min() + 1e-9)
-    counts = np.zeros((len(near), ell), dtype=np.int64)
-    for pos in range(n):
-        np.add.at(counts, (np.arange(len(near)), digits[near, pos]), 1)
-    dmin = None
-    for row in np.unique(counts, axis=0):
-        prod = 1
-        for d in range(ell):
-            prod *= int(profile.row_weights[d]) ** int(row[d])
-        dmin = prod if dmin is None else min(dmin, prod)
+    weights = _digit_table(np.array(profile.row_weights, dtype=np.int64),
+                           sel.n, op=np.multiply)
+    dmin = int(weights[sel0].min())
 
     zp = ExtendedUnitValue.from_float(root_z).pow_int(2 * dmin)
     if zp.mode == NEGLOG:
@@ -380,7 +363,7 @@ def selection_bounds(sel: SelectionSet, cdf: LevelCdf,
     else:
         map_lower = ExtendedUnitValue.from_float(zp.value / 4.0)
     return SelectionBounds(union_bound=union, union_neglog2=union_neglog2,
-                           sc_lower=sc_lower, dmin_upper=int(dmin),
+                           sc_lower=sc_lower, dmin_upper=dmin,
                            map_lower=map_lower)
 
 
@@ -401,13 +384,8 @@ def check_min_weight_row(sel: SelectionSet, profile: KernelProfile, n: int,
         raise MismatchedLevel("selection and profile disagree on n/ell")
     if not 0.0 < rate < channel_I <= 1.0:
         raise DomainError("need 0 < rate < channel_I <= 1")
-    ell = sel.ell
-    logw_ell = np.log2(np.array(profile.row_weights, dtype=np.float64))
-    logw_ell /= math.log2(ell)
-    sel0 = sel.indices - 1
-    score = np.zeros(len(sel0))
-    for pos in range(n):
-        score += logw_ell[(sel0 // ell ** (n - 1 - pos)) % ell]
+    logw_ell = np.log2(profile.row_weights) / math.log2(sel.ell)
+    score = _digit_table(logw_ell, n)[sel.indices - 1]
     threshold = (n * profile.weight_exponent
                  + math.sqrt(n * profile.weight_second_exponent)
                  * (q_inverse(rate / channel_I) + epsilon_slack))

@@ -4,7 +4,8 @@ import pytest
 
 from polarkit.becpolar import enumerate_level
 from polarkit.codec import ERASED, _branch_rule
-from polarkit.gf2kernel import BitMatrix, kernel_profile
+from polarkit.errors import NotPolarizing
+from polarkit.gf2kernel import BitMatrix, KernelProfile, kernel_profile
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
 # need the most, and extra digits never hurt the rest
@@ -78,6 +79,15 @@ def random_invertible(rng: np.random.Generator, ell: int) -> BitMatrix:
         m = BitMatrix.from_rows(rows.tolist())
         if gf2_rank(list(m.rows)) == ell:
             return m
+
+
+def random_polarizing(rng: np.random.Generator, ell: int) -> KernelProfile:
+    """Profile of a uniform invertible ell x ell kernel that polarizes."""
+    while True:
+        try:
+            return kernel_profile(random_invertible(rng, ell))
+        except NotPolarizing:
+            continue
 
 
 def kron_power(power: int) -> BitMatrix:

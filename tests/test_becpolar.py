@@ -256,6 +256,9 @@ class TestEnumerate:
         assert len(levels) == 5
         for d, (modes, payloads) in enumerate(levels):
             assert len(modes) == 2**d == len(payloads)
+        last = enumerate_level(ARIKAN, 0.5, 4)
+        assert np.array_equal(last._modes, levels[-1][0])
+        assert np.array_equal(last._payloads, levels[-1][1])
 
     def test_mean_martingale(self, cdf_cache):
         cdf = cdf_cache("10;11", 0.5, 10)
@@ -292,6 +295,14 @@ class TestEnumerate:
         # deterministic tie-break toward the smaller index
         again = cdf.z_order()
         assert np.array_equal(order, again)
+
+    def test_z_order_is_sorted_once(self):
+        cdf = enumerate_level(ARIKAN, 0.5, 5)
+        order = cdf.z_order()
+        assert cdf.z_order() is order
+        assert not order.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 1
 
     def test_value_at_range(self, cdf_cache):
         cdf = cdf_cache("10;11", 0.5, 6)
@@ -396,6 +407,12 @@ class TestSampling:
         with pytest.raises(RequiresExactCdf):
             emp.z_order()
         assert emp.mean_z() > 0.0
+
+    def test_empty_sample_is_rejected(self):
+        samples = sample_paths(ARIKAN, 0.5, 8, 0, seed=1)
+        assert len(samples) == 0
+        with pytest.raises(DomainError):
+            level_from_samples(samples, ARIKAN, 0.5, 8, seed=1)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -326,7 +326,9 @@ class TestGoldenBytes:
     subset tables moved to numpy, for a sampled level beyond the budget,
     recorded when path sampling moved to arrays, and for every table
     command on Arikan and L3, recorded before the tables moved to one CSV
-    writer."""
+    writer.  The ell = 5 selection-compare table, whose kernel row weights
+    are not all powers of two, was recorded once RM ranked exact integer
+    weights."""
 
     golden = Path(__file__).parent / "golden"
 
@@ -353,6 +355,9 @@ class TestGoldenBytes:
         ("map_bound_l3.csv",
          ["map-bound", "--kernel", L3, "--n", "5", "--rate", "0.3"]),
         ("kernel_analyze_l3.json", ["kernel-analyze", "--kernel", L3]),
+        ("selection_compare_ell5.csv",
+         ["selection-compare", "--kernel", "10000;11000;10100;11110;11111",
+          "--eps", "0.2", "--n", "5,6", "--rate", "0.25"]),
     ])
     def test_table_commands(self, name, argv, capsys):
         rc, out, err = run(argv, capsys)

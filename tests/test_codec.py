@@ -31,13 +31,12 @@ from polarkit.errors import (
     FrozenBitNonzero,
     IndexOutOfRange,
     MismatchedLevel,
-    NotPolarizing,
 )
 from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
 from polarkit.rng import subseed, trial_uniforms
 
-from conftest import ARIKAN, L3, kron_power, np_gf2_rank, random_invertible, sc_batch
+from conftest import ARIKAN, L3, kron_power, np_gf2_rank, random_polarizing, sc_batch
 
 
 
@@ -61,14 +60,6 @@ def row_bits(code, i):
     r = code.generator_row(i)
     return np.array([(r >> c) & 1 for c in range(code.block_length)],
                     dtype=np.uint8)
-
-
-def random_polarizing(rng, ell):
-    while True:
-        try:
-            return kernel_profile(random_invertible(rng, ell))
-        except NotPolarizing:
-            continue
 
 
 def all_patterns(size):
@@ -151,6 +142,13 @@ class TestEncode:
             encode(u, code)
         with pytest.raises(DomainError):
             encode(np.zeros(7, dtype=np.uint8), code)
+
+    def test_frozen_error_names_smallest_index(self, arikan):
+        code = PolarCode(profile=arikan, n=3, frozen=frozenset({7, 2, 5}))
+        u = np.zeros(8, dtype=np.uint8)
+        u[[4, 5, 6]] = 1
+        with pytest.raises(FrozenBitNonzero, match="frozen index 5 "):
+            encode(u, code)
         with pytest.raises(DomainError):
             encode(np.full(8, 2, dtype=np.uint8), code)
 

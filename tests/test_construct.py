@@ -6,10 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polarkit.becpolar import level_from_samples, sample_paths
+from polarkit.becpolar import enumerate_level, level_from_samples, sample_paths
 from polarkit.construct import (
     SelectionBounds,
     SelectionSet,
+    _digit_table,
     check_min_weight_row,
     default_prefix_depth,
     digit_reverse,
@@ -32,7 +33,11 @@ from polarkit.extval import LINEAR, NEGLOG
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 from polarkit.asymptotics import q_inverse
 
-from conftest import ARIKAN, L3
+from conftest import ARIKAN, L3, random_polarizing
+
+# row weights 1, 2, 2, 4, 5: many indices share a weight, and float log2
+# sums of the same product taken in different digit orders differ by ulps
+ELL5 = "10000;11000;10100;11110;11111"
 
 
 
@@ -56,6 +61,29 @@ def kron_row_weights(literal: str, n: int) -> np.ndarray:
     for _ in range(n):
         acc = np.kron(acc, g)
     return acc.sum(axis=1)
+
+
+def digit_oracle(values, n, lo, hi, op):
+    """values[b_p] reduced by op over positions lo..hi-1, index by index."""
+    ell = len(values)
+    idx = np.arange(ell**n)
+    out = np.full(ell**n, op.identity, dtype=values.dtype)
+    for pos in range(lo, hi):
+        out = op(out, values[(idx // ell ** (n - 1 - pos)) % ell])
+    return out
+
+
+def weight_oracle(profile, n):
+    """Row weight of every index as a Python int product over its digits."""
+    ell = profile.ell
+    out = []
+    for x in range(ell**n):
+        prod = 1
+        for _ in range(n):
+            prod *= profile.row_weights[x % ell]
+            x //= ell
+        out.append(prod)
+    return np.array(out, dtype=np.int64)
 
 
 def mc_cdf(n=6, count=20):
@@ -83,6 +111,26 @@ class TestDigitReverse:
             digit_reverse(9, 2, 3)
 
 
+class TestDigitTable:
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    def test_matches_per_index_digits(self, ell):
+        rng = np.random.default_rng(ell)
+        reals = rng.normal(size=ell)
+        ints = rng.integers(1, ell + 1, size=ell)
+        for n in range(7 if ell < 5 else 6):
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    got = _digit_table(reals, n, lo, hi)
+                    want = digit_oracle(reals, n, lo, hi, np.add)
+                    assert np.array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+                    got = _digit_table(ints, n, lo, hi, op=np.multiply)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(
+                        got, digit_oracle(ints, n, lo, hi, np.multiply))
+                    assert got.flags.writeable
+
+
 class TestSelectionSet:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -103,6 +151,9 @@ class TestSelectionSet:
         assert s.size == 2
         assert not s.indices.flags.writeable
         assert s.to_csv() == "index\n1\n4\n"
+        empty = SelectionSet(n=1, ell=2, rate=0.25, indices=np.array([]),
+                             rule="x")
+        assert empty.to_csv() == "index\n"
 
 
 class TestPolarSelection:
@@ -152,6 +203,28 @@ class TestRmSelection:
         sel = rm_selection(g, 3, 3 / 8)
         # weights desc: 8 at index 8, then three 4s at 4,6,7; keep 4 and 6
         assert sel.indices.tolist() == [4, 6, 8]
+
+    @pytest.mark.parametrize("ell,n", [(3, 6), (4, 5), (5, 4), (6, 4)])
+    def test_exact_ranking_on_random_kernels(self, ell, n):
+        rng = np.random.default_rng(100 + ell)
+        for _ in range(3):
+            prof = random_polarizing(rng, ell)
+            wts = weight_oracle(prof, n)
+            order = np.lexsort((np.arange(len(wts)), -wts))
+            for rate in (0.1, 0.3, 0.5):
+                k = math.floor(len(wts) * rate)
+                sel = rm_selection(prof.kernel, n, rate)
+                assert np.array_equal(sel.indices, np.sort(order[:k]) + 1)
+
+    def test_equal_weights_tie_by_index(self):
+        g = BitMatrix.from_literal(ELL5)
+        wts = weight_oracle(kernel_profile(g), 5)
+        order = np.lexsort((np.arange(len(wts)), -wts))
+        sel = rm_selection(g, 5, 0.25)
+        assert np.array_equal(sel.indices, np.sort(order[:781]) + 1)
+        # both weigh 200; a float log2 ranking picked the larger index
+        assert wts[2389] == wts[2740] == 200
+        assert 2390 in sel.indices and 2741 not in sel.indices
 
 
 class TestDefaultPrefixDepth:
@@ -358,6 +431,28 @@ class TestSelectionBounds:
                 x //= 3
             best = prod if best is None else min(best, prod)
         assert b.dmin_upper == best
+
+    @pytest.mark.parametrize("literal,n", [(ELL5, 3), ("100;110;111", 5)])
+    def test_dmin_against_brute_force(self, literal, n, cdf_cache):
+        prof = kernel_profile(BitMatrix.from_literal(literal))
+        assert any(w & (w - 1) for w in prof.row_weights)
+        cdf = cdf_cache(literal, 0.4, n)
+        wts = weight_oracle(prof, n)
+        for rate in (0.1, 0.3, 0.7):
+            for sel in (polar_selection(cdf, rate),
+                        rm_selection(prof.kernel, n, rate)):
+                b = selection_bounds(sel, cdf, prof, 0.4)
+                assert b.dmin_upper == int(wts[sel.indices - 1].min())
+
+    def test_dmin_on_random_kernels(self):
+        rng = np.random.default_rng(7)
+        for ell, n in ((3, 4), (4, 3), (5, 3)):
+            prof = random_polarizing(rng, ell)
+            cdf = enumerate_level(prof.kernel, 0.5, n)
+            wts = weight_oracle(prof, n)
+            sel = polar_selection(cdf, 0.4)
+            b = selection_bounds(sel, cdf, prof, 0.5)
+            assert b.dmin_upper == int(wts[sel.indices - 1].min())
 
     def test_map_lower_linear_band(self, l3prof, cdf_cache):
         cdf = cdf_cache(L3, 0.3, 4)
