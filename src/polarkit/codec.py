@@ -53,6 +53,26 @@ Four-Russians elimination of Albrecht, Bard and Hart ("Efficient
 multiplication of dense matrices over GF(2)"): reduce eight rows, build
 the XOR table of their 256 combinations, and clear those eight pivots from
 every row below with one lookup per row.
+
+Erasure belief propagation (peeling) sits between the two and certifies
+most trials without the rank test (Hussami, Korada and Urbanke,
+"Performance of polar codes for channel and source coding").  It runs on
+the factor graph of n + 1 layers of N variables, channel inputs on top and
+word positions at the bottom, whose kernel nodes each tie ell variables of
+one layer to ell of the next through the local code {(u, uG)}.  A variable
+is known once some minimal codeword of the dual local code {(Gb, b)} holds
+it with every other variable known, and that rule closes a node in one
+pass.  Peeling to a fixpoint leaves a trial unresolved only if some
+information input stays unknown; otherwise every input is a forced
+function of the kept positions, a constructive proof that the word is
+MAP-unique.  The graph must be SC's: the stage nearest the word groups the
+least significant position digit, as in the SC count.  The stages of the
+Kronecker power commute as linear maps but not as factor graphs, and on
+the encoder's order BP stalls on patterns SC decodes.  On SC's graph
+every SC determination is a sequence of node closures, so per trial MAP
+failure implies BP failure implies SC failure.  ``simulate`` asserts BP in
+SC and MAP in SC on every trial and runs the rank test only where BP
+fails.
 """
 
 from __future__ import annotations
@@ -220,6 +240,25 @@ class PolarCode:
         exactly the output coordinates in K are known and every earlier
         branch input is known (``determined_masks``)."""
         return np.ascontiguousarray(determined_masks(self.profile.kernel).T)
+
+    @cached_property
+    def _bp_checks(self) -> tuple:
+        """Minimal dual codewords of one kernel node's local code {(u, uG)},
+        each as the tuple of its variables: u_j is variable j, x_c is
+        variable ell + c.  The dual code is {(Gb, b)}: b on the outputs and
+        the parities of the rows against b on the inputs."""
+        ell = self.profile.ell
+        b = np.arange(1, 1 << ell, dtype=np.int64)
+        rows = np.array(self.profile.kernel.rows, dtype=np.int64)
+        gb = (np.bitwise_count(b[:, None] & rows) & 1).astype(np.int64) @ (1 << np.arange(ell))
+        supp = gb | b << ell
+        # a support is minimal iff it holds no other nonzero support
+        holds = (supp[:, None] & ~supp[None, :]) == 0
+        bits = (supp[:, None] >> np.arange(2 * ell)) & 1
+        return tuple(
+            tuple(np.flatnonzero(bits[p]).tolist())
+            for p in np.flatnonzero(holds.sum(axis=0) == 1)
+        )
 
     @cached_property
     def _info_rref(self) -> tuple:
@@ -556,6 +595,75 @@ def _sc_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
     return (~known.reshape(b, code.block_length) & code._info_mask).any(axis=1)
 
 
+def _close_stage(var: list, checks: tuple) -> None:
+    """Close every kernel node of one stage under its local code, in place.
+
+    ``var`` holds the bit-sliced known masks of the node variables (u_0..,
+    x_0..); a variable becomes known when some check holds it and every
+    other variable of that check is known.  Each check takes the AND of the
+    others for every member from prefix and suffix ANDs.
+    """
+    for check in checks:
+        vs = [var[i] for i in check]
+        heads = [vs[0]]  # heads[i]: vs[0] & ... & vs[i]
+        for v in vs[1:-1]:
+            heads.append(heads[-1] & v)
+        tail = vs[-1]  # vs[i + 1] & ... & vs[-1]
+        gains = [heads[-1]]
+        for i in range(len(vs) - 2, 0, -1):
+            gains.append(heads[i - 1] & tail)
+            tail = tail & vs[i]
+        gains.append(tail)
+        for v, g in zip(reversed(vs), gains):
+            v |= g
+
+
+def _bp_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray | None:
+    """Per-row erasure-BP failure of a (B, N) batch of erasure masks, or
+    None above DENSE_RULE_ELL, where BP is not run.
+
+    Peels to a fixpoint on SC's factor graph: layer 0 holds the word
+    positions, layer n the channel inputs (frozen ones known) and stage s
+    joins layers s and s + 1 through the kernel nodes of ``_sc_failures``'
+    stage s, which group the last remaining position digit.  Every layer
+    is an (N, ceil(B/64)) uint64 array, bit t of word w marking trial
+    64 w + t known.  Rounds sweep the stages up and back down until every
+    information input is known or a round learns nothing; a row fails iff
+    an information input stays unknown.
+    """
+    ell = code.profile.ell
+    if ell > DENSE_RULE_ELL:
+        return None
+    n = code.n
+    b, size = erased.shape
+    words = (b + 63) // 64
+    layers = np.zeros((n + 1, size, words), dtype=np.uint64)
+    # padding trials past B read as fully known, so they never hold a round
+    layers[0] = ~_pack_bits(erased.T)
+    # layer s keeps its branch digits newest first, (d_1..d_{n-s}, b_s..b_1),
+    # so both sides of a stage are slabs along one axis; layer n is in
+    # digit-reversed channel order
+    info = code._info_mask.reshape((ell,) * n).T.ravel()
+    layers[n][~info] = ~np.uint64(0)
+    stages = []
+    for s in range(n):
+        lo = layers[s].reshape(ell ** (n - s - 1), ell, ell**s, words)
+        hi = layers[s + 1].reshape(ell ** (n - s - 1), ell, ell**s, words)
+        stages.append([hi[:, j] for j in range(ell)] + [lo[:, c] for c in range(ell)])
+    # the closure is exact per node, so a stage is not closed twice in a row
+    order = [*range(n), *range(n - 2, 0, -1)]
+    checks = code._bp_checks
+    seen = -1
+    while True:
+        for s in order:
+            _close_stage(stages[s], checks)
+        open_ = np.bitwise_or.reduce(~layers[n][info], axis=0)
+        count = int(np.bitwise_count(layers).sum())
+        if not open_.any() or count == seen:
+            return _unpack_bits(open_[None], b)[0]
+        seen = count
+
+
 def _gf2_ranks(a: np.ndarray) -> np.ndarray:
     """Ranks of a (B, R, W) batch of bit-packed GF(2) matrices; ``a`` is
     overwritten.
@@ -640,7 +748,8 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
 
     Ambiguous iff the information rows admit a nonzero combination supported
     inside the erasure set, i.e. the generator restricted to the known
-    coordinates drops rank.
+    coordinates drops rank.  This stays the bare rank test, with no BP
+    shortcut, so that it remains an independent oracle for ``simulate``.
     """
     if len(word) != code.block_length:
         raise MismatchedLevel(
@@ -710,6 +819,12 @@ class SimulationReport:
         return csv_text(self.CSV_HEADER, [self.csv_row()])
 
 
+def _check_inside_sc(fail: np.ndarray, sc_fail: np.ndarray, done: int, what: str) -> None:
+    bad = np.flatnonzero(fail & ~sc_fail)
+    if bad.size:
+        raise AssertionError(f"trial {done + int(bad[0])}: {what} but SC determined")
+
+
 def simulate(
     code: PolarCode, eps: float, trials: int, seed: int, chunk: int = 2048
 ) -> SimulationReport:
@@ -718,14 +833,19 @@ def simulate(
     Both failure events depend only on the erasure pattern (the code is
     linear with frozen zeros), so trials run on the all-zero word. Trial t
     uses the pattern of ``transmit_bec(0, eps, subseed(seed, t))``; each
-    chunk of trials draws its patterns and runs both decoders as a batch,
-    so reports do not depend on ``chunk``.  Every trial asserts the
-    MAP-implies-SC failure inclusion.
+    chunk of trials draws its patterns and runs the decoders as a batch,
+    so reports do not depend on ``chunk``.  A trial that erasure BP
+    resolves is MAP-unique, so the rank test runs only on BP failures (on
+    every trial when the kernel is wider than DENSE_RULE_ELL, where BP is
+    not run).  Every trial asserts two inclusions: a BP failure is an SC
+    failure, and a MAP failure is an SC failure.
     """
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if chunk < 1:
+        raise DomainError("chunk must be >= 1")
     size = code.block_length
     sc_errors = 0
     map_errors = 0
@@ -734,12 +854,15 @@ def simulate(
         b = min(chunk, trials - done)
         erased = trial_uniforms(seed, done, b, size) < eps
         sc_fail = _sc_failures(erased, code)
-        map_fail = _map_failures(erased, code)
-        if (map_fail & ~sc_fail).any():
-            t = int(np.flatnonzero(map_fail & ~sc_fail)[0])
-            raise AssertionError(
-                f"trial {done + t}: MAP ambiguous but SC determined"
-            )
+        bp_fail = _bp_failures(erased, code)
+        if bp_fail is None:
+            bp_fail = np.ones(b, dtype=bool)
+        else:
+            _check_inside_sc(bp_fail, sc_fail, done, "BP undetermined")
+        map_fail = np.zeros(b, dtype=bool)
+        if bp_fail.any():
+            map_fail[bp_fail] = _map_failures(erased[bp_fail], code)
+        _check_inside_sc(map_fail, sc_fail, done, "MAP ambiguous")
         sc_errors += int(sc_fail.sum())
         map_errors += int(map_fail.sum())
         done += b

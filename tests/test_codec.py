@@ -13,6 +13,7 @@ from polarkit.codec import (
     PolarCode,
     ScResult,
     SimulationReport,
+    _bp_failures,
     _branch_rule,
     _map_failures,
     _sc_failures,
@@ -23,6 +24,7 @@ from polarkit.codec import (
     transmit_bec,
     wilson_interval,
 )
+from polarkit import codec
 from polarkit.becpolar import enumerate_level
 from polarkit.construct import digit_reverse, polar_selection
 from polarkit.errors import (
@@ -451,6 +453,57 @@ class TestRandomKernels:
             assert Fraction(amb, 1 << 16) == Fraction(1, 2**w)
 
 
+class TestBeliefPropagation:
+    """Erasure BP between the rank test and the SC count: on every pattern a
+    MAP failure is a BP failure and a BP failure is an SC failure."""
+
+    @staticmethod
+    def chain(erased, code):
+        sc = _sc_failures(erased, code)
+        bp = _bp_failures(erased, code)
+        amb = _map_failures(erased, code)
+        assert not (amb & ~bp).any()
+        assert not (bp & ~sc).any()
+        return sc, bp, amb
+
+    @pytest.mark.parametrize("ell,seed,samples", [
+        (2, 1, None), (3, 2, None), (3, 3, None), (4, 4, None), (4, 5, None),
+        (5, 6, 4000), (5, 7, 4000), (6, 8, 4000), (6, 9, 4000),
+    ])
+    def test_random_kernels(self, ell, seed, samples):
+        rng = np.random.default_rng(seed)
+        prof = random_polarizing(rng, ell)
+        size = ell * ell
+        sel = polar_selection(enumerate_level(prof.kernel, 0.5, 2), rng.uniform(0.2, 0.6))
+        info = np.zeros(size, dtype=bool)
+        info[sel.indices - 1] = True
+        info ^= rng.random(size) < 0.1
+        code = PolarCode(profile=prof, n=2,
+                         frozen=frozenset(int(i) + 1 for i in np.flatnonzero(~info)))
+        if samples is None:
+            erased = all_patterns(size)
+        else:
+            erased = rng.random((samples, size)) < rng.uniform(0.1, 0.7, (samples, 1))
+        self.chain(erased, code)
+
+    @pytest.mark.parametrize("literal,n", [(ARIKAN, 3), (L3, 2)])
+    def test_every_information_set(self, arikan, l3prof, literal, n):
+        prof = arikan if literal == ARIKAN else l3prof
+        size = prof.ell**n
+        erased = all_patterns(size)
+        sc_gap = bp_gap = 0
+        for info in all_patterns(size):
+            code = PolarCode(profile=prof, n=n, frozen=frozenset(
+                int(i) + 1 for i in np.flatnonzero(~info)))
+            sc, bp, amb = self.chain(erased, code)
+            sc_gap += int((sc & ~bp).sum())
+            bp_gap += int((bp & ~amb).sum())
+        # BP resolves patterns SC cannot, and on Arikan n = 3 it stalls on
+        # some MAP-unique ones
+        assert sc_gap > 0
+        assert bp_gap > 0 or literal == L3
+
+
 class TestMapDecode:
     def test_matches_rank_oracle_exhaustive(self, arikan, cdf_cache):
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 3), 0.5)
@@ -610,6 +663,67 @@ class TestSimulate:
             simulate(code, 1.5, 10, seed=1)
         with pytest.raises(DomainError):
             simulate(code, 0.5, 0, seed=1)
+        for chunk in (0, -3):
+            with pytest.raises(DomainError):
+                simulate(code, 0.5, 10, seed=1, chunk=chunk)
+
+    @pytest.mark.parametrize("kernel,n", [
+        (ARIKAN, 4), (ARIKAN, 7), (ARIKAN, 10), (L3, 3), (L3, 5), ("random4", 3),
+    ])
+    def test_counts_match_decoder_oracles(self, kernel, n):
+        if kernel == "random4":
+            prof = random_polarizing(np.random.default_rng(41), 4)
+        else:
+            prof = kernel_profile(BitMatrix.from_literal(kernel))
+        trials = 200
+        for eps in (0.3, 0.5, 0.7):
+            cdf = enumerate_level(prof.kernel, eps, n)
+            for rate in (0.25, 0.5, 0.75):
+                code = PolarCode.from_selection(prof, polar_selection(cdf, rate))
+                # 130 + 70 trials: neither chunk fills its last 64-trial word
+                rep = simulate(code, eps, trials, seed=n, chunk=130)
+                erased = trial_uniforms(n, 0, trials, code.block_length) < eps
+                assert rep.sc_errors == _sc_failures(erased, code).sum()
+                assert rep.map_errors == _map_failures(erased, code).sum()
+
+    def test_bp_certified_chunks_skip_the_rank_test(self, arikan, cdf_cache):
+        code = PolarCode.from_selection(
+            arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 10), 0.25))
+        simulate(code, 0.5, 200, seed=3)
+        assert "_info_rref" not in code.__dict__
+
+    def test_wide_kernel_rank_tests_every_trial(self, monkeypatch):
+        prof = random_polarizing(np.random.default_rng(19), 9)
+        sel = polar_selection(enumerate_level(prof.kernel, 0.4, 1), 0.5)
+        code = PolarCode.from_selection(prof, sel)
+        tested = []
+
+        def counted(erased, code):
+            tested.append(len(erased))
+            return _map_failures(erased, code)
+
+        monkeypatch.setattr(codec, "_map_failures", counted)
+        rep = simulate(code, 0.4, 300, seed=6, chunk=128)
+        assert tested == [128, 128, 44]
+        erased = trial_uniforms(6, 0, 300, 9) < 0.4
+        assert rep.sc_errors == _sc_failures(erased, code).sum()
+        assert rep.map_errors == _map_failures(erased, code).sum()
+        assert rep.map_errors > 0
+
+    def test_inclusions_are_asserted(self, arikan, cdf_cache, monkeypatch):
+        code = PolarCode.from_selection(
+            arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5))
+
+        def stuck(erased, code):
+            return np.ones(len(erased), dtype=bool)
+
+        monkeypatch.setattr(codec, "_bp_failures", stuck)
+        with pytest.raises(AssertionError, match="BP undetermined but SC determined"):
+            simulate(code, 0.3, 50, seed=1)
+        monkeypatch.setattr(codec, "_bp_failures", lambda erased, code: None)
+        monkeypatch.setattr(codec, "_map_failures", stuck)
+        with pytest.raises(AssertionError, match="MAP ambiguous but SC determined"):
+            simulate(code, 0.3, 50, seed=1)
 
 
 class TestScResult:
