@@ -368,6 +368,14 @@ class LevelCdf:
         order.flags.writeable = False
         return order
 
+    @functools.cached_property
+    def z_rank(self) -> np.ndarray:
+        """Inverse of ``z_order()``: entry i is index i's 0-based Z rank (read-only)."""
+        rank = np.empty(self.size, dtype=np.int64)
+        rank[self._z_order] = np.arange(self.size)
+        rank.flags.writeable = False
+        return rank
+
     def to_csv(self) -> str:
         lines = ["lambda"]
         lines.extend(fmt_real(v) for v in self.sorted_neglogs)

@@ -92,7 +92,7 @@ from .errors import (
     MismatchedLevel,
 )
 from .gf2kernel import MASK_DTYPE, KernelProfile, determined_masks
-from .rng import trial_uniforms, uniform_matrix
+from .rng import erasure_flags, subseeds
 from .serialize import csv_text
 
 ERASED = -1
@@ -107,6 +107,10 @@ MAX_BLOCK = 2**22
 # set of one sub-batch of trials: row stack plus tables
 M4RI_ROWS = 8
 M4RI_BYTES = 2 << 20
+
+# erasure flags per chunk of simulated trials: a chunk of CELLS // N trials
+# draws its patterns in one pass, through two uint64 arrays of this size
+CELLS = 1 << 22
 
 # widest kernel whose SC branch rules are kept in a dense table: ell rows of
 # 2^(2 ell - 1) int32 entries, 1 MiB at ell = 8
@@ -380,8 +384,8 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
     if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
     x = x.astype(np.int8)
-    draws = uniform_matrix(seed, 1, x.size)[0]
-    return ErasureWord(np.where(draws < eps, np.int8(ERASED), x))
+    erased = erasure_flags([seed % 2**64], x.size, eps)[0]
+    return ErasureWord(np.where(erased, np.int8(ERASED), x))
 
 
 def _branch_rule(code: PolarCode, j: int, kmask: int, pmask: int):
@@ -758,16 +762,16 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
     return "ambiguous" if _map_failures(word.erased_mask()[None, :], code)[0] else "unique"
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple:
-    """Two-sided Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple:
+    """Two-sided 95% Wilson score interval (z = WILSON_Z) for a binomial proportion."""
     if trials <= 0:
         raise DomainError("trials must be positive")
     if not 0 <= errors <= trials:
         raise DomainError("errors must lie in 0..trials")
     p = errors / trials
-    zz = z * z / trials
+    zz = WILSON_Z * WILSON_Z / trials
     center = (p + zz / 2.0) / (1.0 + zz)
-    half = (z / (1.0 + zz)) * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials))
+    half = (WILSON_Z / (1.0 + zz)) * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials))
     # at the boundary counts center and half agree exactly in theory; pin
     # the closed endpoint so roundoff cannot leak across it
     lo = 0.0 if errors == 0 else max(0.0, center - half)
@@ -825,16 +829,15 @@ def _check_inside_sc(fail: np.ndarray, sc_fail: np.ndarray, done: int, what: str
         raise AssertionError(f"trial {done + int(bad[0])}: {what} but SC determined")
 
 
-def simulate(
-    code: PolarCode, eps: float, trials: int, seed: int, chunk: int = 2048
-) -> SimulationReport:
+def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationReport:
     """Monte Carlo block-error rates for SC and MAP over the BEC.
 
     Both failure events depend only on the erasure pattern (the code is
     linear with frozen zeros), so trials run on the all-zero word. Trial t
     uses the pattern of ``transmit_bec(0, eps, subseed(seed, t))``; each
-    chunk of trials draws its patterns and runs the decoders as a batch,
-    so reports do not depend on ``chunk``.  A trial that erasure BP
+    chunk of ``max(1, CELLS // N)`` trials draws its patterns and runs the
+    decoders as a batch, so memory stays bounded at any block length N and
+    reports do not depend on the chunk size.  A trial that erasure BP
     resolves is MAP-unique, so the rank test runs only on BP failures (on
     every trial when the kernel is wider than DENSE_RULE_ELL, where BP is
     not run).  Every trial asserts two inclusions: a BP failure is an SC
@@ -844,15 +847,14 @@ def simulate(
         raise DomainError("eps must lie in [0, 1]")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if chunk < 1:
-        raise DomainError("chunk must be >= 1")
     size = code.block_length
+    chunk = max(1, CELLS // size)
     sc_errors = 0
     map_errors = 0
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        erased = trial_uniforms(seed, done, b, size) < eps
+        erased = erasure_flags(subseeds(seed, b, done), size, eps)
         sc_fail = _sc_failures(erased, code)
         bp_fail = _bp_failures(erased, code)
         if bp_fail is None:

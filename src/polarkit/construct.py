@@ -190,13 +190,6 @@ def default_prefix_depth(n: int, beta: float, profile: KernelProfile,
     return m
 
 
-def _prefix_rank(cdf_prefix) -> np.ndarray:
-    order = cdf_prefix.z_order()
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
 def hybrid_selection_recursive(
     g: BitMatrix,
     n: int,
@@ -253,7 +246,7 @@ def hybrid_selection_recursive(
     if m0 > 0:
         reps = ell ** (n - m0)
         mask = np.repeat(cdf_prefix.neglogs_by_index > 2.0 ** (beta * m0), reps)
-        rank_pref = np.repeat(_prefix_rank(cdf_prefix), reps)
+        rank_pref = np.repeat(cdf_prefix.z_rank, reps)
     else:
         mask = np.ones(ell**n, dtype=bool)
         rank_pref = np.zeros(ell**n, dtype=np.int64)
@@ -275,8 +268,7 @@ def hybrid_selection_recursive(
                 raise RequiresExactCdf("pad cdf must be an exact enumeration")
             if pad_cdf.ell != ell or pad_cdf.n != n:
                 raise MismatchedLevel("pad cdf must be a full-depth enumeration")
-            pad_rank = _prefix_rank(pad_cdf)
-            rsub = np.argsort(pad_rank[rest], kind="stable")
+            rsub = np.argsort(pad_cdf.z_rank[rest], kind="stable")
         else:
             rsub = np.lexsort((rest, rank_pref[rest], -score[rest]))
         chosen = np.concatenate([chosen, rest[rsub[:shortfall]]])
@@ -349,8 +341,7 @@ def selection_bounds(sel: SelectionSet, cdf: LevelCdf,
         union_neglog2 = m - math.log2(s)
         union = ExtendedUnitValue.from_neglog2(union_neglog2)
 
-    rank = _prefix_rank(cdf)
-    zmax = cdf.value_at(int(sel0[np.argmax(rank[sel0])]) + 1)
+    zmax = cdf.value_at(int(sel0[np.argmax(cdf.z_rank[sel0])]) + 1)
     sc_lower = _sc_lower_from_z(zmax)
 
     weights = _digit_table(np.array(profile.row_weights, dtype=np.int64),

@@ -297,13 +297,7 @@ def kernel_profile(m: BitMatrix) -> KernelProfile:
     exp_w, var_w = _mean_pop_var([math.log2(w) / log_ell for w in weights])
 
     # Column k of the defining matrix is row ell-1-k of the kernel, transposed.
-    mrows = []
-    for r in range(ell):
-        mask = 0
-        for k in range(ell):
-            mask |= ((m.rows[ell - 1 - k] >> r) & 1) << k
-        mrows.append(mask)
-    h = gf2_invert(BitMatrix(ell, tuple(mrows)))
+    h = gf2_invert(BitMatrix(ell, m.rows[::-1]).transpose())
     h_dists = partial_distances(h)
     exp_h, var_h = _mean_pop_var([math.log2(d) / log_ell for d in h_dists])
     h_mono = all(h_dists[i] <= h_dists[i - 1] for i in range(1, ell))

@@ -16,6 +16,8 @@ sample size used here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -33,13 +35,18 @@ def mix64(x: int) -> int:
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
+    return _mix64_inplace(x.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """Mix a uint64 array in place, through one scratch array of its size."""
+    tmp = np.empty_like(x)
     with np.errstate(over="ignore"):
-        x = x.astype(np.uint64, copy=True)
-        x ^= x >> np.uint64(30)
+        x ^= np.right_shift(x, np.uint64(30), out=tmp)
         x *= np.uint64(_M1)
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=tmp)
         x *= np.uint64(_M2)
-        x ^= x >> np.uint64(31)
+        x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 
@@ -105,27 +112,25 @@ def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
 
 def uniform_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) doubles in [0, 1); row r comes from the derived stream r."""
-    return _uniform_rows(subseeds(seed, rows), cols)
+    return uniform01(_stream_words(subseeds(seed, rows), cols))
 
 
-def trial_uniforms(seed: int, start: int, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) doubles; row r is ``uniform_matrix(subseed(seed, start + r), 1, cols)[0]``.
+def erasure_flags(seeds, cols: int, eps: float) -> np.ndarray:
+    """(rows, cols) bools; row r is ``uniform_matrix(seeds[r], 1, cols)[0] < eps``.
 
-    That is the draw of one word per trial seed, so a batch of trials gets
-    exactly the words drawn one trial at a time.
+    ``seeds`` holds one uint64 word seed per row, so a batch of words
+    gets exactly the flags drawn one word at a time.  The test runs on the
+    top 53 bits m of each stream output: m * 2^-53 < eps iff
+    m < ceil(eps * 2^53), so no float matrix is built.
     """
-    subs = _mix64_np(subseeds(seed, rows, start) ^ np.uint64(GAMMA))
-    return _uniform_rows(subs, cols)
+    subs = _mix64_np(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(GAMMA))
+    words = _stream_words(subs, cols)
+    words >>= np.uint64(11)
+    return words < np.uint64(math.ceil(eps * 2.0**53))
 
 
-def _uniform_rows(subs: np.ndarray, cols: int) -> np.ndarray:
-    """Row r holds the first ``cols`` uniforms of the stream seeded subs[r]."""
-    rows = subs.size
-    out = np.empty((rows, cols), dtype=np.float64)
-    if rows == 0 or cols == 0:
-        return out
+def _stream_words(subs: np.ndarray, cols: int) -> np.ndarray:
+    """Row r holds the first ``cols`` outputs of the stream seeded subs[r]."""
     with np.errstate(over="ignore"):
         steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GAMMA)
-        ctr = subs[:, None] + steps[None, :]
-    out[:] = uniform01(_mix64_np(ctr))
-    return out
+        return _mix64_inplace(subs[:, None] + steps[None, :])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -36,7 +37,7 @@ from polarkit.errors import (
 )
 from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
-from polarkit.rng import subseed, trial_uniforms
+from polarkit.rng import erasure_flags, subseed, subseeds
 
 from conftest import ARIKAN, L3, kron_power, np_gf2_rank, random_polarizing, sc_batch
 
@@ -584,11 +585,12 @@ class TestWilson:
 
 
 class TestSimulate:
-    def test_matches_per_trial_replay(self, arikan, cdf_cache):
+    def test_matches_per_trial_replay(self, arikan, cdf_cache, monkeypatch):
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5)
         code = PolarCode.from_selection(arikan, sel)
         trials = 60
-        rep = simulate(code, 0.35, trials, seed=9, chunk=17)
+        monkeypatch.setattr(codec, "CELLS", 17 * 16)
+        rep = simulate(code, 0.35, trials, seed=9)
         zeros = np.zeros(16, dtype=np.int8)
         sc_fail = map_fail = 0
         for t in range(trials):
@@ -600,12 +602,14 @@ class TestSimulate:
         assert rep.sc_interval == wilson_interval(sc_fail, trials)
         assert rep.map_interval == wilson_interval(map_fail, trials)
 
-    def test_deterministic_and_seed_sensitive(self, arikan, cdf_cache):
+    def test_deterministic_and_seed_sensitive(self, arikan, cdf_cache, monkeypatch):
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5)
         code = PolarCode.from_selection(arikan, sel)
         a = simulate(code, 0.5, 200, seed=4)
-        for chunk in (1, 17, 64, 2048):
-            assert simulate(code, 0.5, 200, seed=4, chunk=chunk) == a
+        # CELLS below N still runs one trial per chunk
+        for chunk in (0, 1, 17, 64, 2048):
+            monkeypatch.setattr(codec, "CELLS", chunk * 16)
+            assert simulate(code, 0.5, 200, seed=4) == a
         c = simulate(code, 0.5, 200, seed=5)
         assert (a.sc_errors, a.map_errors) != (c.sc_errors, c.map_errors)
 
@@ -613,12 +617,12 @@ class TestSimulate:
     def test_chunk_patterns_are_per_trial_words(self, seed):
         zeros = np.zeros(27, dtype=np.int8)
         for start, rows in ((0, 40), (2040, 16), (4090, 9)):
-            erased = trial_uniforms(seed, start, rows, 27) < 0.4
+            erased = erasure_flags(subseeds(seed, rows, start), 27, 0.4)
             for r in range(rows):
                 word = transmit_bec(zeros, 0.4, subseed(seed, start + r))
                 assert np.array_equal(erased[r], word.erased_mask())
 
-    def test_edge_cases(self, arikan, l3prof):
+    def test_edge_cases(self, arikan, l3prof, monkeypatch):
         rate_zero = PolarCode(profile=arikan, n=4, frozen=frozenset(range(1, 17)))
         rep = simulate(rate_zero, 0.7, 50, seed=2)
         assert (rep.sc_errors, rep.map_errors) == (0, 0)
@@ -629,7 +633,8 @@ class TestSimulate:
         assert (rep.sc_errors, rep.map_errors) == (50, 50)
         # at full rate every word is a codeword: any erasure is fatal to both
         full = full_rate(l3prof, 2)
-        rep = simulate(full, 0.1, 300, seed=8, chunk=70)
+        monkeypatch.setattr(codec, "CELLS", 70 * 9)
+        rep = simulate(full, 0.1, 300, seed=8)
         zeros = np.zeros(9, dtype=np.int8)
         hit = sum(transmit_bec(zeros, 0.1, subseed(8, t)).erasure_count > 0
                   for t in range(300))
@@ -663,14 +668,11 @@ class TestSimulate:
             simulate(code, 1.5, 10, seed=1)
         with pytest.raises(DomainError):
             simulate(code, 0.5, 0, seed=1)
-        for chunk in (0, -3):
-            with pytest.raises(DomainError):
-                simulate(code, 0.5, 10, seed=1, chunk=chunk)
 
     @pytest.mark.parametrize("kernel,n", [
         (ARIKAN, 4), (ARIKAN, 7), (ARIKAN, 10), (L3, 3), (L3, 5), ("random4", 3),
     ])
-    def test_counts_match_decoder_oracles(self, kernel, n):
+    def test_counts_match_decoder_oracles(self, kernel, n, monkeypatch):
         if kernel == "random4":
             prof = random_polarizing(np.random.default_rng(41), 4)
         else:
@@ -681,10 +683,24 @@ class TestSimulate:
             for rate in (0.25, 0.5, 0.75):
                 code = PolarCode.from_selection(prof, polar_selection(cdf, rate))
                 # 130 + 70 trials: neither chunk fills its last 64-trial word
-                rep = simulate(code, eps, trials, seed=n, chunk=130)
-                erased = trial_uniforms(n, 0, trials, code.block_length) < eps
+                monkeypatch.setattr(codec, "CELLS", 130 * code.block_length)
+                rep = simulate(code, eps, trials, seed=n)
+                erased = erasure_flags(subseeds(n, trials), code.block_length, eps)
                 assert rep.sc_errors == _sc_failures(erased, code).sum()
                 assert rep.map_errors == _map_failures(erased, code).sum()
+
+    def test_memory_bounded_at_n12(self, arikan, cdf_cache):
+        # 2048 trials of N = 4096 symbols span two chunks; the draw holds
+        # two uint64 arrays of CELLS entries, not a float matrix per trial
+        code = PolarCode.from_selection(
+            arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 12), 0.25))
+        tracemalloc.start()
+        try:
+            simulate(code, 0.5, 2048, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 << 20
 
     def test_bp_certified_chunks_skip_the_rank_test(self, arikan, cdf_cache):
         code = PolarCode.from_selection(
@@ -703,9 +719,10 @@ class TestSimulate:
             return _map_failures(erased, code)
 
         monkeypatch.setattr(codec, "_map_failures", counted)
-        rep = simulate(code, 0.4, 300, seed=6, chunk=128)
+        monkeypatch.setattr(codec, "CELLS", 128 * 9)
+        rep = simulate(code, 0.4, 300, seed=6)
         assert tested == [128, 128, 44]
-        erased = trial_uniforms(6, 0, 300, 9) < 0.4
+        erased = erasure_flags(subseeds(6, 300), 9, 0.4)
         assert rep.sc_errors == _sc_failures(erased, code).sum()
         assert rep.map_errors == _map_failures(erased, code).sum()
         assert rep.map_errors > 0

@@ -6,6 +6,7 @@ import pytest
 
 from polarkit.rng import (
     GAMMA,
+    erasure_flags,
     mix64,
     path_digit_matrix,
     path_digits,
@@ -56,6 +57,17 @@ class TestDerivedStreams:
         for r in range(5):
             row = uniform01(raw_stream(subseed(7, r), 12))
             assert np.array_equal(m[r], row)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5, 2**64 - 1])
+    def test_erasure_flags_match_uniform_test(self, seed):
+        words = [seed] + [subseed(seed, r) for r in range(5)]
+        u = np.array([uniform_matrix(w, 1, 40)[0] for w in words])
+        # every drawn value and its successor put a threshold on a draw
+        drawn = np.concatenate([u[:, :3].ravel(), np.nextafter(u[:, :3].ravel(), 2.0)])
+        edges = [0.0, 5e-324, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
+        for eps in edges + [float(v) for v in drawn]:
+            assert np.array_equal(erasure_flags([seed], 40, eps)[0], u[0] < eps)
+            assert np.array_equal(erasure_flags(words, 40, eps), u < eps)
 
     def test_uniform_range_and_determinism(self):
         m = uniform_matrix(99, 40, 50)
