@@ -34,6 +34,7 @@ from .serialize import dumps_17g, fmt_real
 
 _LN2 = math.log(2.0)
 DEFAULT_BUDGET = 2**22
+_CSV_BLOCK = 4096  # sorted values per block of LevelCdf.to_csv
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,46 @@ def _eval_terms(terms, x, y, shift=0):
     return acc
 
 
+def _step_linear(z, j, t: _EvolveTables):
+    """Branch j on LINEAR payloads z; returns canonical (mode, payload)."""
+    thresh = 2.0**-SWITCH_BITS
+    zc = 1.0 - z
+    p = _eval_terms(t.terms[j], z, zc)
+    q = _eval_terms(t.comp_terms[j], zc, z)
+    mode = np.where(p < thresh, NEGLOG, np.where(q < thresh, COMPLOG, LINEAR))
+    with np.errstate(divide="ignore"):
+        payload = np.where(
+            p < thresh, -np.log2(p), np.where(q < thresh, -np.log2(q), p)
+        )
+    return mode, payload
+
+
+def _step_neglog(lam, j, t: _EvolveTables):
+    """Branch j on NEGLOG payloads lam = -log2 z; returns canonical (mode, payload)."""
+    z = np.exp2(-lam)
+    zc = 1.0 - z
+    d = t.lead[j]
+    bracket = _eval_terms(t.terms[j], z, zc, d)
+    lam2 = d * lam - np.log2(bracket)
+    small = lam2 <= SWITCH_BITS  # re-normalize toward LINEAR
+    return np.where(small, LINEAR, NEGLOG), np.where(small, np.exp2(-lam2), lam2)
+
+
+def _step_complog(mu, j, t: _EvolveTables):
+    """Branch j on COMPLOG payloads mu = -log2(1-z); returns canonical (mode, payload)."""
+    dd = np.exp2(-mu)
+    dc = 1.0 - dd
+    d = t.comp_lead[j]
+    bracket = _eval_terms(t.comp_terms[j], dd, dc, d)
+    mu2 = d * mu - np.log2(bracket)
+    small = mu2 <= SWITCH_BITS
+    return np.where(small, LINEAR, COMPLOG), np.where(small, 1.0 - np.exp2(-mu2), mu2)
+
+
+# the only branch math: each band's update, keyed by mode
+_BAND_STEPS = {LINEAR: _step_linear, NEGLOG: _step_neglog, COMPLOG: _step_complog}
+
+
 def _step_arrays(mode, payload, j, t: _EvolveTables):
     """Apply branch j to every element of a (mode, payload) array pair.
 
@@ -176,46 +217,10 @@ def _step_arrays(mode, payload, j, t: _EvolveTables):
     """
     out_m = np.empty_like(mode)
     out_p = np.empty_like(payload)
-    thresh = 2.0**-SWITCH_BITS
-
-    lin = mode == LINEAR
-    if lin.any():
-        z = payload[lin]
-        zc = 1.0 - z
-        p = _eval_terms(t.terms[j], z, zc)
-        q = _eval_terms(t.comp_terms[j], zc, z)
-        m_ = np.where(p < thresh, NEGLOG, np.where(q < thresh, COMPLOG, LINEAR))
-        with np.errstate(divide="ignore"):
-            pay = np.where(
-                p < thresh, -np.log2(p), np.where(q < thresh, -np.log2(q), p)
-            )
-        out_m[lin] = m_
-        out_p[lin] = pay
-
-    neg = mode == NEGLOG
-    if neg.any():
-        lam = payload[neg]
-        z = np.exp2(-lam)
-        zc = 1.0 - z
-        d = t.lead[j]
-        bracket = _eval_terms(t.terms[j], z, zc, d)
-        lam2 = d * lam - np.log2(bracket)
-        small = lam2 <= SWITCH_BITS  # re-normalize toward LINEAR
-        out_m[neg] = np.where(small, LINEAR, NEGLOG)
-        out_p[neg] = np.where(small, np.exp2(-lam2), lam2)
-
-    comp = mode == COMPLOG
-    if comp.any():
-        mu = payload[comp]
-        dd = np.exp2(-mu)
-        dc = 1.0 - dd
-        d = t.comp_lead[j]
-        bracket = _eval_terms(t.comp_terms[j], dd, dc, d)
-        mu2 = d * mu - np.log2(bracket)
-        small = mu2 <= SWITCH_BITS
-        out_m[comp] = np.where(small, LINEAR, COMPLOG)
-        out_p[comp] = np.where(small, 1.0 - np.exp2(-mu2), mu2)
-
+    for band, step in _BAND_STEPS.items():
+        sel = mode == band
+        if sel.any():
+            out_m[sel], out_p[sel] = step(payload[sel], j, t)
     return out_m, out_p
 
 
@@ -377,9 +382,24 @@ class LevelCdf:
         return rank
 
     def to_csv(self) -> str:
-        lines = ["lambda"]
-        lines.extend(fmt_real(v) for v in self.sorted_neglogs)
-        return "\n".join(lines) + "\n"
+        """The sorted lambda column.
+
+        Each run of equal values is formatted once and its line repeated.
+        The column goes in blocks of ``_CSV_BLOCK`` values, so every
+        transient is bounded by the block; a run cut by a block edge is
+        just formatted once per block.
+        """
+        parts = ["lambda\n"]
+        for lo in range(0, self.size, _CSV_BLOCK):
+            lams = self.sorted_neglogs[lo:lo + _CSV_BLOCK]
+            bits = lams.view(np.uint64)  # equal bits print alike; 0.0 != -0.0
+            first = np.ones(len(lams), dtype=bool)
+            first[1:] = bits[1:] != bits[:-1]
+            starts = np.flatnonzero(first)
+            lines = [fmt_real(v) + "\n" for v in lams[starts].tolist()]
+            runs = np.diff(starts, append=len(lams)).tolist()
+            parts.append("".join(map(str.__mul__, lines, runs)))
+        return "".join(parts)
 
 
 def _levels(g: BitMatrix, eps: float, n: int, budget: int):
@@ -454,6 +474,13 @@ def sample_paths(
     derived splitmix64 stream p, so its digits are row p of
     ``rng.path_digit_matrix(seed, count, n, ell)``.  Each level's digit
     column is drawn inside the level loop; no (count, n) array is built.
+
+    Each level stably sorts the paths by ``digit * 3 + mode``, so every
+    non-empty (branch j, mode band) group is one contiguous slice that goes
+    through that band's update once; one scatter by the permutation puts
+    the results back.  Every element still runs the same element-wise ufunc
+    sequence as ``_step_arrays``, so the output is bit-identical to stepping
+    each path alone and does not depend on the grouping.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
@@ -462,18 +489,33 @@ def sample_paths(
     _check_depth(g.ell, n)
     t = _EvolveTables(split_erasure_polynomials(g))
     root = ExtendedUnitValue.from_float(eps)
-    out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
-    modes, payloads = out["mode"], out["payload"]
-    modes[:] = root.mode
-    payloads[:] = root.payload
+    modes = np.full(count, root.mode, dtype=np.int8)
+    payloads = np.full(count, root.payload, dtype=np.float64)
     subs = rng.subseeds(seed, count)
+    bands = len(_BAND_STEPS)
+    # one buffer set for every level: the group key, and the states in key
+    # order (a slice's mode is its band, so only payloads are gathered)
+    key = np.empty(count, dtype=np.int8)  # below bands * MAX_ELL = 48
+    sorted_m = np.empty(count, dtype=np.int8)
+    sorted_p = np.empty(count, dtype=np.float64)
     for d in range(n):
-        col = rng.path_digits(subs, d, g.ell)
-        for j in range(g.ell):
-            sel = col == j
-            if not sel.any():
-                continue
-            modes[sel], payloads[sel] = _step_arrays(modes[sel], payloads[sel], j, t)
+        np.multiply(rng.path_digits(subs, d, g.ell), bands, out=key, casting="unsafe")
+        key += modes
+        perm = np.argsort(key, kind="stable")
+        np.take(payloads, perm, out=sorted_p)
+        ends = np.cumsum(np.bincount(key, minlength=bands * g.ell)).tolist()
+        start = 0
+        for k, end in enumerate(ends):
+            if end > start:
+                j, band = divmod(k, bands)
+                sorted_m[start:end], sorted_p[start:end] = _BAND_STEPS[band](
+                    sorted_p[start:end], j, t
+                )
+            start = end
+        modes[perm] = sorted_m
+        payloads[perm] = sorted_p
+    out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
+    out["mode"], out["payload"] = modes, payloads
     return out
 
 

@@ -19,6 +19,7 @@ makes the m = n schedule reduce to the polar rule exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,6 +147,19 @@ def _digit_table(values: np.ndarray, n: int, lo: int = 0,
     return out.ravel()
 
 
+@functools.lru_cache(maxsize=1)
+def _row_weight_table(row_weights: tuple[int, ...], n: int) -> np.ndarray:
+    """Entry i-1: exact int64 row weight of index i, the product over its
+    digits of the kernel row weights (read-only).
+
+    Cached for the last (row weights, n), so the selections and bounds of
+    one depth share one table.
+    """
+    table = _digit_table(np.array(row_weights, dtype=np.int64), n, op=np.multiply)
+    table.flags.writeable = False
+    return table
+
+
 def polar_selection(cdf: LevelCdf, rate: float) -> SelectionSet:
     """The floor(ell^n * rate) indices of smallest exact Z."""
     if not cdf.is_exact:
@@ -164,9 +178,7 @@ def rm_selection(g: BitMatrix, n: int, rate: float) -> SelectionSet:
     weights, ranked as exact integers.
     """
     k = _target_size(g.ell, n, rate)
-    weights = _digit_table(np.array(g.row_weights(), dtype=np.int64), n,
-                           op=np.multiply)
-    order = np.argsort(-weights, kind="stable")
+    order = np.argsort(-_row_weight_table(g.row_weights(), n), kind="stable")
     chosen = np.sort(order[:k]) + 1
     return SelectionSet(n=n, ell=g.ell, rate=rate, indices=chosen, rule="rm",
                         metadata={})
@@ -344,9 +356,7 @@ def selection_bounds(sel: SelectionSet, cdf: LevelCdf,
     zmax = cdf.value_at(int(sel0[np.argmax(cdf.z_rank[sel0])]) + 1)
     sc_lower = _sc_lower_from_z(zmax)
 
-    weights = _digit_table(np.array(profile.row_weights, dtype=np.int64),
-                           sel.n, op=np.multiply)
-    dmin = int(weights[sel0].min())
+    dmin = int(_row_weight_table(profile.row_weights, sel.n)[sel0].min())
 
     zp = ExtendedUnitValue.from_float(root_z).pow_int(2 * dmin)
     if zp.mode == NEGLOG:

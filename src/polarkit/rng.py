@@ -83,8 +83,12 @@ def reduce_digits(bits: np.ndarray, ell: int) -> np.ndarray:
     lo = bits & np.uint64(0xFFFFFFFF)
     hi = bits >> np.uint64(32)
     with np.errstate(over="ignore"):
-        t = hi * np.uint64(ell) + ((lo * np.uint64(ell)) >> np.uint64(32))
-    return (t >> np.uint64(32)).astype(np.int64)
+        lo *= np.uint64(ell)
+        lo >>= np.uint64(32)
+        hi *= np.uint64(ell)
+        hi += lo
+    hi >>= np.uint64(32)
+    return hi.view(np.int64)  # every digit is below ell, so the bits agree
 
 
 def path_digits(subs: np.ndarray, d: int, ell: int) -> np.ndarray:
@@ -95,7 +99,7 @@ def path_digits(subs: np.ndarray, d: int, ell: int) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         ctr = subs + np.uint64(((d + 1) * GAMMA) & _MASK)
-    return reduce_digits(_mix64_np(ctr), ell)
+    return reduce_digits(_mix64_inplace(ctr), ell)
 
 
 def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:

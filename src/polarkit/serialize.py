@@ -7,17 +7,12 @@ exactly), so repeated runs with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 
 
 def fmt_real(x: float) -> str:
     if isinstance(x, bool):  # bool is an int subclass; keep it out of %g
         raise TypeError("fmt_real expects a number, got bool")
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+    return format(float(x), ".17g")  # also spells nan, inf and -inf
 
 
 def fmt_cell(v) -> str:

@@ -2,9 +2,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polarkit.becpolar import enumerate_level
+from polarkit import rng
+from polarkit.becpolar import (
+    _EvolveTables,
+    _step_arrays,
+    enumerate_level,
+    split_erasure_polynomials,
+)
 from polarkit.codec import ERASED, _branch_rule
 from polarkit.errors import NotPolarizing
+from polarkit.extval import ExtendedUnitValue
 from polarkit.gf2kernel import BitMatrix, KernelProfile, kernel_profile
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
@@ -164,3 +171,28 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
 
     u, _ = rec(0, np.ascontiguousarray(y, dtype=np.int8))
     return u
+
+
+def sample_paths_masked(g: BitMatrix, eps: float, n: int, count: int,
+                        seed: int) -> np.ndarray:
+    """Reference path sampler: per level, one boolean mask per branch.
+
+    Gathers the paths that take branch j, steps them with ``_step_arrays``
+    (which masks them again by mode band) and writes them back through the
+    same mask; ``sample_paths`` must match it bit for bit.
+    """
+    t = _EvolveTables(split_erasure_polynomials(g))
+    root = ExtendedUnitValue.from_float(eps)
+    out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
+    modes, payloads = out["mode"], out["payload"]
+    modes[:] = root.mode
+    payloads[:] = root.payload
+    subs = rng.subseeds(seed, count)
+    for d in range(n):
+        col = rng.path_digits(subs, d, g.ell)
+        for j in range(g.ell):
+            sel = col == j
+            if not sel.any():
+                continue
+            modes[sel], payloads[sel] = _step_arrays(modes[sel], payloads[sel], j, t)
+    return out

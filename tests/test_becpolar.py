@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import np_gf2_rank, random_invertible
+from conftest import kron_power, np_gf2_rank, random_invertible, sample_paths_masked
+from polarkit import becpolar
 from polarkit.becpolar import (
     DEFAULT_BUDGET,
     LevelCdf,
@@ -26,6 +27,7 @@ from polarkit.errors import (
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, ExtendedUnitValue
 from polarkit.gf2kernel import BitMatrix, is_polarizing, partial_distances
 from polarkit.rng import path_digit_matrix
+from polarkit.serialize import fmt_real
 
 
 ARIKAN = BitMatrix.from_literal("10;11")
@@ -327,6 +329,20 @@ class TestEnumerate:
         got = [float(x) for x in lines[1:]]
         assert got == sorted(got)
 
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_csv_runs_print_each_value(self, block, cdf_cache, monkeypatch):
+        # repeated values print once per entry; -0 and 0 compare equal but
+        # print differently, so they are separate runs
+        monkeypatch.setattr(becpolar, "_CSV_BLOCK", block)
+        lams = np.array([-0.0, -0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1 / 3, math.inf,
+                         math.inf, math.nan])
+        cdfs = [LevelCdf(n=1, ell=11, eps=0.5, source="montecarlo",
+                         neglogs_by_index=lams, sorted_neglogs=lams),
+                cdf_cache("10;11", 0.5, 10)]
+        for cdf in cdfs:
+            want = "".join(f"{fmt_real(v)}\n" for v in cdf.sorted_neglogs)
+            assert cdf.to_csv() == "lambda\n" + want
+
 
 def random_polarizing(seed, ell):
     rng = np.random.default_rng(seed)
@@ -346,7 +362,41 @@ def assert_paths_match_evolve(g, eps, n, count, seed):
         assert (int(got["mode"][p]), float(got["payload"][p])) == (z.mode, z.payload)
 
 
+def bands_per_level(g, eps, n, count, seed):
+    """Number of mode bands held by the paths entering each level 0..n-1."""
+    return [len(np.unique(sample_paths_masked(g, eps, d, count, seed)["mode"]))
+            for d in range(n)]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("g, eps, n, count, seed", [
+        (ARIKAN, 0.5, 50, 3000, 42),
+        (L3, 0.5, 30, 3000, 43),
+        (random_polarizing(21, 4), 0.5, 14, 2000, 1),
+        (random_polarizing(22, 5), 0.4, 12, 2000, 2),
+        (random_polarizing(23, 6), 0.6, 10, 2000, 3),
+        (kron_power(3), 0.5, 8, 2000, 4),
+        (L3, 0.3, 6, 0, 5),
+        (L3, 0.3, 6, 1, 6),
+        (ARIKAN, 0.5, 0, 7, 7),
+        (ARIKAN, 1e-13, 20, 500, 8),  # root in NEGLOG
+        (L3, 1 - 1e-13, 20, 500, 9),  # root in COMPLOG
+    ])
+    def test_matches_masked_oracle(self, g, eps, n, count, seed):
+        got = sample_paths(g, eps, n, count, seed)
+        want = sample_paths_masked(g, eps, n, count, seed)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_oracle_cases_cross_every_band(self):
+        # some level of the deep oracle cases steps all three bands at once
+        assert 3 in bands_per_level(ARIKAN, 0.5, 50, 3000, 42)
+        assert 3 in bands_per_level(L3, 0.5, 30, 3000, 43)
+        assert 3 in bands_per_level(kron_power(3), 0.5, 8, 2000, 4)
+        roots = [sample_paths_masked(g, eps, 0, 1, 0)["mode"][0]
+                 for g, eps in ((ARIKAN, 1e-13), (L3, 1 - 1e-13))]
+        assert roots == [NEGLOG, COMPLOG]
+
     def test_digits_come_from_rng_streams(self):
         assert_paths_match_evolve(ARIKAN, 0.5, 12, 25, seed=7)
         assert_paths_match_evolve(ARIKAN, 0.5, 40, 60, seed=42)

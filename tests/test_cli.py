@@ -324,7 +324,8 @@ L3 = "100;110;101"
 class TestGoldenBytes:
     """Exact stdout for the 16x16 kernel 10;11 (x)4, recorded before the
     subset tables moved to numpy, for a sampled level beyond the budget,
-    recorded when path sampling moved to arrays, and for every table
+    recorded when path sampling moved to arrays (Arikan n = 24) and before
+    it moved to grouped slices (L3 n = 30), and for every table
     command on Arikan and L3, recorded before the tables moved to one CSV
     writer.  The ell = 5 selection-compare table, whose kernel row weights
     are not all powers of two, was recorded once RM ranked exact integer
@@ -383,3 +384,11 @@ class TestGoldenBytes:
         rc, out, _ = run(argv, capsys)
         assert rc == EXIT_OK
         assert out == (self.golden / "polarize_sampled_n24_paths2000_seed11.csv").read_text()
+
+    def test_polarize_sampled_l3_n30(self, capsys):
+        # deep enough that the sampled paths cross every mode band
+        argv = ["polarize", "--kernel", L3, "--n", "30", "--paths", "2000",
+                "--seed", "43"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "polarize_sampled_l3_n30_paths2000_seed43.csv").read_text()

@@ -6,11 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from polarkit import cli
 from polarkit.becpolar import enumerate_level, level_from_samples, sample_paths
 from polarkit.construct import (
     SelectionBounds,
     SelectionSet,
     _digit_table,
+    _row_weight_table,
     check_min_weight_row,
     default_prefix_depth,
     digit_reverse,
@@ -225,6 +227,17 @@ class TestRmSelection:
         # both weigh 200; a float log2 ranking picked the larger index
         assert wts[2389] == wts[2740] == 200
         assert 2390 in sel.indices and 2741 not in sel.indices
+
+    def test_row_weight_table_built_once_per_depth(self, capsys):
+        # selection-compare ranks RM twice and bounds three rules per depth
+        _row_weight_table.cache_clear()
+        assert cli.main(["selection-compare", "--kernel", L3, "--n", "4,5"]) == 0
+        capsys.readouterr()
+        info = _row_weight_table.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
+        table = _row_weight_table((1, 2, 2), 5)
+        assert not table.flags.writeable
+        assert np.array_equal(table, weight_oracle(kernel_profile(BitMatrix.from_literal(L3)), 5))
 
 
 class TestDefaultPrefixDepth:
