@@ -452,7 +452,7 @@ def enumerate_level(
         eps=eps,
         source="exact",
         neglogs_by_index=lams,
-        sorted_neglogs=np.sort(lams, kind="stable"),
+        sorted_neglogs=np.sort(lams),
         _modes=modes,
         _payloads=payloads,
     )
@@ -536,6 +536,6 @@ def level_from_samples(
         eps=eps,
         source="montecarlo",
         neglogs_by_index=lams,
-        sorted_neglogs=np.sort(lams, kind="stable"),
+        sorted_neglogs=np.sort(lams),
         sample_seed=seed,
     )

@@ -18,13 +18,13 @@ guesses are made.  ``sc_decode_bec`` runs this decoder on one word and
 recovers values.  A subtree without information indices decodes to the
 frozen zeros and re-encodes to all-known zeros whatever it receives, so it
 is skipped (the rate-0 nodes of Alamdar-Yazdi and Kschischang, "A
-simplified successive-cancellation decoder for polar codes").  Each visited
-node decodes its kernel nodes together: a branch rule is one lookup in a
-per-code table keyed by (known-output mask, unresolved-earlier mask) and
-filled lazily from ``_branch_rule``, and one kernel stage re-encodes through
-two 2^ell-entry tables, output erasures from the erased branches and output
-values from the branch values.  Nodes just above the leaves run on
-Python-int masks.
+simplified successive-cancellation decoder for polar codes").  Every node
+holds its word as two lists of Python ints, one ell-bit entry per kernel
+node.  A branch rule is one lookup in a per-code dict for that branch,
+keyed by (known-output mask, unresolved-earlier mask) and filled from
+``_branch_rule`` on a miss; it is the only rule cache.  One kernel stage
+re-encodes through two lists of 2^ell output masks, output erasures from
+the erased branches and output values from the branch values.
 
 Whether SC fails needs less.  Compare it with the genie-aided decoder, in
 which every earlier input is known when branch j is decided, so the rule
@@ -79,7 +79,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, cycle
+from operator import or_
 
 import numpy as np
 
@@ -112,9 +114,10 @@ M4RI_BYTES = 2 << 20
 # draws its patterns in one pass, through two uint64 arrays of this size
 CELLS = 1 << 22
 
-# widest kernel whose SC branch rules are kept in a dense table: ell rows of
-# 2^(2 ell - 1) int32 entries, 1 MiB at ell = 8
-DENSE_RULE_ELL = 8
+# widest kernel erasure BP runs on: ``_bp_checks`` compares every pair of
+# the 2^ell - 1 nonzero dual supports, about 4^ell comparisons (65 thousand
+# at ell = 8, 4.3 billion at ell = 16)
+BP_MAX_ELL = 8
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,14 @@ class PolarCode:
         size = self.profile.ell**self.n
         if size > MAX_BLOCK:
             raise DimensionTooLarge(f"block length {size} exceeds {MAX_BLOCK}")
-        object.__setattr__(self, "frozen", frozenset(int(i) for i in self.frozen))
-        for i in self.frozen:
-            if not 1 <= i <= size:
-                raise IndexOutOfRange(f"frozen index {i} outside 1..{size}")
+        # validate before the int cast, which would truncate 1.7 to 1
+        idx = np.array(list(self.frozen))
+        if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
+            raise DomainError("frozen indices must be integers")
+        bad = idx[(idx < 1) | (idx > size)]
+        if bad.size:
+            raise IndexOutOfRange(f"frozen index {int(bad.min())} outside 1..{size}")
+        object.__setattr__(self, "frozen", frozenset(idx.astype(np.int64).tolist()))
 
     @classmethod
     def from_selection(cls, profile: KernelProfile, selection) -> "PolarCode":
@@ -171,8 +178,7 @@ class PolarCode:
     @cached_property
     def _info_mask(self) -> np.ndarray:
         mask = np.ones(self.block_length, dtype=bool)
-        for i in self.frozen:
-            mask[i - 1] = False
+        mask[np.fromiter(self.frozen, dtype=np.int64, count=len(self.frozen)) - 1] = False
         return mask
 
     @cached_property
@@ -180,37 +186,38 @@ class PolarCode:
         return np.array(self.profile.kernel.as_lists(), dtype=np.uint8)
 
     @cached_property
-    def _node_tables(self) -> dict:
-        return {}
-
-    @cached_property
     def _info_prefix(self) -> list:
         """Entry i counts the information indices among the first i."""
         return [0, *np.cumsum(self._info_mask).tolist()]
 
     @cached_property
-    def _sc_rules(self) -> "_ScRules":
-        return _ScRules(self)
+    def _sc_rules(self) -> tuple:
+        """Per branch j, a dict from key K | P << ell to ``_packed_rule``,
+        filled on a miss; the only cache of SC branch rules."""
+        return tuple(_LazyDict(partial(_packed_rule, self, j)) for j in range(self.profile.ell))
 
     @cached_property
     def _reencode(self) -> tuple:
-        """One kernel stage of ternary re-encoding as two (2^ell, ell) bool
-        tables: row E of the first marks the outputs known when exactly the
-        inputs in E are erased (those on no row of E), row V of the second
-        the output values of input bits V."""
+        """One kernel stage of ternary re-encoding as two lists of 2^ell
+        ell-bit output masks: entry E of the first marks the outputs erased
+        when exactly the inputs in E are erased (those on some row of E),
+        entry V of the second the output values of input bits V."""
+        erased = [0]
+        ones = [0]
+        for row in self.profile.kernel.rows:
+            erased += [e | row for e in erased]
+            ones += [v ^ row for v in ones]
+        return erased, ones
+
+    @cached_property
+    def _spread(self) -> tuple:
+        """Per branch j, a dict from an ell-bit mask m to the tuple of its
+        bits, bit i of m at bit ell + j of item i, filled on a miss."""
         ell = self.profile.ell
-        rows = self.profile.kernel.rows
-        vals = np.zeros(1 << ell, dtype=np.int64)
-        used = np.zeros(1 << ell, dtype=np.int64)
-        for j in range(ell):
-            np.bitwise_xor(vals[: 1 << j], rows[j], out=vals[1 << j : 2 << j])
-            np.bitwise_or(used[: 1 << j], rows[j], out=used[1 << j : 2 << j])
-        bits = 1 << np.arange(ell, dtype=np.int64)
-        known = (used[:, None] & bits) == 0
-        ones = (vals[:, None] & bits) != 0
-        known.setflags(write=False)
-        ones.setflags(write=False)
-        return known, ones
+        return tuple(
+            _LazyDict(lambda m, at=ell + j: tuple((m >> i & 1) << at for i in range(ell)))
+            for j in range(ell)
+        )
 
     def generator_row(self, i: int) -> int:
         """Kronecker generator row of channel index i as a column bitmask.
@@ -398,10 +405,6 @@ def _branch_rule(code: PolarCode, j: int, kmask: int, pmask: int):
     the unit vector on u_j is reachable from the known-coordinate columns of
     the unresolved-row submatrix.
     """
-    key = (j, kmask, pmask)
-    hit = code._node_tables.get(key)
-    if hit is not None:
-        return hit
     rows = code.profile.kernel.rows
     ell = code.profile.ell
     unknown = (1 << j) | pmask
@@ -432,9 +435,7 @@ def _branch_rule(code: PolarCode, j: int, kmask: int, pmask: int):
     while target:
         p = target.bit_length() - 1
         if p not in piv:
-            out = (False, 0, 0)
-            code._node_tables[key] = out
-            return out
+            return (False, 0, 0)
         pv, pc = piv[p]
         target ^= pv
         alpha ^= pc
@@ -442,9 +443,7 @@ def _branch_rule(code: PolarCode, j: int, kmask: int, pmask: int):
     for t in range(j):
         if not (pmask >> t) & 1:
             beta |= ((rows[t] & alpha).bit_count() & 1) << t
-    out = (True, alpha, beta)
-    code._node_tables[key] = out
-    return out
+    return (True, alpha, beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,104 +463,88 @@ class ScResult:
         return not self.undetermined
 
 
-class _ScRules:
-    """Packed SC branch rules of one code, filled lazily from ``_branch_rule``.
+class _LazyDict(dict):
+    """A dict that fills each missing entry once, from ``fill(key)``."""
 
-    The rule of branch j with known-output mask K and unresolved-earlier mask
-    P sits at key K | P << ell as alpha | beta << ell, or as 0 when the branch
-    is undetermined (a determined branch always has alpha != 0).  Up to
-    DENSE_RULE_ELL the entries live in a dense array, -1 marking one not yet
-    filled; wider kernels, whose 2^(2 ell - 1) keys per branch do not fit,
-    read ``_branch_rule``'s own cache.
-    """
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
 
-    def __init__(self, code: PolarCode):
-        self.code = code
-        self.ell = ell = code.profile.ell
-        self.dense = None
-        if ell <= DENSE_RULE_ELL:
-            # P only has bits below j < ell, so every key is below 2^(2 ell - 1)
-            self.dense = np.full((ell, 1 << (2 * ell - 1)), -1, dtype=np.int32)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
-    def _packed(self, j: int, key: int) -> int:
-        ell = self.ell
-        det, alpha, beta = _branch_rule(self.code, j, key & ((1 << ell) - 1), key >> ell)
-        return alpha | beta << ell if det else 0
 
-    def one(self, j: int, key: int) -> int:
-        if self.dense is None:
-            return self._packed(j, key)
-        r = int(self.dense[j, key])
-        if r < 0:
-            r = self.dense[j, key] = self._packed(j, key)
-        return r
-
-    def many(self, j: int, keys: np.ndarray) -> np.ndarray:
-        if self.dense is None:
-            return np.array([self._packed(j, k) for k in keys.tolist()], dtype=np.int64)
-        table = self.dense[j]
-        r = table[keys]
-        if r.min() < 0:
-            for k in np.unique(keys[r < 0]).tolist():
-                table[k] = self._packed(j, k)
-            r = table[keys]
-        return r
+def _packed_rule(code: PolarCode, j: int, key: int) -> int:
+    """``_branch_rule`` of branch j at key K | P << ell, packed as
+    alpha | beta << ell | 1 << 2 ell, or 0 when the branch is undetermined."""
+    ell = code.profile.ell
+    det, alpha, beta = _branch_rule(code, j, key & ((1 << ell) - 1), key >> ell)
+    return alpha | beta << ell | 1 << 2 * ell if det else 0
 
 
 def _sc_decode(y: np.ndarray, code: PolarCode) -> np.ndarray:
     """SC-decode one ternary word; returns the (N,) ternary input estimate.
 
-    A node of span ell^m > ell holds its word as a known mask and a value
-    array (values are read only where known), groups it into ell^(m-1)
-    kernel nodes and decodes its branches in order, each from one rule
-    lookup per kernel node; rate-0 branches are skipped.  Nodes of span ell,
-    whose branches are leaves, run on Python-int masks.  Every node returns
-    its re-encoding, one ``_reencode`` row per kernel node.
+    A node of span ell^m holds its word as two lists over its ell^(m-1)
+    kernel nodes: the keys K | P << ell (known outputs, then the branches
+    decoded so far whose input is unknown) and the values
+    X | V << ell | 1 << 2 ell (output bits, then the known branch values;
+    bits that are not known read as anything).  Branch j takes one rule
+    lookup and one bit count per kernel node: the top bit, set in every
+    value and in every determined rule, makes the count 0 for an
+    undetermined branch and 1 + the parity count otherwise.  Symbol p of
+    the child word goes to child kernel node p // ell at bit p % ell, and
+    at span ell the child is a leaf of ``u``.  Rate-0 branches are skipped.
+    Every node returns its re-encoding as the ``_reencode`` masks of its
+    kernel nodes, which the parent spreads back over its own through
+    ``_spread``.
     """
     ell = code.profile.ell
+    full = (1 << ell) - 1
+    top = 1 << 2 * ell
     rules = code._sc_rules
-    enc_known, enc_ones = code._reencode
+    enc_erased, enc_ones = code._reencode
+    spread = code._spread
     cum = code._info_prefix
-    weights = 1 << np.arange(ell, dtype=np.int64)
-    u = np.zeros(code.block_length, dtype=np.int8)
+    # codes[i][c]: what a kernel node at p % ell = i passes to its child
+    # entry when its bit count is c, the known bit at i and the value bit at
+    # ell + i
+    codes = [[0] + [1 << i | (~c & 1) << (ell + i) for c in range(1, 2 * ell + 1)]
+             for i in range(ell)]
+    u = [0] * code.block_length
 
-    def leaves(base: int, kmask: int, xbits: int):
-        pbits = perased = 0
-        for j in range(ell):
-            if cum[base + j + 1] == cum[base + j]:
-                continue  # frozen: u_j = 0, known
-            r = rules.one(j, kmask | perased << ell)
-            if r:
-                v = ((xbits | pbits << ell) & r).bit_count() & 1
-                u[base + j] = v
-                pbits |= v << j
-            else:
-                u[base + j] = ERASED
-                perased |= 1 << j
-        return enc_known[perased], enc_ones[pbits]
-
-    def node(base: int, known: np.ndarray, ones: np.ndarray):
-        lc = known.size // ell
-        kmask = known.reshape(lc, ell) @ weights
-        xbits = ones.reshape(lc, ell) @ weights
-        if lc == 1:
-            return leaves(base, int(kmask[0]), int(xbits[0]))
-        pbits = np.zeros(lc, dtype=np.int64)
-        perased = np.zeros(lc, dtype=np.int64)
+    def node(base: int, keys: list, vals: list):
+        lc = len(keys)
         for j in range(ell):
             b = base + j * lc
             if cum[b + lc] == cum[b]:
-                continue  # rate-0 branch
-            r = rules.many(j, kmask | perased << ell)
-            val = np.bitwise_count((xbits | pbits << ell) & r) & 1
-            ck, co = node(b, r != 0, val)
-            pbits |= co * weights[j]
-            perased |= ~ck * weights[j]
-        return enc_known[perased].ravel(), enc_ones[pbits].ravel()
+                continue  # rate-0 branch: u = 0, known
+            table = rules[j]
+            if lc == 1:
+                count = (vals[0] & table[keys[0]]).bit_count()
+                if count:
+                    u[b] = v = ~count & 1
+                    vals[0] |= v << (ell + j)
+                else:
+                    u[b] = ERASED
+                    keys[0] |= 1 << (ell + j)
+                continue
+            coded = iter([c[(x & table[k]).bit_count()]
+                          for c, k, x in zip(cycle(codes), keys, vals)])
+            child = list(map(sum, zip(*[coded] * ell)))  # groups of ell kernel nodes
+            erased, ones = node(b, [c & full for c in child], [c >> ell | top for c in child])
+            spread_j = spread[j].__getitem__
+            keys = list(map(or_, keys, chain.from_iterable(map(spread_j, erased))))
+            vals = list(map(or_, vals, chain.from_iterable(map(spread_j, ones))))
+        return [enc_erased[k >> ell] for k in keys], [enc_ones[x >> ell & full] for x in vals]
 
     if cum[-1]:
-        node(0, y != ERASED, y == 1)
-    return u
+        w = 1 << np.arange(ell, dtype=np.int64)
+        keys = (y != ERASED).reshape(-1, ell) @ w
+        vals = (y == 1).reshape(-1, ell) @ w | top
+        node(0, keys.tolist(), vals.tolist())
+    return np.array(u, dtype=np.int8)
 
 
 def sc_decode_bec(word: ErasureWord, code: PolarCode) -> ScResult:
@@ -624,7 +607,7 @@ def _close_stage(var: list, checks: tuple) -> None:
 
 def _bp_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray | None:
     """Per-row erasure-BP failure of a (B, N) batch of erasure masks, or
-    None above DENSE_RULE_ELL, where BP is not run.
+    None above BP_MAX_ELL, where BP is not run.
 
     Peels to a fixpoint on SC's factor graph: layer 0 holds the word
     positions, layer n the channel inputs (frozen ones known) and stage s
@@ -636,7 +619,7 @@ def _bp_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray | None:
     an information input stays unknown.
     """
     ell = code.profile.ell
-    if ell > DENSE_RULE_ELL:
+    if ell > BP_MAX_ELL:
         return None
     n = code.n
     b, size = erased.shape
@@ -839,7 +822,7 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     decoders as a batch, so memory stays bounded at any block length N and
     reports do not depend on the chunk size.  A trial that erasure BP
     resolves is MAP-unique, so the rank test runs only on BP failures (on
-    every trial when the kernel is wider than DENSE_RULE_ELL, where BP is
+    every trial when the kernel is wider than BP_MAX_ELL, where BP is
     not run).  Every trial asserts two inclusions: a BP failure is an SC
     failure, and a MAP failure is an SC failure.
     """

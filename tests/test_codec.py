@@ -87,6 +87,12 @@ class TestPolarCode:
             PolarCode(profile=arikan, n=23, frozen=frozenset())
         with pytest.raises(IndexOutOfRange):
             PolarCode(profile=arikan, n=2, frozen=frozenset({5}))
+        # an int cast would truncate these to {1, 2}
+        with pytest.raises(DomainError):
+            PolarCode(profile=arikan, n=2, frozen=frozenset({1.7, 2.2}))
+        code = PolarCode(profile=arikan, n=2, frozen=frozenset({2.0, np.int64(3)}))
+        assert code.frozen == {2, 3}
+        assert code._info_mask.tolist() == [True, False, False, True]
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5)
         with pytest.raises(MismatchedLevel):
             PolarCode.from_selection(l3prof, sel)
@@ -335,6 +341,7 @@ class TestScOracle:
         (L3, 1), (L3, 2), (L3, 3), (L3, 5),
         ("random4", 1), ("random4", 3), ("random5", 2), ("random6", 2),
         ("G8", 1), ("G8", 2), ("random9", 1), ("random9", 2), ("G16", 1),
+        (L3, 6), ("G16", 2), ("random12", 1),
     ])
     def test_matches_reference(self, kernel, n):
         rng = np.random.default_rng([n, *kernel.encode()])
@@ -357,6 +364,37 @@ class TestScOracle:
                 assert res.u.dtype == u.dtype and np.array_equal(res.u, u)
                 assert res.undetermined == tuple(
                     int(i) + 1 for i in np.flatnonzero((u == ERASED) & info))
+
+
+class TestRuleStore:
+    """``PolarCode._sc_rules`` is the only rule cache: repeated decodes of
+    the same words derive each (branch, key) rule at most once."""
+
+    @pytest.mark.parametrize("kernel,n", [(ARIKAN, 6), (L3, 4), ("random9", 2)])
+    def test_branch_rule_runs_once_per_key(self, monkeypatch, kernel, n):
+        rng = np.random.default_rng(41)
+        if kernel.startswith("random"):
+            prof = random_polarizing(rng, int(kernel[6:]))
+        else:
+            prof = kernel_profile(BitMatrix.from_literal(kernel))
+        size = prof.ell**n
+        code = PolarCode(profile=prof, n=n, frozen=frozenset(
+            int(i) + 1 for i in np.flatnonzero(rng.random(size) < 0.5)))
+        calls = []
+
+        def counted(code_, j, kmask, pmask):
+            calls.append((j, kmask, pmask))
+            return _branch_rule(code_, j, kmask, pmask)
+
+        monkeypatch.setattr(codec, "_branch_rule", counted)
+        words = oracle_words(code, rng)
+        first = [sc_decode_bec(ErasureWord(y), code).u for y in words]
+        assert calls and len(set(calls)) == len(calls)
+        seen = len(calls)
+        for _ in range(2):
+            for y, u in zip(words, first):
+                assert np.array_equal(sc_decode_bec(ErasureWord(y), code).u, u)
+        assert len(calls) == seen
 
 
 class TestExactFailureProbabilities:
