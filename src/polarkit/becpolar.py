@@ -12,6 +12,14 @@ Everything downstream (exact level enumeration, Monte Carlo paths, interval
 propagation) reduces to iterating these polynomials in the extended-precision
 representation of :mod:`polarkit.extval`.
 
+The array steps split the elements into five classes: the three mode bands,
+and the NEGLOG and COMPLOG payloads at or above ``SATURATED`` = 128.  There
+z (or 1 - z) is at most 2^-128, the bracket p_j(z) / z^d evaluates to its
+lead count a_d exactly in float64, and the step is the affine update
+lam' = d * lam - log2(a_d), bit for bit what the full polynomial gives (the
+argument is next to ``SATURATED``).  Deep levels are mostly saturated: about
+65% of the element-steps of 50-level Arikan paths at eps 0.5 are.
+
 Branch labels follow the channel-splitting order: branch 0 is the first input
 bit of the kernel.  For the 2x2 kernel 10;11 this makes branch 0 the 2z - z^2
 branch and branch 1 the squaring branch.
@@ -119,6 +127,17 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
 # Vectorized evolution over (mode, payload) arrays.
 # ---------------------------------------------------------------------------
 
+# Log-domain payloads at or above SATURATED take one affine step per branch.
+# A NEGLOG payload lam >= 128 means z = 2^-lam <= 2^-128 (a COMPLOG payload
+# mu likewise bounds 1 - z), so 1.0 - z is exactly 1.0 and the bracket
+# sum_k a_k z^(k-d) (1-z)^(ell-k) starts with exactly a_d >= 1, the lead
+# count.  Every later term is at most C(16, 8) * 2^-128 < 2^-114, below half
+# an ulp of a_d, so each addition rounds back to a_d: the step
+# d * lam - log2(bracket) is d * lam - log2(a_d) bit for bit, for every
+# ell <= MAX_ELL = 16.  It also never re-normalizes, since its result is at
+# least 128 - log2(12870) > SWITCH_BITS.
+SATURATED = 128.0
+
 
 def _canonical_terms(row, ell):
     """Term triples (coeff, x_exp, y_exp) for sum_k a_k x^k y^(ell-k).
@@ -138,36 +157,66 @@ def _canonical_terms(row, ell):
     return [(float(a), k, ell - k) for k, a in enumerate(row) if a], lead
 
 
-class _EvolveTables:
-    """Per-branch canonical term lists derived from an ErasurePolynomialSet."""
+def _eval_terms(terms, x, y):
+    """sum coeff * x^kx * y^ky over the term triples, left to right.
 
-    def __init__(self, polys: ErasurePolynomialSet):
-        ell = polys.ell
-        self.ell = ell
-        self.terms = []
-        self.lead = []
-        self.comp_terms = []
-        self.comp_lead = []
-        for j in range(ell):
-            t, lead = _canonical_terms(polys.counts[j], ell)
-            self.terms.append(t)
-            self.lead.append(lead)
-            ct, clead = _canonical_terms(polys.comp_counts[j], ell)
-            self.comp_terms.append(ct)
-            self.comp_lead.append(clead)
-
-
-def _eval_terms(terms, x, y, shift=0):
-    """sum coeff * x^(kx - shift) * y^ky over the term triples (ascending x power).
-
-    A nonzero ``shift`` factors x^shift out of every term, which is exact when
-    shift is at most the lowest x power.
+    Factors that are exact identities are skipped (a 1.0 coefficient, a
+    zeroth power) and a first power is the base itself, so every product
+    and sum is the one the full triples give, bit for bit; a term with no
+    factor left is 1.0.
     """
     acc = None
     for a, kx, ky in terms:
-        t = a * x ** (kx - shift) * y**ky
+        t = None if a == 1.0 else a
+        for base, k in ((x, kx), (y, ky)):
+            if k:
+                f = base if k == 1 else base**k
+                t = f if t is None else t * f
+        t = 1.0 if t is None else t
         acc = t if acc is None else acc + t
     return acc
+
+
+def _side_tables(row, ell):
+    """(terms, lead, bracket, c) of one polynomial row.
+
+    ``bracket`` is the terms with x^lead factored out, for the log-domain
+    step, or None when that leaves exactly 1.0 (a pure power).  ``c`` is
+    log2 of the bracket at (0, 1), the lead count, taken with the same
+    ``np.log2`` as the general step: the saturated step subtracts it.
+    """
+    terms, lead = _canonical_terms(row, ell)
+    bracket = [(a, kx - lead, ky) for a, kx, ky in terms]
+    c = np.log2(_eval_terms(bracket, np.zeros(1), np.ones(1))).item()
+    return terms, lead, (None if bracket == [(1.0, 0, 0)] else bracket), c
+
+
+class _EvolveTables:
+    """Per-branch term lists, brackets and saturated-step constants.
+
+    The ``comp_`` fields describe the complement polynomials q_j, which
+    step COMPLOG payloads.
+    """
+
+    def __init__(self, polys: ErasurePolynomialSet):
+        ell = polys.ell
+        self.terms, self.lead, self.bracket, self.c = zip(
+            *(_side_tables(row, ell) for row in polys.counts)
+        )
+        self.comp_terms, self.comp_lead, self.comp_bracket, self.comp_c = zip(
+            *(_side_tables(row, ell) for row in polys.comp_counts)
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(polys: ErasurePolynomialSet) -> _EvolveTables:
+    """The _EvolveTables of ``polys``, built once per polynomial set.
+
+    For ``evolve_exact``, which steps one path per call.  The level loops
+    build their own: kept alive in the cache, an ell = 16 kernel's tables
+    raised the peak RSS of the large levels that follow by about 1 MiB.
+    """
+    return _EvolveTables(polys)
 
 
 def _step_linear(z, j, t: _EvolveTables):
@@ -186,41 +235,81 @@ def _step_linear(z, j, t: _EvolveTables):
 
 def _step_neglog(lam, j, t: _EvolveTables):
     """Branch j on NEGLOG payloads lam = -log2 z; returns canonical (mode, payload)."""
-    z = np.exp2(-lam)
-    zc = 1.0 - z
-    d = t.lead[j]
-    bracket = _eval_terms(t.terms[j], z, zc, d)
-    lam2 = d * lam - np.log2(bracket)
+    lam2 = t.lead[j] * lam
+    if t.bracket[j] is not None:  # else the bracket is exactly 1.0
+        z = np.exp2(-lam)
+        lam2 -= np.log2(_eval_terms(t.bracket[j], z, 1.0 - z))
     small = lam2 <= SWITCH_BITS  # re-normalize toward LINEAR
-    return np.where(small, LINEAR, NEGLOG), np.where(small, np.exp2(-lam2), lam2)
+    if small.any():
+        lam2[small] = np.exp2(-lam2[small])
+    return np.where(small, LINEAR, NEGLOG), lam2
 
 
 def _step_complog(mu, j, t: _EvolveTables):
     """Branch j on COMPLOG payloads mu = -log2(1-z); returns canonical (mode, payload)."""
-    dd = np.exp2(-mu)
-    dc = 1.0 - dd
-    d = t.comp_lead[j]
-    bracket = _eval_terms(t.comp_terms[j], dd, dc, d)
-    mu2 = d * mu - np.log2(bracket)
+    mu2 = t.comp_lead[j] * mu
+    if t.comp_bracket[j] is not None:  # else the bracket is exactly 1.0
+        dd = np.exp2(-mu)
+        mu2 -= np.log2(_eval_terms(t.comp_bracket[j], dd, 1.0 - dd))
     small = mu2 <= SWITCH_BITS
-    return np.where(small, LINEAR, COMPLOG), np.where(small, 1.0 - np.exp2(-mu2), mu2)
+    if small.any():
+        mu2[small] = 1.0 - np.exp2(-mu2[small])
+    return np.where(small, LINEAR, COMPLOG), mu2
 
 
-# the only branch math: each band's update, keyed by mode
-_BAND_STEPS = {LINEAR: _step_linear, NEGLOG: _step_neglog, COMPLOG: _step_complog}
+def _step_neglog_saturated(lam, j, t: _EvolveTables):
+    """Branch j on NEGLOG payloads lam >= SATURATED, in place (see SATURATED)."""
+    lam *= t.lead[j]
+    lam -= t.c[j]
+    return NEGLOG, lam
+
+
+def _step_complog_saturated(mu, j, t: _EvolveTables):
+    """Branch j on COMPLOG payloads mu >= SATURATED, in place (see SATURATED)."""
+    mu *= t.comp_lead[j]
+    mu -= t.comp_c[j]
+    return COMPLOG, mu
+
+
+# the only branch math: each class's update, indexed by class (see _classes)
+_CLASS_STEPS = (
+    _step_linear,
+    _step_neglog,
+    _step_complog,
+    _step_neglog_saturated,
+    _step_complog_saturated,
+)
+
+
+def _classes(mode, payload, out):
+    """Each element's class into the int8 array ``out``: its mode, plus 2
+    when the payload is at least SATURATED (LINEAR payloads are at most 1,
+    so only log-domain payloads ever are); returns ``out``."""
+    np.greater_equal(payload, SATURATED, out=out.view(np.bool_))
+    out <<= 1
+    out += mode
+    return out
 
 
 def _step_arrays(mode, payload, j, t: _EvolveTables):
     """Apply branch j to every element of a (mode, payload) array pair.
 
-    Inputs need not be in canonical mode bands; outputs are canonical.
+    Inputs need not be in canonical mode bands and are left unchanged;
+    outputs are canonical.  Only the classes present are visited, and a
+    single class steps the whole array without masks.
     """
+    cls = _classes(mode, payload, np.empty(len(mode), dtype=np.int8))
+    present = np.flatnonzero(np.bincount(cls))
     out_m = np.empty_like(mode)
+    if len(present) == 1:
+        # on a copy, since the saturated steps work in place
+        m, out_p = _CLASS_STEPS[present[0]](payload.copy(), j, t)
+        out_m[:] = m
+        return out_m, out_p
     out_p = np.empty_like(payload)
-    for band, step in _BAND_STEPS.items():
-        sel = mode == band
-        if sel.any():
-            out_m[sel], out_p[sel] = step(payload[sel], j, t)
+    for k in present:
+        sel = cls == k
+        out_m[sel], out_p[sel] = _CLASS_STEPS[k](payload[sel], j, t)
     return out_m, out_p
 
 
@@ -266,16 +355,26 @@ def _check_depth(ell: int, n: int):
 def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     """Exact Z after applying the branch sequence ``digits`` (first digit first).
 
-    ``z0`` may be a float in (0,1) or an ExtendedUnitValue.
+    ``z0`` may be a float in (0,1) or an ExtendedUnitValue of a value there
+    (or the saturated top); each digit must be an integer (an integral
+    float is accepted) in 0..ell-1.
     """
     if not isinstance(z0, ExtendedUnitValue):
         z0 = ExtendedUnitValue.from_float(z0)
+    # the step classes take every payload >= SATURATED for a log-domain one
+    if z0.mode == LINEAR:
+        valid = 0.0 < z0.payload < 1.0
+    else:
+        valid = z0.mode in (NEGLOG, COMPLOG) and z0.payload > 0.0
+    if not valid:
+        raise DomainError(f"start state {(z0.mode, z0.payload)} is not a value in (0,1)")
     digits = list(digits)
     _check_depth(polys.ell, len(digits))
     for b in digits:
-        if not 0 <= int(b) < polys.ell:
-            raise DomainError(f"digit {b!r} outside 0..{polys.ell - 1}")
-    t = _EvolveTables(polys)
+        # checked before the int cast, which would truncate 1.7 to 1
+        if not (b % 1 == 0 and 0 <= b < polys.ell):
+            raise DomainError(f"digit {b!r} is not an integer in 0..{polys.ell - 1}")
+    t = _tables(polys)
     mode = np.array([z0.mode], dtype=np.int8)
     payload = np.array([z0.payload], dtype=np.float64)
     for b in digits:
@@ -475,12 +574,14 @@ def sample_paths(
     ``rng.path_digit_matrix(seed, count, n, ell)``.  Each level's digit
     column is drawn inside the level loop; no (count, n) array is built.
 
-    Each level stably sorts the paths by ``digit * 3 + mode``, so every
-    non-empty (branch j, mode band) group is one contiguous slice that goes
-    through that band's update once; one scatter by the permutation puts
-    the results back.  Every element still runs the same element-wise ufunc
-    sequence as ``_step_arrays``, so the output is bit-identical to stepping
-    each path alone and does not depend on the grouping.
+    Each level stably sorts the paths by ``digit * 5 + class`` (see
+    ``_classes``), so every non-empty (branch j, class) group is one
+    contiguous slice that goes through that class's update once; one
+    scatter by the permutation puts the results back.  Every element runs
+    the element-wise ufunc sequence of ``_step_arrays`` or, when saturated,
+    the affine step that equals it bit for bit (see ``SATURATED``), so the
+    output is bit-identical to stepping each path alone and does not depend
+    on the grouping.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
@@ -492,23 +593,24 @@ def sample_paths(
     modes = np.full(count, root.mode, dtype=np.int8)
     payloads = np.full(count, root.payload, dtype=np.float64)
     subs = rng.subseeds(seed, count)
-    bands = len(_BAND_STEPS)
+    classes = len(_CLASS_STEPS)
     # one buffer set for every level: the group key, and the states in key
-    # order (a slice's mode is its band, so only payloads are gathered)
-    key = np.empty(count, dtype=np.int8)  # below bands * MAX_ELL = 48
+    # order (a slice's input mode is its class's mode, so only payloads are
+    # gathered; the saturated steps update their slice of sorted_p in place)
+    key = np.empty(count, dtype=np.int8)  # below classes * MAX_ELL = 80
     sorted_m = np.empty(count, dtype=np.int8)
     sorted_p = np.empty(count, dtype=np.float64)
     for d in range(n):
-        np.multiply(rng.path_digits(subs, d, g.ell), bands, out=key, casting="unsafe")
-        key += modes
+        np.multiply(rng.path_digits(subs, d, g.ell), classes, out=key, casting="unsafe")
+        key += _classes(modes, payloads, sorted_m)  # sorted_m is free until the steps
         perm = np.argsort(key, kind="stable")
         np.take(payloads, perm, out=sorted_p)
-        ends = np.cumsum(np.bincount(key, minlength=bands * g.ell)).tolist()
+        ends = np.cumsum(np.bincount(key, minlength=classes * g.ell)).tolist()
         start = 0
         for k, end in enumerate(ends):
             if end > start:
-                j, band = divmod(k, bands)
-                sorted_m[start:end], sorted_p[start:end] = _BAND_STEPS[band](
+                j, c = divmod(k, classes)
+                sorted_m[start:end], sorted_p[start:end] = _CLASS_STEPS[c](
                     sorted_p[start:end], j, t
                 )
             start = end

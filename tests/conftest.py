@@ -1,17 +1,14 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from polarkit import rng
-from polarkit.becpolar import (
-    _EvolveTables,
-    _step_arrays,
-    enumerate_level,
-    split_erasure_polynomials,
-)
+from polarkit.becpolar import enumerate_level, split_erasure_polynomials
 from polarkit.codec import ERASED, _branch_rule
 from polarkit.errors import NotPolarizing
-from polarkit.extval import ExtendedUnitValue
+from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from polarkit.gf2kernel import BitMatrix, KernelProfile, kernel_profile
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
@@ -173,15 +170,129 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
     return u
 
 
+# Reference branch steps: every element goes through the full branch
+# polynomial, whatever its payload, with its own copy of the term tables.
+# polarkit's evolution (saturated affine steps, lean terms, class grouping)
+# must match these bit for bit.
+
+
+def ref_canonical_terms(row, ell):
+    """Term triples (coeff, x_exp, y_exp) of sum_k a_k x^k y^(ell-k), with a
+    pure power x^D in disguise collapsed to the single term 1.0 * x^D."""
+    lead = min(k for k, a in enumerate(row) if a)
+    if all(
+        row[lead + i] == math.comb(ell - lead, i) for i in range(ell - lead + 1)
+    ):
+        return [(1.0, lead, 0)], lead
+    return [(float(a), k, ell - k) for k, a in enumerate(row) if a], lead
+
+
+class RefTables:
+    """Per-branch canonical term lists of an ErasurePolynomialSet."""
+
+    def __init__(self, polys):
+        ell = polys.ell
+        self.terms, self.lead = zip(*(ref_canonical_terms(r, ell) for r in polys.counts))
+        self.comp_terms, self.comp_lead = zip(
+            *(ref_canonical_terms(r, ell) for r in polys.comp_counts)
+        )
+
+
+def ref_eval_terms(terms, x, y, shift=0):
+    """sum coeff * x^(kx - shift) * y^ky over the term triples, every factor
+    multiplied in."""
+    acc = None
+    for a, kx, ky in terms:
+        t = a * x ** (kx - shift) * y**ky
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def ref_step_linear(z, j, t):
+    thresh = 2.0**-SWITCH_BITS
+    zc = 1.0 - z
+    p = ref_eval_terms(t.terms[j], z, zc)
+    q = ref_eval_terms(t.comp_terms[j], zc, z)
+    mode = np.where(p < thresh, NEGLOG, np.where(q < thresh, COMPLOG, LINEAR))
+    with np.errstate(divide="ignore"):
+        payload = np.where(
+            p < thresh, -np.log2(p), np.where(q < thresh, -np.log2(q), p)
+        )
+    return mode, payload
+
+
+def ref_bracket(t, j, lam, comp=False):
+    """The log-domain bracket of branch j at payloads lam (x^lead factored out)."""
+    terms, lead = (t.comp_terms[j], t.comp_lead[j]) if comp else (t.terms[j], t.lead[j])
+    x = np.exp2(-lam)
+    return ref_eval_terms(terms, x, 1.0 - x, lead)
+
+
+def ref_step_neglog(lam, j, t):
+    lam2 = t.lead[j] * lam - np.log2(ref_bracket(t, j, lam))
+    small = lam2 <= SWITCH_BITS
+    return np.where(small, LINEAR, NEGLOG), np.where(small, np.exp2(-lam2), lam2)
+
+
+def ref_step_complog(mu, j, t):
+    mu2 = t.comp_lead[j] * mu - np.log2(ref_bracket(t, j, mu, comp=True))
+    small = mu2 <= SWITCH_BITS
+    return np.where(small, LINEAR, COMPLOG), np.where(small, 1.0 - np.exp2(-mu2), mu2)
+
+
+REF_BAND_STEPS = {
+    LINEAR: ref_step_linear, NEGLOG: ref_step_neglog, COMPLOG: ref_step_complog
+}
+
+
+def ref_step_arrays(mode, payload, j, t):
+    """Branch j on every element, one boolean mask per mode band."""
+    out_m = np.empty_like(mode)
+    out_p = np.empty_like(payload)
+    for band, step in REF_BAND_STEPS.items():
+        sel = mode == band
+        if sel.any():
+            out_m[sel], out_p[sel] = step(payload[sel], j, t)
+    return out_m, out_p
+
+
+def ref_evolve(z0: float, digits, polys) -> tuple[int, float]:
+    """(mode, payload) after stepping z0 through ``digits`` one at a time."""
+    t = RefTables(polys)
+    root = ExtendedUnitValue.from_float(z0)
+    mode = np.array([root.mode], dtype=np.int8)
+    payload = np.array([root.payload])
+    for b in digits:
+        mode, payload = ref_step_arrays(mode, payload, b, t)
+    return int(mode[0]), float(payload[0])
+
+
+def ref_enumerate_levels(g: BitMatrix, eps: float, n: int):
+    """(mode, payload) arrays of every level 0..n in tree order, each level
+    built from the one above by the reference steps."""
+    t = RefTables(split_erasure_polynomials(g))
+    root = ExtendedUnitValue.from_float(eps)
+    levels = [(np.array([root.mode], dtype=np.int8), np.array([root.payload]))]
+    for _ in range(n):
+        modes, payloads = levels[-1]
+        nm = np.empty(len(modes) * g.ell, dtype=np.int8)
+        npay = np.empty(len(modes) * g.ell)
+        for j in range(g.ell):
+            nm[j::g.ell], npay[j::g.ell] = ref_step_arrays(modes, payloads, j, t)
+        levels.append((nm, npay))
+    return levels
+
+
 def sample_paths_masked(g: BitMatrix, eps: float, n: int, count: int,
                         seed: int) -> np.ndarray:
     """Reference path sampler: per level, one boolean mask per branch.
 
-    Gathers the paths that take branch j, steps them with ``_step_arrays``
-    (which masks them again by mode band) and writes them back through the
-    same mask; ``sample_paths`` must match it bit for bit.
+    Gathers the paths that take branch j, steps them with
+    ``ref_step_arrays`` (which masks them again by mode band) and writes
+    them back through the same mask; ``sample_paths`` must match it bit for
+    bit.
     """
-    t = _EvolveTables(split_erasure_polynomials(g))
+    t = RefTables(split_erasure_polynomials(g))
     root = ExtendedUnitValue.from_float(eps)
     out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
     modes, payloads = out["mode"], out["payload"]
@@ -194,5 +305,5 @@ def sample_paths_masked(g: BitMatrix, eps: float, n: int, count: int,
             sel = col == j
             if not sel.any():
                 continue
-            modes[sel], payloads[sel] = _step_arrays(modes[sel], payloads[sel], j, t)
+            modes[sel], payloads[sel] = ref_step_arrays(modes[sel], payloads[sel], j, t)
     return out

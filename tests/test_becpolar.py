@@ -6,10 +6,20 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import kron_power, np_gf2_rank, random_invertible, sample_paths_masked
+from conftest import (
+    RefTables,
+    kron_power,
+    np_gf2_rank,
+    random_invertible,
+    ref_bracket,
+    ref_enumerate_levels,
+    ref_evolve,
+    sample_paths_masked,
+)
 from polarkit import becpolar
 from polarkit.becpolar import (
     DEFAULT_BUDGET,
+    SATURATED,
     LevelCdf,
     enumerate_level,
     enumerate_levels,
@@ -24,7 +34,7 @@ from polarkit.errors import (
     NotPolarizing,
     RequiresExactCdf,
 )
-from polarkit.extval import COMPLOG, LINEAR, NEGLOG, ExtendedUnitValue
+from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from polarkit.gf2kernel import BitMatrix, is_polarizing, partial_distances
 from polarkit.rng import path_digit_matrix
 from polarkit.serialize import fmt_real
@@ -54,6 +64,14 @@ def polarizing_sample():
             found.add(lit)
             got += 1
             yield m
+
+
+def random_polarizing(seed, ell):
+    rng = np.random.default_rng(seed)
+    while True:
+        m = random_invertible(rng, ell)
+        if is_polarizing(m):
+            return m
 
 
 def oracle_counts(m):
@@ -222,14 +240,95 @@ class TestEvolveExact:
         v = evolve_exact(z0, [1, 1], polys)
         assert v == ExtendedUnitValue(NEGLOG, 4000.0)
 
+    def test_bad_start_state(self):
+        # no probability; a LINEAR payload >= SATURATED would otherwise be
+        # stepped as a saturated log-domain payload
+        polys = split_erasure_polynomials(ARIKAN)
+        for z0 in ((LINEAR, 300.0), (LINEAR, 1.0), (LINEAR, -0.5), (NEGLOG, 0.0),
+                   (COMPLOG, math.nan), (7, 0.5)):
+            with pytest.raises(DomainError):
+                evolve_exact(ExtendedUnitValue(*z0), [0], polys)
+        assert evolve_exact(ExtendedUnitValue.top(), [0], polys).is_top
+
     def test_empty_path_is_identity(self):
         polys = split_erasure_polynomials(ARIKAN)
         assert evolve_exact(0.25, [], polys).value == 0.25
 
     def test_bad_digit(self):
         polys = split_erasure_polynomials(ARIKAN)
-        with pytest.raises(DomainError):
-            evolve_exact(0.5, [2], polys)
+        for digits in ([2], [-1], [1.7, 0.2], [0, 0.5], [math.nan]):
+            with pytest.raises(DomainError):
+                evolve_exact(0.5, digits, polys)
+        # integral floats are digits like any other
+        assert evolve_exact(0.5, [1.0, 0.0], polys) == evolve_exact(0.5, [1, 0], polys)
+
+    def test_tables_built_once(self, monkeypatch):
+        builds = []
+
+        class Counting(becpolar._EvolveTables):
+            def __init__(self, polys):
+                builds.append(polys)
+                super().__init__(polys)
+
+        monkeypatch.setattr(becpolar, "_EvolveTables", Counting)
+        becpolar._tables.cache_clear()
+        try:
+            for _ in range(3):
+                # an equal polynomial set built anew shares the tables
+                polys = split_erasure_polynomials(L3)
+                for digits in ([0, 1, 2], [2, 2], []):
+                    evolve_exact(0.4, digits, polys)
+            assert len(builds) == 1
+        finally:
+            becpolar._tables.cache_clear()
+
+    @pytest.mark.parametrize("g, n", [
+        (ARIKAN, 64),
+        (L3, 40),
+        (kron_power(4), 8),
+        (random_polarizing(24, 6), 14),
+    ])
+    def test_matches_reference_steps(self, g, n):
+        # deep paths reach the saturated classes
+        polys = split_erasure_polynomials(g)
+        rows = np.random.default_rng(n).integers(0, g.ell, (12, n))
+        for eps in (0.5, 1e-13, 1 - 1e-13):
+            for row in rows.tolist():
+                got = evolve_exact(eps, row, polys)
+                assert (got.mode, got.payload) == ref_evolve(eps, row, polys)
+
+
+SATURATED_KERNELS = {
+    "arikan": ARIKAN,
+    "l3": L3,
+    "g8": kron_power(3),
+    "g16": kron_power(4),
+    **{f"random{ell}": random_polarizing(100 + ell, ell) for ell in range(4, 17)},
+}
+
+
+class TestSaturatedStep:
+    @pytest.mark.parametrize("name", SATURATED_KERNELS)
+    def test_bracket_is_the_lead_count(self, name):
+        # from SATURATED on, the full bracket is exactly a_d, and np.log2 of
+        # it, over every SIMD lane and tail element, is the stored constant
+        polys = split_erasure_polynomials(SATURATED_KERNELS[name])
+        ref = RefTables(polys)
+        t = becpolar._EvolveTables(polys)
+        lam = np.concatenate((
+            [SATURATED, np.nextafter(SATURATED, np.inf)],
+            np.geomspace(SATURATED, 1e6, 1021),
+        ))
+        for comp, counts, leads, consts in (
+            (False, polys.counts, ref.lead, t.c),
+            (True, polys.comp_counts, ref.comp_lead, t.comp_c),
+        ):
+            for j, (row, d, c) in enumerate(zip(counts, leads, consts)):
+                bracket = ref_bracket(ref, j, lam, comp)
+                assert np.all(bracket == row[d])
+                assert np.all(np.log2(bracket) == c)
+                # the affine step never re-normalizes toward LINEAR
+                assert SATURATED - c > SWITCH_BITS
 
 
 class TestEnumerate:
@@ -261,6 +360,20 @@ class TestEnumerate:
         last = enumerate_level(ARIKAN, 0.5, 4)
         assert np.array_equal(last._modes, levels[-1][0])
         assert np.array_equal(last._payloads, levels[-1][1])
+
+    @pytest.mark.parametrize("g, eps, n", [
+        (ARIKAN, 0.5, 20),
+        (L3, 0.3, 12),
+        (kron_power(3), 0.5, 6),
+        (kron_power(4), 0.6, 4),
+    ])
+    def test_levels_match_reference_steps(self, g, eps, n):
+        got = enumerate_levels(g, eps, n)
+        want = ref_enumerate_levels(g, eps, n)
+        assert len(got) == len(want)
+        for (gm, gp), (wm, wp) in zip(got, want):
+            assert np.array_equal(gm, wm)
+            assert gp.tobytes() == wp.tobytes()
 
     def test_mean_martingale(self, cdf_cache):
         cdf = cdf_cache("10;11", 0.5, 10)
@@ -344,14 +457,6 @@ class TestEnumerate:
             assert cdf.to_csv() == "lambda\n" + want
 
 
-def random_polarizing(seed, ell):
-    rng = np.random.default_rng(seed)
-    while True:
-        m = random_invertible(rng, ell)
-        if is_polarizing(m):
-            return m
-
-
 def assert_paths_match_evolve(g, eps, n, count, seed):
     """Every sampled state equals evolve_exact on that path's stream digits."""
     polys = split_erasure_polynomials(g)
@@ -362,10 +467,14 @@ def assert_paths_match_evolve(g, eps, n, count, seed):
         assert (int(got["mode"][p]), float(got["payload"][p])) == (z.mode, z.payload)
 
 
-def bands_per_level(g, eps, n, count, seed):
-    """Number of mode bands held by the paths entering each level 0..n-1."""
-    return [len(np.unique(sample_paths_masked(g, eps, d, count, seed)["mode"]))
-            for d in range(n)]
+def classes_per_level(g, eps, n, count, seed):
+    """Number of step classes (mode, and saturated or not) held by the paths
+    entering each level 0..n-1."""
+    out = []
+    for d in range(n):
+        s = sample_paths_masked(g, eps, d, count, seed)
+        out.append(len(np.unique(s["mode"] + 2 * (s["payload"] >= SATURATED))))
+    return out
 
 
 class TestSampling:
@@ -381,6 +490,11 @@ class TestSampling:
         (ARIKAN, 0.5, 0, 7, 7),
         (ARIKAN, 1e-13, 20, 500, 8),  # root in NEGLOG
         (L3, 1 - 1e-13, 20, 500, 9),  # root in COMPLOG
+        (ARIKAN, 0.5, 64, 2000, 10),
+        (kron_power(4), 0.5, 8, 1000, 11),
+        (random_polarizing(24, 6), 0.5, 12, 1000, 12),
+        (kron_power(4), 1e-13, 6, 500, 13),
+        (random_polarizing(24, 6), 1 - 1e-13, 10, 500, 14),
     ])
     def test_matches_masked_oracle(self, g, eps, n, count, seed):
         got = sample_paths(g, eps, n, count, seed)
@@ -389,10 +503,13 @@ class TestSampling:
         assert got.tobytes() == want.tobytes()
 
     def test_oracle_cases_cross_every_band(self):
-        # some level of the deep oracle cases steps all three bands at once
-        assert 3 in bands_per_level(ARIKAN, 0.5, 50, 3000, 42)
-        assert 3 in bands_per_level(L3, 0.5, 30, 3000, 43)
-        assert 3 in bands_per_level(kron_power(3), 0.5, 8, 2000, 4)
+        # some level of the deep oracle cases steps all five classes at once:
+        # the three mode bands and both saturated log-domain classes
+        assert 5 in classes_per_level(ARIKAN, 0.5, 50, 3000, 42)
+        assert 5 in classes_per_level(L3, 0.5, 30, 3000, 43)
+        assert 5 in classes_per_level(kron_power(3), 0.5, 8, 2000, 4)
+        assert 5 in classes_per_level(kron_power(4), 0.5, 8, 1000, 11)
+        assert 5 in classes_per_level(random_polarizing(24, 6), 0.5, 12, 1000, 12)
         roots = [sample_paths_masked(g, eps, 0, 1, 0)["mode"][0]
                  for g, eps in ((ARIKAN, 1e-13), (L3, 1 - 1e-13))]
         assert roots == [NEGLOG, COMPLOG]
