@@ -38,7 +38,7 @@ from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from .gf2kernel import MASK_DTYPE, BitMatrix, determined_masks, is_polarizing
-from .serialize import dumps_17g, fmt_real
+from .serialize import dumps_17g, fmt_real_lines
 
 _LN2 = math.log(2.0)
 DEFAULT_BUDGET = 2**22
@@ -220,17 +220,29 @@ def _tables(polys: ErasurePolynomialSet) -> _EvolveTables:
 
 
 def _step_linear(z, j, t: _EvolveTables):
-    """Branch j on LINEAR payloads z; returns canonical (mode, payload)."""
+    """Branch j on LINEAR payloads z; returns canonical (mode, payload).
+
+    Only the elements whose p (or else q) falls below 2^-SWITCH_BITS leave
+    the band, so only they take a log2; the rest keep p.  Like the
+    saturated steps, the result may reuse the storage of ``z``: p is ``z``
+    itself for a single first-power branch.
+    """
     thresh = 2.0**-SWITCH_BITS
     zc = 1.0 - z
     p = _eval_terms(t.terms[j], z, zc)
     q = _eval_terms(t.comp_terms[j], zc, z)
-    mode = np.where(p < thresh, NEGLOG, np.where(q < thresh, COMPLOG, LINEAR))
+    mode = np.full(len(p), LINEAR, dtype=np.int8)
+    neg = p < thresh
+    comp = q < thresh
     with np.errstate(divide="ignore"):
-        payload = np.where(
-            p < thresh, -np.log2(p), np.where(q < thresh, -np.log2(q), p)
-        )
-    return mode, payload
+        if neg.any():
+            comp &= ~neg
+            mode[neg] = NEGLOG
+            p[neg] = -np.log2(p[neg])
+        if comp.any():
+            mode[comp] = COMPLOG
+            p[comp] = -np.log2(q[comp])
+    return mode, p
 
 
 def _step_neglog(lam, j, t: _EvolveTables):
@@ -302,7 +314,7 @@ def _step_arrays(mode, payload, j, t: _EvolveTables):
     present = np.flatnonzero(np.bincount(cls))
     out_m = np.empty_like(mode)
     if len(present) == 1:
-        # on a copy, since the saturated steps work in place
+        # on a copy, since the saturated and LINEAR steps may work in place
         m, out_p = _CLASS_STEPS[present[0]](payload.copy(), j, t)
         out_m[:] = m
         return out_m, out_p
@@ -483,10 +495,11 @@ class LevelCdf:
     def to_csv(self) -> str:
         """The sorted lambda column.
 
-        Each run of equal values is formatted once and its line repeated.
         The column goes in blocks of ``_CSV_BLOCK`` values, so every
-        transient is bounded by the block; a run cut by a block edge is
-        just formatted once per block.
+        transient is bounded by the block.  Each block's distinct values
+        are formatted in one ``fmt_real_lines`` call, and each run of equal
+        values repeats its line; a run cut by a block edge is just
+        formatted once per block.
         """
         parts = ["lambda\n"]
         for lo in range(0, self.size, _CSV_BLOCK):
@@ -495,9 +508,11 @@ class LevelCdf:
             first = np.ones(len(lams), dtype=bool)
             first[1:] = bits[1:] != bits[:-1]
             starts = np.flatnonzero(first)
-            lines = [fmt_real(v) + "\n" for v in lams[starts].tolist()]
-            runs = np.diff(starts, append=len(lams)).tolist()
-            parts.append("".join(map(str.__mul__, lines, runs)))
+            text = fmt_real_lines(lams[starts].tolist())
+            if len(starts) < len(lams):
+                runs = np.diff(starts, append=len(lams)).tolist()
+                text = "".join(map(str.__mul__, text.splitlines(keepends=True), runs))
+            parts.append(text)
         return "".join(parts)
 
 

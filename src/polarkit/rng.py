@@ -10,8 +10,8 @@ Derived streams use ``mix64(seed ^ (index+1)*GAMMA)`` as their sub-seed, so a
 path / trial index selects an effectively independent stream.
 
 Uniform digits in {0..ell-1} use the Lemire multiply-shift reduction
-``(x * ell) >> 64``; its bias is below ell * 2^-64 and is irrelevant at every
-sample size used here.
+``(x * ell) >> 64`` (one shift when ell is a power of two); its bias is below
+ell * 2^-64 and is irrelevant at every sample size used here.
 """
 
 from __future__ import annotations
@@ -79,7 +79,12 @@ def uniform01(bits: np.ndarray) -> np.ndarray:
 
 
 def reduce_digits(bits: np.ndarray, ell: int) -> np.ndarray:
-    """Lemire reduction of uint64 words to digits in {0..ell-1}."""
+    """Lemire reduction of uint64 words to digits in {0..ell-1}.
+
+    For ell = 2^k (k >= 1), (x * ell) >> 64 is the top k bits of x, one shift.
+    """
+    if ell > 1 and ell & (ell - 1) == 0:
+        return (bits >> np.uint64(65 - ell.bit_length())).view(np.int64)
     lo = bits & np.uint64(0xFFFFFFFF)
     hi = bits >> np.uint64(32)
     with np.errstate(over="ignore"):

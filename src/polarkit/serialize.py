@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import json
 
+_REAL = "%.17g"  # also spells nan, inf and -inf
+
 
 def fmt_real(x: float) -> str:
     if isinstance(x, bool):  # bool is an int subclass; keep it out of %g
         raise TypeError("fmt_real expects a number, got bool")
-    return format(float(x), ".17g")  # also spells nan, inf and -inf
+    return _REAL % float(x)
+
+
+def fmt_real_lines(values: list[float]) -> str:
+    """``fmt_real(v) + "\\n"`` for every float in ``values``, joined, from one
+    %-format call (no per-value call overhead)."""
+    return ((_REAL + "\n") * len(values)) % tuple(values)
 
 
 def fmt_cell(v) -> str:

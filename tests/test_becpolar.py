@@ -13,7 +13,9 @@ from conftest import (
     random_invertible,
     ref_bracket,
     ref_enumerate_levels,
+    ref_eval_terms,
     ref_evolve,
+    ref_step_arrays,
     sample_paths_masked,
 )
 from polarkit import becpolar
@@ -331,6 +333,76 @@ class TestSaturatedStep:
                 assert SATURATED - c > SWITCH_BITS
 
 
+def last_true(pred, lo, hi):
+    """Largest float z in [lo, hi) with pred(z), for pred true at lo, false
+    at hi and monotone between; bisects the bit patterns, which order
+    positive floats."""
+    assert pred(lo) and not pred(hi)
+    a = int(np.float64(lo).view(np.int64))
+    b = int(np.float64(hi).view(np.int64))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if pred(float(np.int64(mid).view(np.float64))):
+            a = mid
+        else:
+            b = mid
+    return float(np.int64(a).view(np.float64))
+
+
+def linear_boundary_inputs(j, ref):
+    """Two arrays of LINEAR payloads z: in the first p_j(z), in the second
+    q_j(1 - z), lands on either side of 2^-SWITCH_BITS, 8 ulps of z each
+    way from the crossing (an exact hit included where a float reaches it)."""
+    thresh = 2.0**-SWITCH_BITS
+    p = lambda z: ref_eval_terms(ref.terms[j], np.array([z]), np.array([1.0 - z]))[0]
+    q = lambda z: ref_eval_terms(ref.comp_terms[j], np.array([1.0 - z]), np.array([z]))[0]
+    return [z0 + np.arange(-8, 9) * np.spacing(z0) for z0 in (
+        last_true(lambda z: p(z) < thresh, 2.0**-60, 0.5),
+        last_true(lambda z: q(z) >= thresh, 0.5, 1.0 - 2.0**-53),
+    )]
+
+
+class TestLinearStep:
+    @pytest.mark.parametrize("g", [
+        ARIKAN, L3, kron_power(3), kron_power(4), BitMatrix.from_literal("001;010;101"),
+    ])
+    def test_band_edges_match_reference_steps(self, g):
+        # p or q just below, at and just above 2^-SWITCH_BITS, on every
+        # branch; "001;010;101" has a single first-power branch, where p is
+        # the payload array itself
+        polys = split_erasure_polynomials(g)
+        ref = RefTables(polys)
+        t = becpolar._EvolveTables(polys)
+        thresh = 2.0**-SWITCH_BITS
+        for j in range(g.ell):
+            zp, zq = linear_boundary_inputs(j, ref)
+            for side in (ref_eval_terms(ref.terms[j], zp, 1.0 - zp),
+                         ref_eval_terms(ref.comp_terms[j], 1.0 - zq, zq)):
+                assert (side < thresh).any() and (side >= thresh).any()
+            z = np.concatenate((zp, zq))
+            # all LINEAR (one class, stepped whole), then mixed with
+            # log-domain elements (masked per class)
+            mixed_m = np.concatenate((np.full(len(z), LINEAR), [NEGLOG, COMPLOG, NEGLOG]))
+            mixed_p = np.concatenate((z, [45.0, 50.0, 300.0]))
+            for mode, payload in ((np.full(len(z), LINEAR), z), (mixed_m, mixed_p)):
+                mode = mode.astype(np.int8)
+                before = (mode.copy(), payload.copy())
+                got = becpolar._step_arrays(mode, payload, j, t)
+                want = ref_step_arrays(mode, payload, j, ref)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert mode.tobytes() == before[0].tobytes()
+                assert payload.tobytes() == before[1].tobytes()
+
+    def test_band_edges_reach_the_threshold_exactly(self):
+        # p_1 = z^2 (Arikan) and p_1 = z ("001;010;101") hit 2^-SWITCH_BITS
+        for g in (ARIKAN, BitMatrix.from_literal("001;010;101")):
+            polys = split_erasure_polynomials(g)
+            ref = RefTables(polys)
+            z = linear_boundary_inputs(1, ref)[0]
+            assert (ref_eval_terms(ref.terms[1], z, 1.0 - z) == 2.0**-SWITCH_BITS).any()
+
+
 class TestEnumerate:
     def test_tree_order_matches_evolve(self, cdf_cache):
         cdf = cdf_cache("10;11", 0.5, 8)
@@ -452,6 +524,13 @@ class TestEnumerate:
         cdfs = [LevelCdf(n=1, ell=11, eps=0.5, source="montecarlo",
                          neglogs_by_index=lams, sorted_neglogs=lams),
                 cdf_cache("10;11", 0.5, 10)]
+        # sampled levels: most values distinct, so some blocks have no run
+        for g, n, seed in ((ARIKAN, 50, 42), (L3, 30, 43)):
+            level = level_from_samples(sample_paths(g, 0.5, n, 10000, seed), g, 0.5, n, seed)
+            blocks = [level.sorted_neglogs[lo:lo + block]
+                      for lo in range(0, level.size, block)]
+            assert any(len(np.unique(b)) == len(b) > 1 for b in blocks)
+            cdfs.append(level)
         for cdf in cdfs:
             want = "".join(f"{fmt_real(v)}\n" for v in cdf.sorted_neglogs)
             assert cdf.to_csv() == "lambda\n" + want

@@ -121,6 +121,15 @@ class TestReduceDigits:
         got = reduce_digits(bits, 5)
         assert int(got[0]) == 0 and int(got[1]) == 4
 
+    @pytest.mark.parametrize("ell", [2, 4, 8, 16, 3, 5, 7])
+    def test_powers_of_two_and_others(self, ell):
+        # powers of two take a single shift; both paths must equal the wide
+        # multiply at the edge words, where an off-by-one shift shows
+        words = [0, 1, 2**63 - 1, 2**63, 2**64 - 1] + raw_stream(11, 200).tolist()
+        got = reduce_digits(np.array(words, dtype=np.uint64), ell)
+        assert got.dtype == np.int64
+        assert got.tolist() == [(int(w) * ell) >> 64 for w in words]
+
 
 class TestSerialize:
     def test_fmt_real_roundtrip(self):
