@@ -12,8 +12,11 @@ Everything downstream (exact level enumeration, Monte Carlo paths, interval
 propagation) reduces to iterating these polynomials in the extended-precision
 representation of :mod:`polarkit.extval`.
 
-The array steps split the elements into five classes: the three mode bands,
-and the NEGLOG and COMPLOG payloads at or above ``SATURATED`` = 128.  There
+One grouped stepper, ``_step``, advances every multi-element array, exact
+levels and sampled paths alike: it sorts the elements once by (branch,
+class) and sends each group through its class's update as one slice.  The
+five classes are the three mode bands, and the NEGLOG and COMPLOG payloads
+at or above ``SATURATED`` = 128.  There
 z (or 1 - z) is at most 2^-128, the bracket p_j(z) / z^d evaluates to its
 lead count a_d exactly in float64, and the step is the affine update
 lam' = d * lam - log2(a_d), bit for bit what the full polynomial gives (the
@@ -293,36 +296,41 @@ _CLASS_STEPS = (
 )
 
 
-def _classes(mode, payload, out):
-    """Each element's class into the int8 array ``out``: its mode, plus 2
-    when the payload is at least SATURATED (LINEAR payloads are at most 1,
-    so only log-domain payloads ever are); returns ``out``."""
-    np.greater_equal(payload, SATURATED, out=out.view(np.bool_))
-    out <<= 1
-    out += mode
-    return out
+def _classes(mode, payload):
+    """Each element's class as int8: its mode, plus 2 when the payload is at
+    least SATURATED (LINEAR payloads are at most 1, so only log-domain
+    payloads ever are)."""
+    return mode + 2 * (payload >= SATURATED).view(np.int8)
 
 
-def _step_arrays(mode, payload, j, t: _EvolveTables):
-    """Apply branch j to every element of a (mode, payload) array pair.
+def _step(modes, payloads, digits, t: _EvolveTables):
+    """Apply branch ``digits[i]`` to element i of a (mode, payload) array
+    pair, in place; inputs need not be in canonical mode bands, outputs are.
 
-    Inputs need not be in canonical mode bands and are left unchanged;
-    outputs are canonical.  Only the classes present are visited, and a
-    single class steps the whole array without masks.
+    One stable sort by ``digit * 5 + class`` makes every non-empty
+    (branch j, class) group one contiguous slice of a gathered payload copy,
+    which goes through that class's update once; one scatter by the
+    permutation puts the results back.  Every update is element-wise, so
+    each element comes out bit-identical to stepping it alone, whatever the
+    grouping.
     """
-    cls = _classes(mode, payload, np.empty(len(mode), dtype=np.int8))
-    present = np.flatnonzero(np.bincount(cls))
-    out_m = np.empty_like(mode)
-    if len(present) == 1:
-        # on a copy, since the saturated and LINEAR steps may work in place
-        m, out_p = _CLASS_STEPS[present[0]](payload.copy(), j, t)
-        out_m[:] = m
-        return out_m, out_p
-    out_p = np.empty_like(payload)
-    for k in present:
-        sel = cls == k
-        out_m[sel], out_p[sel] = _CLASS_STEPS[k](payload[sel], j, t)
-    return out_m, out_p
+    classes = len(_CLASS_STEPS)
+    # below classes * MAX_ELL = 80, so int8 keys and numpy's radix sort
+    key = np.multiply(digits, classes, dtype=np.int8, casting="unsafe")
+    key += _classes(modes, payloads)
+    perm = np.argsort(key, kind="stable")
+    sorted_m = np.empty_like(modes)
+    sorted_p = payloads[perm]
+    start = 0
+    for k, end in enumerate(np.cumsum(np.bincount(key)).tolist()):
+        if end > start:
+            j, c = divmod(k, classes)
+            sorted_m[start:end], sorted_p[start:end] = _CLASS_STEPS[c](
+                sorted_p[start:end], j, t
+            )
+        start = end
+    modes[perm] = sorted_m
+    payloads[perm] = sorted_p
 
 
 def _neglog_array(mode, payload):
@@ -337,21 +345,6 @@ def _neglog_array(mode, payload):
         out[neg] = payload[neg]
     if comp.any():
         out[comp] = -np.log1p(-np.exp2(-payload[comp])) / _LN2
-    return out
-
-
-def _value_array(mode, payload):
-    """Nearest-float value per element (underflows at the extremes)."""
-    out = np.empty_like(payload)
-    lin = mode == LINEAR
-    neg = mode == NEGLOG
-    comp = mode == COMPLOG
-    if lin.any():
-        out[lin] = payload[lin]
-    if neg.any():
-        out[neg] = np.exp2(-payload[neg])
-    if comp.any():
-        out[comp] = 1.0 - np.exp2(-payload[comp])
     return out
 
 
@@ -390,7 +383,8 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     mode = np.array([z0.mode], dtype=np.int8)
     payload = np.array([z0.payload], dtype=np.float64)
     for b in digits:
-        mode, payload = _step_arrays(mode, payload, int(b), t)
+        # one element needs no grouping: straight through its class's update
+        mode[:], payload = _CLASS_STEPS[_classes(mode, payload)[0]](payload, int(b), t)
     return ExtendedUnitValue(int(mode[0]), float(payload[0]))
 
 
@@ -458,11 +452,7 @@ class LevelCdf:
 
     def mean_z(self) -> float:
         """Mean of Z over the level (the martingale conserves this at eps)."""
-        if self._modes is not None:
-            vals = _value_array(self._modes, self._payloads)
-        else:
-            vals = np.exp2(-self.neglogs_by_index)
-        return float(np.mean(vals))
+        return float(np.mean(np.exp2(-self.neglogs_by_index)))
 
     def z_order(self) -> np.ndarray:
         """0-based positions sorted by ascending Z, ties by smaller index.
@@ -529,16 +519,12 @@ def _levels(g: BitMatrix, eps: float, n: int, budget: int):
     modes = np.array([root.mode], dtype=np.int8)
     payloads = np.array([root.payload], dtype=np.float64)
     yield modes, payloads
-    ell = g.ell
+    branches = np.arange(g.ell, dtype=np.int8)
     for _ in range(n):
-        size = len(modes) * ell
-        nm = np.empty(size, dtype=np.int8)
-        npay = np.empty(size, dtype=np.float64)
-        for j in range(ell):
-            mj, pj = _step_arrays(modes, payloads, j, t)
-            nm[j::ell] = mj
-            npay[j::ell] = pj
-        modes, payloads = nm, npay
+        # child j of entry v at v * ell + j: each parent repeated ell times
+        digits = np.tile(branches, len(modes))
+        modes, payloads = np.repeat(modes, g.ell), np.repeat(payloads, g.ell)
+        _step(modes, payloads, digits, t)
         yield modes, payloads
 
 
@@ -589,14 +575,8 @@ def sample_paths(
     ``rng.path_digit_matrix(seed, count, n, ell)``.  Each level's digit
     column is drawn inside the level loop; no (count, n) array is built.
 
-    Each level stably sorts the paths by ``digit * 5 + class`` (see
-    ``_classes``), so every non-empty (branch j, class) group is one
-    contiguous slice that goes through that class's update once; one
-    scatter by the permutation puts the results back.  Every element runs
-    the element-wise ufunc sequence of ``_step_arrays`` or, when saturated,
-    the affine step that equals it bit for bit (see ``SATURATED``), so the
-    output is bit-identical to stepping each path alone and does not depend
-    on the grouping.
+    Each level is one ``_step`` call with the drawn digits, so the output
+    is bit-identical to stepping each path alone.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
@@ -608,29 +588,8 @@ def sample_paths(
     modes = np.full(count, root.mode, dtype=np.int8)
     payloads = np.full(count, root.payload, dtype=np.float64)
     subs = rng.subseeds(seed, count)
-    classes = len(_CLASS_STEPS)
-    # one buffer set for every level: the group key, and the states in key
-    # order (a slice's input mode is its class's mode, so only payloads are
-    # gathered; the saturated steps update their slice of sorted_p in place)
-    key = np.empty(count, dtype=np.int8)  # below classes * MAX_ELL = 80
-    sorted_m = np.empty(count, dtype=np.int8)
-    sorted_p = np.empty(count, dtype=np.float64)
     for d in range(n):
-        np.multiply(rng.path_digits(subs, d, g.ell), classes, out=key, casting="unsafe")
-        key += _classes(modes, payloads, sorted_m)  # sorted_m is free until the steps
-        perm = np.argsort(key, kind="stable")
-        np.take(payloads, perm, out=sorted_p)
-        ends = np.cumsum(np.bincount(key, minlength=classes * g.ell)).tolist()
-        start = 0
-        for k, end in enumerate(ends):
-            if end > start:
-                j, c = divmod(k, classes)
-                sorted_m[start:end], sorted_p[start:end] = _CLASS_STEPS[c](
-                    sorted_p[start:end], j, t
-                )
-            start = end
-        modes[perm] = sorted_m
-        payloads[perm] = sorted_p
+        _step(modes, payloads, rng.path_digits(subs, d, g.ell), t)
     out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
     out["mode"], out["payload"] = modes, payloads
     return out

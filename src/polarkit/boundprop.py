@@ -143,10 +143,10 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     xs = [_as_extval(x) for x, _ in trace]
     ss = [float(s) for _, s in trace]
     for s in ss[:-1]:
-        if s < 1.0:
-            raise DomainError("exponents must satisfy s >= 1")
-    if c <= 0.0:
-        raise DomainError("constant c must be positive")
+        if not 1.0 <= s < math.inf:
+            raise DomainError("exponents must be finite and satisfy s >= 1")
+    if not 0.0 < c < math.inf:
+        raise DomainError("constant c must be positive and finite")
     log2c = math.log2(c)
     exact_c = log2c == int(log2c)
 

@@ -58,7 +58,12 @@ class SelectionSet:
     def __post_init__(self):
         size = self.ell**self.n
         want = math.floor(size * self.rate)
-        idx = np.asarray(self.indices, dtype=np.int64)
+        # checked before the int cast, which would truncate 1.7 to 1
+        idx = np.asarray(self.indices)
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
+            if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
+                raise DomainError("indices must be integers")
+        idx = np.asarray(idx, dtype=np.int64)
         if len(idx) != want:
             raise DomainError(
                 f"selection holds {len(idx)} indices, rate demands {want}")

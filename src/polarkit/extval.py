@@ -202,7 +202,7 @@ class ExtendedUnitValue:
         bit in the degenerate cases (pure-power branches), so that propagated
         bounds meet the exact values with equality rather than off by an ulp.
         """
-        if d < 1 or d != int(d):
+        if not (d >= 1 and d % 1 == 0):  # false for nan and inf too
             raise DomainError(f"exponent {d!r} must be a positive integer")
         d = int(d)
         if d == 1 or self.is_top:
@@ -234,8 +234,8 @@ class ExtendedUnitValue:
 
     def times_pow2(self, k: int) -> "ExtendedUnitValue":
         """min(top, z * 2^k) for an integer k >= 0; saturates above the interval."""
-        if k < 0:
-            raise DomainError("scaling exponent must be nonnegative")
+        if not (k >= 0 and k % 1 == 0):  # false for nan and inf too
+            raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
         if k == 0 or self.is_top:
             return self
         if self.mode == LINEAR:

@@ -380,19 +380,17 @@ class TestLinearStep:
                          ref_eval_terms(ref.comp_terms[j], 1.0 - zq, zq)):
                 assert (side < thresh).any() and (side >= thresh).any()
             z = np.concatenate((zp, zq))
-            # all LINEAR (one class, stepped whole), then mixed with
-            # log-domain elements (masked per class)
+            # all LINEAR (one group), then mixed with log-domain elements
+            # (one group per class)
             mixed_m = np.concatenate((np.full(len(z), LINEAR), [NEGLOG, COMPLOG, NEGLOG]))
             mixed_p = np.concatenate((z, [45.0, 50.0, 300.0]))
             for mode, payload in ((np.full(len(z), LINEAR), z), (mixed_m, mixed_p)):
                 mode = mode.astype(np.int8)
-                before = (mode.copy(), payload.copy())
-                got = becpolar._step_arrays(mode, payload, j, t)
                 want = ref_step_arrays(mode, payload, j, ref)
+                got = (mode.copy(), payload.copy())
+                becpolar._step(*got, np.full(len(mode), j), t)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
-                assert mode.tobytes() == before[0].tobytes()
-                assert payload.tobytes() == before[1].tobytes()
 
     def test_band_edges_reach_the_threshold_exactly(self):
         # p_1 = z^2 (Arikan) and p_1 = z ("001;010;101") hit 2^-SWITCH_BITS
@@ -401,6 +399,35 @@ class TestLinearStep:
             ref = RefTables(polys)
             z = linear_boundary_inputs(1, ref)[0]
             assert (ref_eval_terms(ref.terms[1], z, 1.0 - z) == 2.0**-SWITCH_BITS).any()
+
+
+class TestGroupedStep:
+    @pytest.mark.parametrize("g", [
+        ARIKAN, L3, kron_power(3), kron_power(4), BitMatrix.from_literal("001;010;101"),
+    ])
+    def test_matches_each_element_stepped_alone(self, g):
+        # every (branch, class) pair six times over, shuffled: LINEAR values
+        # across (0, 1), log-domain payloads in their bands below SATURATED
+        # and from SATURATED up
+        polys = split_erasure_polynomials(g)
+        ref = RefTables(polys)
+        t = becpolar._EvolveTables(polys)
+        rng = np.random.default_rng(g.ell)
+        digits, cls = np.divmod(rng.permutation(np.repeat(np.arange(5 * g.ell), 6)), 5)
+        u = rng.random(len(cls))
+        payload = np.select(
+            [cls == 0, cls < 3],
+            [np.where(u < 0.5, 2.0 ** (-60 * u), 1.0 - 2.0 ** (-60 * u)),
+             SWITCH_BITS + (SATURATED - SWITCH_BITS) * u],
+            SATURATED * 2.0 ** (3 * u),
+        )
+        mode = np.where(cls < 3, cls, cls - 2).astype(np.int8)  # see _classes
+        assert np.all(becpolar._classes(mode, payload) == cls)
+        want = [ref_step_arrays(mode[i:i + 1], payload[i:i + 1], b, ref)
+                for i, b in enumerate(digits.tolist())]
+        becpolar._step(mode, payload, digits, t)
+        assert mode.tobytes() == np.concatenate([m for m, _ in want]).tobytes()
+        assert payload.tobytes() == np.concatenate([p for _, p in want]).tobytes()
 
 
 class TestEnumerate:

@@ -173,8 +173,12 @@ class TestProcessConditions:
             check_process_conditions([], c=4.0)
         with pytest.raises(DomainError):
             check_process_conditions([(0.5, 0.5), (0.25, 1)], c=4.0)
-        with pytest.raises(DomainError):
-            check_process_conditions([(0.5, 1), (0.25, 1)], c=0.0)
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                check_process_conditions([(0.5, 1), (0.25, 1)], c=c)
+        for s in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                check_process_conditions([(0.5, s), (0.25, 1)], c=4.0)
         with pytest.raises(DomainError):
             check_process_conditions([(1.5, 1), (0.25, 1)], c=4.0)
 

@@ -146,6 +146,13 @@ class TestSelectionSet:
         with pytest.raises(DomainError):
             SelectionSet(n=2, ell=2, rate=0.5, indices=np.array([1, 5]),
                          rule="x")
+        # non-integral indices are rejected, not truncated to [1, 2]
+        for bad in ([1.7, 2.2], [1.0, 2.5], [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(DomainError):
+                SelectionSet(n=2, ell=2, rate=0.5, indices=bad, rule="x")
+        # integral floats are indices like any other
+        ok = SelectionSet(n=2, ell=2, rate=0.5, indices=[1.0, 4.0], rule="x")
+        assert ok.indices.dtype == np.int64 and ok.indices.tolist() == [1, 4]
 
     def test_frozen_storage(self):
         s = SelectionSet(n=2, ell=2, rate=0.5, indices=np.array([1, 4]),

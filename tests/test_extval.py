@@ -190,7 +190,7 @@ class TestPowInt:
 
     def test_rejects_bad_exponent(self):
         v = ExtendedUnitValue.from_float(0.25)
-        for bad in (0, -1):
+        for bad in (0, -1, 1.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 v.pow_int(bad)
 
@@ -212,8 +212,9 @@ class TestTimesPow2:
     def test_identity_and_domain(self):
         v = ExtendedUnitValue.from_float(0.5)
         assert v.times_pow2(0) is v
-        with pytest.raises(DomainError):
-            v.times_pow2(-1)
+        for bad in (-1, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                v.times_pow2(bad)
 
 
 def test_as_pair():
