@@ -34,8 +34,12 @@ earlier input is unknown in the real decoder only below an undetermined
 leaf, and frozen leaves are always known, so up to and including the first
 undetermined information bit both decoders see identical known and
 unknown masks at every node.  Hence SC fails iff some information leaf is
-undetermined under the genie rule.  That count runs top-down in n array
-stages over a batch of erasure patterns, one table lookup per node.
+undetermined under the genie rule.  That rule is upward-closed in the
+known outputs, so branch j is determined iff all outputs of one of its
+minimal determining sets are known: an OR of ANDs, factored once per code
+into one program of ANDs and ORs that all branches share.  The count runs
+that program top-down in n stages over bit-packed trials, 64 to a word,
+the layout BP runs on too.
 
 MAP is the matching global test: the pattern is ambiguous iff some nonzero
 combination of information rows is supported entirely inside the erasure
@@ -78,6 +82,7 @@ fails.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, cycle
@@ -93,7 +98,7 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
 )
-from .gf2kernel import MASK_DTYPE, KernelProfile, determined_masks
+from .gf2kernel import KernelProfile, determined_masks
 from .rng import erasure_flags, subseeds
 from .serialize import csv_text
 
@@ -141,8 +146,9 @@ class PolarCode:
             raise DimensionTooLarge(f"block length {size} exceeds {MAX_BLOCK}")
         # validate before the int cast, which would truncate 1.7 to 1
         idx = np.array(list(self.frozen))
-        if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
-            raise DomainError("frozen indices must be integers")
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
+            if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
+                raise DomainError("frozen indices must be integers")
         bad = idx[(idx < 1) | (idx > size)]
         if bad.size:
             raise IndexOutOfRange(f"frozen index {int(bad.min())} outside 1..{size}")
@@ -246,11 +252,17 @@ class PolarCode:
         return v
 
     @cached_property
-    def _det_table(self) -> np.ndarray:
-        """(2^ell, ell) bool: entry [K, j] says branch j is determined when
-        exactly the output coordinates in K are known and every earlier
-        branch input is known (``determined_masks``)."""
-        return np.ascontiguousarray(determined_masks(self.profile.kernel).T)
+    def _sc_program(self) -> tuple:
+        """The genie-aided rule of every branch as one ``_factor`` program
+        over the known outputs of a kernel node."""
+        return _factor(_minimal_sets(determined_masks(self.profile.kernel)))
+
+    @cached_property
+    def _info_reversed(self) -> np.ndarray:
+        """``_info_mask`` in digit-reversed channel order, the order of the
+        last layer of the SC count and of BP."""
+        ell = self.profile.ell
+        return self._info_mask.reshape((ell,) * self.n).T.ravel()
 
     @cached_property
     def _bp_checks(self) -> tuple:
@@ -348,6 +360,14 @@ def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
     """Inverse of ``_pack_bits`` for a 2-D array: (r, words) to bool (r, m)."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=m, bitorder="little").astype(bool)
+
+
+def _known_words(erased: np.ndarray) -> np.ndarray:
+    """A (B, N) batch of erasure masks as the (N, ceil(B/64)) uint64 known
+    words of the SC count and BP: bit t of word w at position p marks
+    symbol p of trial 64 w + t known.  Padding trials past B read as fully
+    known, so they never fail."""
+    return ~_pack_bits(erased.T)
 
 
 def _encode_batch(u: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -558,37 +578,120 @@ def sc_decode_bec(word: ErasureWord, code: PolarCode) -> ScResult:
     return ScResult(u=u, undetermined=tuple(int(i) for i in undet))
 
 
-def _sc_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Per-row SC failure of a (B, N) batch of erasure masks.
+def _minimal_sets(det: np.ndarray) -> tuple:
+    """Per branch j of a ``determined_masks`` table, the minimal known-output
+    sets, as a frozenset of frozensets of output coordinates.
+
+    Knowing more outputs never undetermines a branch, so branch j is
+    determined iff every coordinate of one of its minimal sets is known.  A
+    determined set is minimal iff dropping any one coordinate leaves it
+    undetermined.
+    """
+    ell = det.shape[0]
+    minimal = det.copy()
+    for c in range(ell):
+        # sets holding c against the same sets without it
+        without = det.reshape(ell, -1, 2, 1 << c)[:, :, 0]
+        minimal.reshape(ell, -1, 2, 1 << c)[:, :, 1] &= ~without
+    return tuple(
+        frozenset(
+            frozenset(c for c in range(ell) if k >> c & 1)
+            for k in np.flatnonzero(row).tolist()
+        )
+        for row in minimal
+    )
+
+
+def _factor(families: tuple) -> tuple:
+    """One straight-line program for the OR of ANDs of every family of sets.
+
+    A family F, an antichain of nonempty sets, is split on its most common
+    coordinate c (the lowest on ties): F = (x_c AND F1) OR F0, where F1
+    holds the sets with c, c removed, and F0 the sets without c.  Both are
+    antichains, and F1 is {{}} exactly when {c} is in F, making the AND
+    x_c alone.  Equal families are built once, also across branches, so
+    sets that share coordinates share their ANDs.  Returns (steps, roots):
+    step i is (c, on, off, drop), value x_c, AND value ``on`` when
+    on >= 0, OR value ``off`` when off >= 0, after which the values in
+    ``drop`` are used no more; family j is the value of step roots[j].
+    """
+    index = {}
+    steps = []
+
+    def build(fam):
+        if fam not in index:
+            count = Counter(chain.from_iterable(fam))
+            c = max(sorted(count), key=count.__getitem__)
+            on = frozenset(k - {c} for k in fam if c in k)
+            off = frozenset(k for k in fam if c not in k)
+            step = (c, -1 if frozenset() in on else build(on), build(off) if off else -1)
+            index[fam] = len(steps)
+            steps.append(step)
+        return index[fam]
+
+    roots = tuple(build(fam) for fam in families)
+    last = {}
+    for i, (_, on, off) in enumerate(steps):
+        last[on] = last[off] = i
+    drops = [[] for _ in steps]
+    for v, i in last.items():
+        if v >= 0 and v not in roots:
+            drops[i].append(v)
+    return tuple(step + (tuple(d),) for step, d in zip(steps, drops)), roots
+
+
+def _run(program: tuple, slabs) -> list:
+    """Values of the roots of a ``_factor`` program on ``slabs`` (anything
+    that takes & and |, x_c being slabs[c])."""
+    steps, roots = program
+    vals = [None] * len(steps)
+    for i, (c, on, off, drop) in enumerate(steps):
+        v = slabs[c]
+        if on >= 0:
+            v = v & vals[on]
+        if off >= 0:
+            v = v | vals[off]
+        vals[i] = v
+        for d in drop:
+            vals[d] = None
+    return [vals[r] for r in roots]
+
+
+def _sc_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray:
+    """Per-trial SC failure of the first ``trials`` trials of a batch of
+    known words (``_known_words``).
 
     Runs the genie-aided rule, under which every earlier input is known, in
-    n stages.  Word positions are held as n base-ell digit axes, most
-    significant first.  Each stage reads the known mask of every kernel node
-    off the last position digit, drops that axis and appends the branch axis
-    in its place at the end, so after n stages the axes are the branch
-    digits b_1..b_n of the channel index.
+    n stages over whole trial words, holding only the current layer and the
+    next.  Stage s groups the last remaining position digit of the layer
+    into kernel nodes and puts branch j of each node in its place: known
+    iff, for one of the branch's minimal sets (``_sc_program``), every output
+    in it is known.  The branch digits so land newest first and the last
+    layer is in digit-reversed channel order, like BP's layers.
     """
     ell = code.profile.ell
     n = code.n
-    b = erased.shape[0]
-    det = code._det_table
-    known = ~erased.reshape((b,) + (ell,) * n)
-    for ax in range(n, 0, -1):
-        lead = (slice(None),) * ax
-        kmask = known[lead + (0,)].astype(MASK_DTYPE)
-        for c in range(1, ell):
-            kmask |= known[lead + (c,)].astype(MASK_DTYPE) << c
-        known = det.take(kmask, axis=0)
-    return (~known.reshape(b, code.block_length) & code._info_mask).any(axis=1)
+    words = known.shape[1]
+    layer = known
+    for s in range(n):
+        shape = (ell ** (n - s - 1), ell, ell**s, words)
+        src = layer.reshape(shape)
+        layer = np.empty_like(known)
+        dst = layer.reshape(shape)
+        for j, v in enumerate(_run(code._sc_program, [src[:, c] for c in range(ell)])):
+            dst[:, j] = v
+    open_ = np.bitwise_or.reduce(~layer[code._info_reversed], axis=0)
+    return _unpack_bits(open_[None], trials)[0]
 
 
-def _close_stage(var: list, checks: tuple) -> None:
+def _close_stage(var: np.ndarray, checks: tuple) -> None:
     """Close every kernel node of one stage under its local code, in place.
 
-    ``var`` holds the bit-sliced known masks of the node variables (u_0..,
-    x_0..); a variable becomes known when some check holds it and every
-    other variable of that check is known.  Each check takes the AND of the
-    others for every member from prefix and suffix ANDs.
+    ``var`` holds the known words of the node variables (u_0.., x_0..),
+    one contiguous slab each; a variable becomes known when some check
+    holds it and every other variable of that check is known.  Each check
+    takes the AND of the others for every member from prefix and suffix
+    ANDs.
     """
     for check in checks:
         vs = [var[i] for i in check]
@@ -605,49 +708,53 @@ def _close_stage(var: list, checks: tuple) -> None:
             v |= g
 
 
-def _bp_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray | None:
-    """Per-row erasure-BP failure of a (B, N) batch of erasure masks, or
-    None above BP_MAX_ELL, where BP is not run.
+def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray | None:
+    """Per-trial erasure-BP failure of the first ``trials`` trials of a
+    batch of known words (``_known_words``), or None above BP_MAX_ELL,
+    where BP is not run.
 
     Peels to a fixpoint on SC's factor graph: layer 0 holds the word
     positions, layer n the channel inputs (frozen ones known) and stage s
     joins layers s and s + 1 through the kernel nodes of ``_sc_failures``'
     stage s, which group the last remaining position digit.  Every layer
-    is an (N, ceil(B/64)) uint64 array, bit t of word w marking trial
-    64 w + t known.  Rounds sweep the stages up and back down until every
-    information input is known or a round learns nothing; a row fails iff
-    an information input stays unknown.
+    is an (N, ceil(B/64)) uint64 array of known words.  A stage gathers its
+    2 ell variable slabs into one contiguous buffer, closes them there and
+    scatters them back.  Rounds sweep the stages up and back down until
+    every information input is known or a round learns nothing; a trial
+    fails iff an information input stays unknown.
     """
     ell = code.profile.ell
     if ell > BP_MAX_ELL:
         return None
     n = code.n
-    b, size = erased.shape
-    words = (b + 63) // 64
+    size, words = known.shape
     layers = np.zeros((n + 1, size, words), dtype=np.uint64)
-    # padding trials past B read as fully known, so they never hold a round
-    layers[0] = ~_pack_bits(erased.T)
+    layers[0] = known
     # layer s keeps its branch digits newest first, (d_1..d_{n-s}, b_s..b_1),
     # so both sides of a stage are slabs along one axis; layer n is in
     # digit-reversed channel order
-    info = code._info_mask.reshape((ell,) * n).T.ravel()
+    info = code._info_reversed
     layers[n][~info] = ~np.uint64(0)
     stages = []
     for s in range(n):
-        lo = layers[s].reshape(ell ** (n - s - 1), ell, ell**s, words)
-        hi = layers[s + 1].reshape(ell ** (n - s - 1), ell, ell**s, words)
-        stages.append([hi[:, j] for j in range(ell)] + [lo[:, c] for c in range(ell)])
+        # (side, slab, node, ...) view of layers s + 1 (u_j) and s (x_c)
+        pair = layers.reshape(n + 1, ell ** (n - s - 1), ell, ell**s, words)[s : s + 2][::-1]
+        stages.append(pair.transpose(0, 2, 1, 3, 4))
+    buf = np.empty((2 * ell, size // ell, words), dtype=np.uint64)
     # the closure is exact per node, so a stage is not closed twice in a row
     order = [*range(n), *range(n - 2, 0, -1)]
     checks = code._bp_checks
     seen = -1
     while True:
         for s in order:
-            _close_stage(stages[s], checks)
+            gathered = buf.reshape(stages[s].shape)
+            np.copyto(gathered, stages[s])
+            _close_stage(buf, checks)
+            np.copyto(stages[s], gathered)
         open_ = np.bitwise_or.reduce(~layers[n][info], axis=0)
         count = int(np.bitwise_count(layers).sum())
         if not open_.any() or count == seen:
-            return _unpack_bits(open_[None], b)[0]
+            return _unpack_bits(open_[None], trials)[0]
         seen = count
 
 
@@ -838,8 +945,9 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     while done < trials:
         b = min(chunk, trials - done)
         erased = erasure_flags(subseeds(seed, b, done), size, eps)
-        sc_fail = _sc_failures(erased, code)
-        bp_fail = _bp_failures(erased, code)
+        known = _known_words(erased)
+        sc_fail = _sc_failures(known, b, code)
+        bp_fail = _bp_failures(known, b, code)
         if bp_fail is None:
             bp_fail = np.ones(b, dtype=bool)
         else:

@@ -121,7 +121,7 @@ def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
 
 def uniform_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) doubles in [0, 1); row r comes from the derived stream r."""
-    return uniform01(_stream_words(subseeds(seed, rows), cols))
+    return uniform01(_stream_words(subseeds(seed, rows), cols).T)
 
 
 def erasure_flags(seeds, cols: int, eps: float) -> np.ndarray:
@@ -130,16 +130,19 @@ def erasure_flags(seeds, cols: int, eps: float) -> np.ndarray:
     ``seeds`` holds one uint64 word seed per row, so a batch of words
     gets exactly the flags drawn one word at a time.  The test runs on the
     top 53 bits m of each stream output: m * 2^-53 < eps iff
-    m < ceil(eps * 2^53), so no float matrix is built.
+    m < ceil(eps * 2^53), so no float matrix is built.  The result is the
+    transpose of a contiguous (cols, rows) array, so the flags of every
+    row at one column are adjacent.
     """
     subs = _mix64_np(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(GAMMA))
     words = _stream_words(subs, cols)
     words >>= np.uint64(11)
-    return words < np.uint64(math.ceil(eps * 2.0**53))
+    return (words < np.uint64(math.ceil(eps * 2.0**53))).T
 
 
 def _stream_words(subs: np.ndarray, cols: int) -> np.ndarray:
-    """Row r holds the first ``cols`` outputs of the stream seeded subs[r]."""
+    """(cols, len(subs)): column r holds the first ``cols`` outputs of the
+    stream seeded subs[r]."""
     with np.errstate(over="ignore"):
         steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GAMMA)
-        return _mix64_inplace(subs[:, None] + steps[None, :])
+        return _mix64_inplace(steps[:, None] + subs[None, :])

@@ -6,10 +6,16 @@ import pytest
 
 from polarkit import rng
 from polarkit.becpolar import enumerate_level, split_erasure_polynomials
-from polarkit.codec import ERASED, _branch_rule
+from polarkit.codec import BP_MAX_ELL, ERASED, _branch_rule, _pack_bits, _unpack_bits
 from polarkit.errors import NotPolarizing
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from polarkit.gf2kernel import BitMatrix, KernelProfile, kernel_profile
+from polarkit.gf2kernel import (
+    MASK_DTYPE,
+    BitMatrix,
+    KernelProfile,
+    determined_masks,
+    kernel_profile,
+)
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
 # need the most, and extra digits never hurt the rest
@@ -169,6 +175,80 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
     u, _ = rec(0, np.ascontiguousarray(y, dtype=np.int8))
     return u
 
+
+
+# Reference per-trial failure tests on a (B, N) bool batch of erasure masks:
+# the genie-aided SC count as one table lookup per kernel node, and erasure
+# BP closing each stage on strided views of its layers.  The bit-packed
+# ``_sc_failures`` and ``_bp_failures`` must match them on every trial.
+
+
+def ref_sc_failures(erased: np.ndarray, code) -> np.ndarray:
+    """Per-row SC failure: n stages of ``determined_masks`` lookups, each
+    reading the known mask of every kernel node off the last position
+    digit and putting the branch digit at the end."""
+    ell = code.profile.ell
+    n = code.n
+    b = erased.shape[0]
+    det = np.ascontiguousarray(determined_masks(code.profile.kernel).T)
+    known = ~erased.reshape((b,) + (ell,) * n)
+    for ax in range(n, 0, -1):
+        lead = (slice(None),) * ax
+        kmask = known[lead + (0,)].astype(MASK_DTYPE)
+        for c in range(1, ell):
+            kmask |= known[lead + (c,)].astype(MASK_DTYPE) << c
+        known = det.take(kmask, axis=0)
+    return (~known.reshape(b, code.block_length) & code._info_mask).any(axis=1)
+
+
+def ref_close_stage(var: list, checks: tuple) -> None:
+    """Close every kernel node of one stage in place, one check at a time,
+    each member gaining the AND of the others from prefix and suffix ANDs."""
+    for check in checks:
+        vs = [var[i] for i in check]
+        heads = [vs[0]]
+        for v in vs[1:-1]:
+            heads.append(heads[-1] & v)
+        tail = vs[-1]
+        gains = [heads[-1]]
+        for i in range(len(vs) - 2, 0, -1):
+            gains.append(heads[i - 1] & tail)
+            tail = tail & vs[i]
+        gains.append(tail)
+        for v, g in zip(reversed(vs), gains):
+            v |= g
+
+
+def ref_bp_failures(erased: np.ndarray, code):
+    """Per-row erasure-BP failure, or None above BP_MAX_ELL: layers of
+    (N, ceil(B/64)) known words, each stage closed on strided slab views,
+    rounds sweeping up and back down to a fixpoint."""
+    ell = code.profile.ell
+    if ell > BP_MAX_ELL:
+        return None
+    n = code.n
+    b, size = erased.shape
+    words = (b + 63) // 64
+    layers = np.zeros((n + 1, size, words), dtype=np.uint64)
+    layers[0] = ~_pack_bits(erased.T)
+    info = code._info_mask.reshape((ell,) * n).T.ravel()
+    layers[n][~info] = ~np.uint64(0)
+    stages = []
+    for s in range(n):
+        lo = layers[s].reshape(ell ** (n - s - 1), ell, ell**s, words)
+        hi = layers[s + 1].reshape(ell ** (n - s - 1), ell, ell**s, words)
+        stages.append([hi[:, j] for j in range(ell)] + [lo[:, c] for c in range(ell)])
+    order = [*range(n), *range(n - 2, 0, -1)]
+    checks = code._bp_checks
+    seen = -1
+    while True:
+        for s in order:
+            ref_close_stage(stages[s], checks)
+        open_ = np.bitwise_or.reduce(~layers[n][info], axis=0)
+        count = int(np.bitwise_count(layers).sum())
+        if not open_.any() or count == seen:
+            return _unpack_bits(open_[None], b)[0]
+        seen = count
 
 # Reference branch steps: every element goes through the full branch
 # polynomial, whatever its payload, with its own copy of the term tables.

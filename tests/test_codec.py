@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,7 +17,11 @@ from polarkit.codec import (
     SimulationReport,
     _bp_failures,
     _branch_rule,
+    _factor,
+    _known_words,
     _map_failures,
+    _minimal_sets,
+    _run,
     _sc_failures,
     encode,
     map_decode_bec,
@@ -39,7 +44,17 @@ from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
 from polarkit.rng import erasure_flags, subseed, subseeds
 
-from conftest import ARIKAN, L3, kron_power, np_gf2_rank, random_polarizing, sc_batch
+from conftest import (
+    ARIKAN,
+    L3,
+    kron_power,
+    np_gf2_rank,
+    random_invertible,
+    random_polarizing,
+    ref_bp_failures,
+    ref_sc_failures,
+    sc_batch,
+)
 
 
 
@@ -63,6 +78,16 @@ def row_bits(code, i):
     r = code.generator_row(i)
     return np.array([(r >> c) & 1 for c in range(code.block_length)],
                     dtype=np.uint8)
+
+
+def sc_fails(erased, code):
+    """``_sc_failures`` of a (B, N) bool batch of erasure masks."""
+    return _sc_failures(_known_words(erased), len(erased), code)
+
+
+def bp_fails(erased, code):
+    """``_bp_failures`` of a (B, N) bool batch of erasure masks."""
+    return _bp_failures(_known_words(erased), len(erased), code)
 
 
 def all_patterns(size):
@@ -90,6 +115,13 @@ class TestPolarCode:
         # an int cast would truncate these to {1, 2}
         with pytest.raises(DomainError):
             PolarCode(profile=arikan, n=2, frozen=frozenset({1.7, 2.2}))
+        # inf % 1 must not escape as a RuntimeWarning before the DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                PolarCode(profile=arikan, n=1, frozen=frozenset([1.0, math.inf]))
+            with pytest.raises(DomainError):
+                PolarCode(profile=arikan, n=1, frozen=frozenset([math.nan]))
         code = PolarCode(profile=arikan, n=2, frozen=frozenset({2.0, np.int64(3)}))
         assert code.frozen == {2, 3}
         assert code._info_mask.tolist() == [True, False, False, True]
@@ -456,7 +488,7 @@ class TestRandomKernels:
             erased = all_patterns(size)
         else:
             erased = rng.random((samples, size)) < rng.uniform(0.1, 0.7, (samples, 1))
-        sc = _sc_failures(erased, code)
+        sc = sc_fails(erased, code)
         u = sc_batch(np.where(erased, np.int8(ERASED), np.int8(0)), code)
         assert np.array_equal(sc, ((u == ERASED) & code._info_mask).any(axis=1))
         amb = _map_failures(erased, code)
@@ -485,7 +517,7 @@ class TestRandomKernels:
         for i in range(1, 17):
             code = PolarCode(profile=prof, n=2,
                              frozen=frozenset(range(1, 17)) - {i})
-            sc = int(_sc_failures(erased, code).sum())
+            sc = int(sc_fails(erased, code).sum())
             amb = int(_map_failures(erased, code).sum())
             assert Fraction(sc, 1 << 16) == Fraction(cdf.value_at(i).value)
             w = code.generator_row(i).bit_count()
@@ -498,8 +530,8 @@ class TestBeliefPropagation:
 
     @staticmethod
     def chain(erased, code):
-        sc = _sc_failures(erased, code)
-        bp = _bp_failures(erased, code)
+        sc = sc_fails(erased, code)
+        bp = bp_fails(erased, code)
         amb = _map_failures(erased, code)
         assert not (amb & ~bp).any()
         assert not (bp & ~sc).any()
@@ -541,6 +573,108 @@ class TestBeliefPropagation:
         # some MAP-unique ones
         assert sc_gap > 0
         assert bp_gap > 0 or literal == L3
+
+
+class TestPackedFailures:
+    """The bit-packed SC count and BP against the table-lookup and strided
+    references in conftest, and the factored SC program against
+    ``determined_masks``."""
+
+    @staticmethod
+    def kernels():
+        rng = np.random.default_rng(12)
+        named = [BitMatrix.from_literal(ARIKAN), BitMatrix.from_literal(L3),
+                 kron_power(3), kron_power(4)]
+        return named + [random_invertible(rng, ell) for ell in range(3, 13)]
+
+    def test_minimal_sets_and_program_match_determined_masks(self):
+        for m in self.kernels():
+            det = determined_masks(m)
+            ell = m.ell
+            masks = np.arange(1 << ell)
+            slabs = [(masks >> c & 1).astype(bool) for c in range(ell)]
+            families = _minimal_sets(det)
+            for j, fam in enumerate(families):
+                covered = np.zeros(1 << ell, dtype=bool)
+                for k in fam:
+                    bits = sum(1 << c for c in k)
+                    covered |= masks & bits == bits
+                    # minimal: determined, and not without any one coordinate
+                    assert det[j, bits] and not any(det[j, bits ^ 1 << c] for c in k)
+                assert np.array_equal(covered, det[j])
+            got = _run(_factor(families), slabs)
+            assert all(np.array_equal(v, det[j]) for j, v in enumerate(got))
+
+    def test_program_keeps_a_root_that_is_also_a_step(self):
+        # {{1}} is the root of the second family and the OR operand of the
+        # first, which is built before it
+        fams = (frozenset({frozenset({0}), frozenset({1})}), frozenset({frozenset({1})}),
+                frozenset({frozenset({0, 1})}))
+        masks = np.arange(4)
+        slabs = [(masks >> c & 1).astype(bool) for c in range(2)]
+        got = _run(_factor(fams), slabs)
+        assert [v.tolist() for v in got] == [
+            [False, True, True, True], [False, False, True, True], [False, False, False, True]]
+
+    def test_program_shares_ands(self):
+        # ANDs of the sets as listed, against ANDs and ORs of the program,
+        # per kernel stage
+        random16 = random_invertible(np.random.default_rng(1), 16)
+        for m, naive, ands, ors in ((kron_power(4), 3221, 165, 111),
+                                    (random16, 3476, 841, 529)):
+            families = _minimal_sets(determined_masks(m))
+            steps, _ = _factor(families)
+            assert sum(len(k) - 1 for fam in families for k in fam) == naive
+            assert sum(on >= 0 for _, on, _, _ in steps) == ands
+            assert sum(off >= 0 for _, _, off, _ in steps) == ors
+
+    @pytest.mark.parametrize("kernel,n", [
+        (ARIKAN, 5), (L3, 3), ("100;110;111", 3), ("kron2", 2),
+        ("random2", 4), ("random3", 3), ("random4", 2), ("random5", 2),
+        ("random6", 2), ("random7", 2), ("random8", 2), ("random9", 1),
+    ])
+    def test_match_references_per_trial(self, kernel, n):
+        rng = np.random.default_rng(len(kernel) * 100 + n)
+        if kernel.startswith("random"):
+            prof = random_polarizing(rng, int(kernel[6:]))
+        elif kernel == "kron2":
+            prof = kernel_profile(kron_power(2))
+        else:
+            prof = kernel_profile(BitMatrix.from_literal(kernel))
+        size = prof.ell**n
+        code = PolarCode(profile=prof, n=n, frozen=frozenset(
+            int(i) + 1 for i in np.flatnonzero(rng.random(size) < 0.5)))
+        for eps in (0.0, 0.4, 1.0):
+            # partial last words, an exact word, and padding past it
+            for trials in (1, 63, 64, 65, 130):
+                erased = rng.random((trials, size)) < eps
+                assert np.array_equal(sc_fails(erased, code), ref_sc_failures(erased, code))
+                bp = bp_fails(erased, code)
+                want = ref_bp_failures(erased, code)
+                assert (bp is None) == (want is None) == (prof.ell > codec.BP_MAX_ELL)
+                assert bp is None or np.array_equal(bp, want)
+
+    @pytest.mark.parametrize("ell,n", [
+        (2, 5), (3, 3), (4, 2), (5, 2), (6, 2), (7, 1), (8, 1), (9, 1),
+    ])
+    def test_simulate_counts_match_references(self, ell, n, monkeypatch):
+        rng = np.random.default_rng(ell)
+        prof = random_polarizing(rng, ell)
+        size = ell**n
+        sel = polar_selection(enumerate_level(prof.kernel, 0.4, n), 0.5)
+        code = PolarCode.from_selection(prof, sel)
+        # chunks of 100 trials: the second word of each is partial
+        monkeypatch.setattr(codec, "CELLS", 100 * size)
+        rep = simulate(code, 0.4, 250, seed=ell)
+        erased = erasure_flags(subseeds(ell, 250), size, 0.4)
+        sc = ref_sc_failures(erased, code)
+        assert rep.sc_errors == sc.sum()
+        assert rep.map_errors == _map_failures(erased, code).sum()
+        assert rep == SimulationReport(
+            eps=0.4, n=n, ell=ell, rate=code.rate, trials=250, seed=ell,
+            sc_errors=int(sc.sum()), map_errors=rep.map_errors,
+            sc_interval=wilson_interval(int(sc.sum()), 250),
+            map_interval=wilson_interval(rep.map_errors, 250))
 
 
 class TestMapDecode:
@@ -724,7 +858,7 @@ class TestSimulate:
                 monkeypatch.setattr(codec, "CELLS", 130 * code.block_length)
                 rep = simulate(code, eps, trials, seed=n)
                 erased = erasure_flags(subseeds(n, trials), code.block_length, eps)
-                assert rep.sc_errors == _sc_failures(erased, code).sum()
+                assert rep.sc_errors == sc_fails(erased, code).sum()
                 assert rep.map_errors == _map_failures(erased, code).sum()
 
     def test_memory_bounded_at_n12(self, arikan, cdf_cache):
@@ -761,7 +895,7 @@ class TestSimulate:
         rep = simulate(code, 0.4, 300, seed=6)
         assert tested == [128, 128, 44]
         erased = erasure_flags(subseeds(6, 300), 9, 0.4)
-        assert rep.sc_errors == _sc_failures(erased, code).sum()
+        assert rep.sc_errors == sc_fails(erased, code).sum()
         assert rep.map_errors == _map_failures(erased, code).sum()
         assert rep.map_errors > 0
 
@@ -769,14 +903,15 @@ class TestSimulate:
         code = PolarCode.from_selection(
             arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5))
 
-        def stuck(erased, code):
-            return np.ones(len(erased), dtype=bool)
+        def stuck(known, trials, code):
+            return np.ones(trials, dtype=bool)
 
         monkeypatch.setattr(codec, "_bp_failures", stuck)
         with pytest.raises(AssertionError, match="BP undetermined but SC determined"):
             simulate(code, 0.3, 50, seed=1)
-        monkeypatch.setattr(codec, "_bp_failures", lambda erased, code: None)
-        monkeypatch.setattr(codec, "_map_failures", stuck)
+        monkeypatch.setattr(codec, "_bp_failures", lambda known, trials, code: None)
+        monkeypatch.setattr(codec, "_map_failures",
+                            lambda erased, code: np.ones(len(erased), dtype=bool))
         with pytest.raises(AssertionError, match="MAP ambiguous but SC determined"):
             simulate(code, 0.3, 50, seed=1)
 

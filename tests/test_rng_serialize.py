@@ -68,6 +68,8 @@ class TestDerivedStreams:
         for eps in edges + [float(v) for v in drawn]:
             assert np.array_equal(erasure_flags([seed], 40, eps)[0], u[0] < eps)
             assert np.array_equal(erasure_flags(words, 40, eps), u < eps)
+        # one column's flags are adjacent, so a batch packs along its trials
+        assert erasure_flags(words, 40, 0.5).T.flags.c_contiguous
 
     def test_uniform_range_and_determinism(self):
         m = uniform_matrix(99, 40, 50)
