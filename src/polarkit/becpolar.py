@@ -40,7 +40,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import MASK_DTYPE, BitMatrix, determined_masks, is_polarizing
+from .gf2kernel import BitMatrix, is_polarizing, undetermined_counts
 from .serialize import dumps_17g, fmt_real_lines
 
 _LN2 = math.log(2.0)
@@ -100,17 +100,14 @@ class ErasurePolynomialSet:
 def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
     """Exact one-step splitting of a BEC under the kernel.
 
-    Counts all 2^ell erasure patterns E at once: E leaves the mask K = ~E
-    known, so branch j's weight-k count is the number of masks K with
-    ell - k known coordinates at which the branch is undetermined.
+    Branch j's weight-k count is the number of weight-k erasure patterns
+    that leave it undetermined (``undetermined_counts``).
     """
     if not is_polarizing(m):
         raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
 
     ell = m.ell
-    undet = ~determined_masks(m)
-    erased = ell - np.bitwise_count(np.arange(1 << ell, dtype=MASK_DTYPE))
-    counts = [np.bincount(erased[undet[j]], minlength=ell + 1).tolist() for j in range(ell)]
+    counts = undetermined_counts(m)
     comp = [
         [math.comb(ell, k) - counts[j][ell - k] for k in range(ell + 1)]
         for j in range(ell)
@@ -119,7 +116,7 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
     comp_lead = [min(k for k in range(ell + 1) if comp[j][k]) for j in range(ell)]
     return ErasurePolynomialSet(
         kernel=m,
-        counts=tuple(tuple(r) for r in counts),
+        counts=counts,
         leading_degree=tuple(lead),
         comp_counts=tuple(tuple(r) for r in comp),
         comp_leading_degree=tuple(comp_lead),

@@ -98,7 +98,7 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
 )
-from .gf2kernel import KernelProfile, determined_masks
+from .gf2kernel import KernelProfile, _lattice_or, determined_masks
 from .rng import erasure_flags, subseeds
 from .serialize import csv_text
 
@@ -359,7 +359,7 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
     """Inverse of ``_pack_bits`` for a 2-D array: (r, words) to bool (r, m)."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=m, bitorder="little").astype(bool)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little").view(bool)
 
 
 def _known_words(erased: np.ndarray) -> np.ndarray:
@@ -585,14 +585,15 @@ def _minimal_sets(det: np.ndarray) -> tuple:
     Knowing more outputs never undetermines a branch, so branch j is
     determined iff every coordinate of one of its minimal sets is known.  A
     determined set is minimal iff dropping any one coordinate leaves it
-    undetermined.
+    undetermined: one lattice pass per coordinate on the packed table marks
+    the sets that stay determined without it.
     """
     ell = det.shape[0]
-    minimal = det.copy()
+    packed = _pack_bits(det)
+    shrinks = np.zeros(packed.shape, dtype=np.uint64)
     for c in range(ell):
-        # sets holding c against the same sets without it
-        without = det.reshape(ell, -1, 2, 1 << c)[:, :, 0]
-        minimal.reshape(ell, -1, 2, 1 << c)[:, :, 1] &= ~without
+        _lattice_or(shrinks, packed, c)
+    minimal = _unpack_bits(packed & ~shrinks, det.shape[1])
     return tuple(
         frozenset(
             frozenset(c for c in range(ell) if k >> c & 1)

@@ -2,9 +2,12 @@
 
 Rows are stored as machine-word bitmasks (bit c = column c), so Hamming
 weights are popcounts and row combinations are single XORs.  Kernels have
-ell <= 16, so the quantities defined over all 2^ell coordinate subsets (the
-determination table, row spans) are whole-array numpy passes over at most
-65536 uint16 masks.
+ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks,
+and a table over all 2^ell coordinate subsets is one bit per subset,
+bit-packed 64 to a uint64 word.  Such a table is closed over the subset
+lattice in ell whole-array passes, one per coordinate (``_lattice_or``):
+a shift and mask inside every word for the six low coordinates, an OR of
+word slabs for the others.
 """
 
 from __future__ import annotations
@@ -97,32 +100,30 @@ class BitMatrix:
         return f"BitMatrix({self.to_literal()!r})"
 
     @cached_property
-    def _determined(self) -> np.ndarray:
-        """The table behind ``determined_masks``, from the row-by-row
-        elimination of every known-coordinate mask K at once.
+    def _subset_tables(self) -> tuple:
+        """The ``determined_masks`` table and the ``undetermined_counts``,
+        from one packed table of the erasure patterns.
 
-        ``basis[h, K]`` is the reduced basis vector of K with leading bit h
-        (0 when there is none).  Going from the last row up, ``rows[j] & K``
-        is reduced against it from the top bit down; it is independent iff a
-        nonzero remainder is left, which then joins the basis at its own
-        leading bit.  Only bits of the later rows can lead a basis vector, so
-        only those are reduced.
+        Branch j is undetermined with erased set E iff some vector of the
+        coset row_j + span(rows j+1..) has its support inside E.  Each coset
+        vector marks its own pattern, and the ell lattice passes carry every
+        mark to all supersets, giving the undetermined patterns.  Known mask
+        K erases full ^ K, which reverses the order of the patterns.
         """
-        masks = np.arange(1 << self.ell, dtype=MASK_DTYPE)
-        # row ell takes the zero remainders (frexp(0) has exponent 0) and is never read
-        basis = np.zeros((self.ell + 1, masks.size), dtype=MASK_DTYPE)
-        det = np.empty((self.ell, masks.size), dtype=bool)
-        later = 0
-        for j in range(self.ell - 1, -1, -1):
-            w = masks & self.rows[j]
-            for h in range(later.bit_length() - 1, -1, -1):
-                if (later >> h) & 1:
-                    w ^= basis[h] * ((w >> h) & 1)
-            np.not_equal(w, 0, out=det[j])
-            basis[np.frexp(w)[1] - 1, masks] = w
-            later |= self.rows[j]
+        ell = self.ell
+        # whole words: no coset vector reaches the padding past 2^ell < 64
+        marks = np.zeros((ell, max(1 << ell, 64)), dtype=bool)
+        for j, coset in _cosets(self.rows):
+            marks[j, coset] = True
+        undet = np.packbits(marks, axis=1, bitorder="little").view("<u8")
+        for c in range(ell):
+            _lattice_or(undet, undet, c)
+        # read backwards, big bit first, the inverted bytes list det[j, K]
+        # for K = 0, 1, ... after the padding
+        backwards = (~undet).astype("<u8", copy=False).view(np.uint8)[:, ::-1]
+        det = np.unpackbits(backwards, axis=1, bitorder="big")[:, -(1 << ell):].view(bool)
         det.setflags(write=False)
-        return det
+        return det, _weight_counts(undet, ell)
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,68 @@ class BecChannel:
     @property
     def bhattacharyya(self) -> float:
         return self.epsilon
+
+
+def _cosets(rows):
+    """Per row i, last first: (i, the masks of row_i + span(rows i+1..)).
+
+    The cosets are built from the bottom row up by doubling: the span of
+    rows i.. is the span of rows i+1.. followed by the coset of row i.  All
+    of them together hold 2^ell - 1 masks.
+    """
+    span = np.zeros(1, dtype=MASK_DTYPE)
+    for i in range(len(rows) - 1, -1, -1):
+        coset = span ^ rows[i]
+        yield i, coset
+        span = np.concatenate((span, coset))
+
+
+# for the coordinates c < 6, which index bits inside a word: the shift 2^c
+# and the mask of the bits p that hold c; bit p of _WEIGHT_CLASSES[t] is set
+# iff p has t ones
+_IN_WORD = tuple(
+    (np.uint64(1 << c), np.uint64(sum(1 << p for p in range(64) if p >> c & 1)))
+    for c in range(6)
+)
+_WEIGHT_CLASSES = np.array(
+    [sum(1 << p for p in range(64) if p.bit_count() == t) for t in range(7)], dtype=np.uint64
+)
+
+
+def _lattice_or(dst: np.ndarray, src: np.ndarray, c: int) -> None:
+    """dst[..., K] |= src[..., K - 2^c] for every subset K holding bit c, on
+    packed subset tables: bit p of word w holds subset 64 w + p.
+
+    Bit c < 6 indexes bits inside a word: a shift by 2^c and a mask.  Bit
+    c >= 6 indexes words: the odd slabs of 2^(c-6) words take the even
+    slabs before them.  Padding bits past 2^ell < 64 hold subsets with a bit
+    at or above ell, and so do their sources, so zero padding stays zero.
+    """
+    if c < 6:
+        shift, mask = _IN_WORD[c]
+        dst |= (src << shift) & mask
+    else:
+        shape = src.shape[:-1] + (-1, 2, 1 << (c - 6))
+        dst.reshape(shape)[..., 1, :] |= src.reshape(shape)[..., 0, :]
+
+
+def _weight_counts(words: np.ndarray, ell: int) -> tuple[tuple[int, ...], ...]:
+    """Per row of a packed subset table, its set bits by subset weight
+    0..ell.
+
+    Each word is first split into its seven in-word weight classes.  Then
+    the word axis is folded in halves, top word bit first: the upper half's
+    words hold that bit, so their counts land one weight higher.
+    """
+    counts = np.bitwise_count(words[:, None, :] & _WEIGHT_CLASSES[:, None])
+    while counts.shape[2] > 1:
+        half = counts.shape[2] // 2
+        folded = np.zeros((len(words), counts.shape[1] + 1, half), dtype=np.int32)
+        folded[:, :-1] = counts[..., :half]
+        folded[:, 1:] += counts[..., half:]
+        counts = folded
+    # for ell < 6, the classes above ell hold only zero padding
+    return tuple(tuple(r) for r in counts[:, : ell + 1, 0].tolist())
 
 
 def _rank(rows) -> int:
@@ -206,18 +269,14 @@ def is_polarizing(m: BitMatrix) -> bool:
 def partial_distances(m: BitMatrix) -> tuple[int, ...]:
     """D_i = Hamming distance from row i to the span of rows i+1..ell-1.
 
-    The last row's span is {0}, so D_{ell-1} is its weight.  Spans are built
-    from the bottom row up by doubling: the span of rows i.. is the span of
-    rows i+1.. (the one D_i reads) followed by that span XOR row i.
+    The last row's span is {0}, so D_{ell-1} is its weight; D_i is the least
+    weight in the coset row_i + span(rows i+1..) (``_cosets``).
     """
     if _rank(m.rows) < m.ell:
         raise SingularMatrix("partial distances need an invertible kernel")
     out = [0] * m.ell
-    span = np.zeros(1, dtype=MASK_DTYPE)
-    for i in range(m.ell - 1, -1, -1):
-        shifted = span ^ m.rows[i]
-        out[i] = int(np.bitwise_count(shifted).min())
-        span = np.concatenate((span, shifted))
+    for i, coset in _cosets(m.rows):
+        out[i] = int(np.bitwise_count(coset).min())
     return tuple(out)
 
 
@@ -227,15 +286,29 @@ def determined_masks(m: BitMatrix) -> np.ndarray:
     later rows restricted to K, i.e. iff the branch-j input is determined when
     exactly the coordinates in K are known.
 
-    Built once per ``BitMatrix`` instance and kept on it.
+    Built once per ``BitMatrix`` instance, with ``undetermined_counts``, and
+    kept on it.
     """
-    return m._determined
+    return m._subset_tables[0]
+
+
+def undetermined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
+    """Per branch j, entry k counts the weight-k erasure patterns that leave
+    the branch-j input undetermined: the pattern counts of its erasure
+    polynomial."""
+    determined_masks(m)  # the build runs, and is timed, under determined_masks
+    return m._subset_tables[1]
 
 
 def min_determining_weights(m: BitMatrix) -> tuple[int, ...]:
-    """Per branch, the minimum number of known coordinates that determine it."""
-    weights = np.bitwise_count(np.arange(1 << m.ell, dtype=MASK_DTYPE))
-    return tuple(np.where(determined_masks(m), weights, m.ell).min(axis=1).tolist())
+    """Per branch, the minimum number of known coordinates that determine it
+    (ell when none do): the least k at which some weight-(ell - k) erasure
+    pattern leaves it determined."""
+    ell = m.ell
+    return tuple(
+        next((k for k in range(ell + 1) if row[ell - k] < math.comb(ell, k)), ell)
+        for row in undetermined_counts(m)
+    )
 
 
 def _mean_pop_var(values) -> tuple[float, float]:

@@ -177,6 +177,64 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
 
 
 
+# Reference subset tables: the determination table by row-by-row elimination
+# of every known mask at once, its minimal sets by strided bool views, and
+# its per-weight undetermined counts by one bincount per branch.  The packed
+# lattice passes behind ``determined_masks``, ``_minimal_sets`` and
+# ``undetermined_counts`` must match them exactly.
+
+
+def ref_determined(m: BitMatrix) -> np.ndarray:
+    """(ell, 2^ell) bool table of ``determined_masks``: going from the last
+    row up, ``rows[j] & K`` is reduced against the reduced basis of the
+    later rows at K, one basis vector per leading bit (``basis[h, K]``, 0
+    when there is none), and is independent iff a nonzero remainder is
+    left, which then joins the basis at its own leading bit."""
+    masks = np.arange(1 << m.ell, dtype=MASK_DTYPE)
+    # row ell takes the zero remainders (frexp(0) has exponent 0) and is never read
+    basis = np.zeros((m.ell + 1, masks.size), dtype=MASK_DTYPE)
+    det = np.empty((m.ell, masks.size), dtype=bool)
+    later = 0
+    for j in range(m.ell - 1, -1, -1):
+        w = masks & m.rows[j]
+        for h in range(later.bit_length() - 1, -1, -1):
+            if (later >> h) & 1:
+                w ^= basis[h] * ((w >> h) & 1)
+        np.not_equal(w, 0, out=det[j])
+        basis[np.frexp(w)[1] - 1, masks] = w
+        later |= m.rows[j]
+    return det
+
+
+def ref_minimal_sets(det: np.ndarray) -> tuple:
+    """``_minimal_sets``: a determined set is minimal iff each set without
+    one of its coordinates is undetermined, tested on strided views."""
+    ell = det.shape[0]
+    minimal = det.copy()
+    for c in range(ell):
+        # sets holding c against the same sets without it
+        without = det.reshape(ell, -1, 2, 1 << c)[:, :, 0]
+        minimal.reshape(ell, -1, 2, 1 << c)[:, :, 1] &= ~without
+    return tuple(
+        frozenset(
+            frozenset(c for c in range(ell) if k >> c & 1)
+            for k in np.flatnonzero(row).tolist()
+        )
+        for row in minimal
+    )
+
+
+def ref_undetermined_counts(det: np.ndarray) -> tuple:
+    """``undetermined_counts``: known mask K erases ell - |K| coordinates,
+    so branch j's weight-k count is the number of undetermined masks K
+    with ell - k known coordinates."""
+    ell = det.shape[0]
+    erased = ell - np.bitwise_count(np.arange(1 << ell, dtype=MASK_DTYPE))
+    return tuple(
+        tuple(np.bincount(erased[~row], minlength=ell + 1).tolist()) for row in det
+    )
+
+
 # Reference per-trial failure tests on a (B, N) bool batch of erasure masks:
 # the genie-aided SC count as one table lookup per kernel node, and erasure
 # BP closing each stage on strided views of its layers.  The bit-packed

@@ -329,7 +329,10 @@ class TestGoldenBytes:
     command on Arikan and L3, recorded before the tables moved to one CSV
     writer.  The ell = 5 selection-compare table, whose kernel row weights
     are not all powers of two, was recorded once RM ranked exact integer
-    weights."""
+    weights.  The profile of a random ell = 16 kernel and codec-sim over a
+    random ell = 10 kernel, which runs MAP on every trial since BP stops at
+    BP_MAX_ELL, were recorded before the subset tables moved to packed
+    lattice passes."""
 
     golden = Path(__file__).parent / "golden"
 
@@ -371,6 +374,30 @@ class TestGoldenBytes:
         rc, out, _ = run(["kernel-analyze", "--kernel", self.g16], capsys)
         assert rc == EXIT_OK
         assert out == (self.golden / "kernel_analyze_g16.json").read_text()
+
+    rand16 = (
+        "1111111101111001;0101010000111000;0110011010110111;1110010011100010;"
+        "1111001111101010;0001111110001111;0111101101100001;1000010101000011;"
+        "1111011101011100;1100010101100110;0000001000000101;0000100100001011;"
+        "0101011100011100;1001101010111000;0101000010100100;0000000111101001"
+    )
+    rand10 = (
+        "1101111101;1011011111;0110101001;1001111101;1011100001;"
+        "1101100111;1011010010;0001000011;0010111010;1000000101"
+    )
+
+    def test_kernel_analyze_random16(self, capsys):
+        rc, out, _ = run(["kernel-analyze", "--kernel", self.rand16], capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "kernel_analyze_rand16.json").read_text()
+
+    def test_codec_sim_random10(self, capsys):
+        assert codec.BP_MAX_ELL < 10
+        argv = ["codec-sim", "--kernel", self.rand10, "--n", "2", "--rate", "0.3,0.5",
+                "--eps", "0.4", "--trials", "300", "--seed", "5"]
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_OK and err == ""
+        assert out == (self.golden / "codec_sim_rand10.csv").read_text()
 
     def test_polarize_g16_n2(self, capsys):
         argv = ["polarize", "--kernel", self.g16, "--n", "2", "--eps", "0.5"]

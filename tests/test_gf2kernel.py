@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gf2_rank, kron_power, np_gf2_rank, random_invertible
+from conftest import (
+    gf2_rank,
+    kron_power,
+    np_gf2_rank,
+    random_invertible,
+    random_polarizing,
+    ref_determined,
+    ref_minimal_sets,
+    ref_undetermined_counts,
+)
 from polarkit.becpolar import split_erasure_polynomials
+from polarkit.codec import _minimal_sets, _pack_bits, _unpack_bits
 from polarkit.errors import (
     DimensionTooLarge,
     NotPolarizing,
@@ -15,6 +25,7 @@ from polarkit.errors import (
 from polarkit.gf2kernel import (
     BecChannel,
     BitMatrix,
+    _lattice_or,
     determined_masks,
     gf2_invert,
     is_polarizing,
@@ -22,6 +33,7 @@ from polarkit.gf2kernel import (
     min_determining_weights,
     partial_distances,
     profile_to_json,
+    undetermined_counts,
 )
 
 
@@ -320,6 +332,80 @@ class TestRandomKernelOracles:
                 for j in range(ell)
             )
             assert min_determining_weights(m) == want
+
+
+class TestPackedSubsetTables:
+    """The packed lattice passes against the elimination, strided-view and
+    bincount references of ``tests/conftest.py``."""
+
+    @staticmethod
+    def singular(rng, ell):
+        """A random kernel with one row the XOR of others (zero at ell = 1)."""
+        rows = list(random_invertible(rng, ell).rows) if ell > 1 else [0]
+        if ell > 1:
+            i, k = rng.choice(ell, 2, replace=False).tolist()
+            rows[i] = rows[k] ^ (rows[(k + 1) % ell] if (k + 1) % ell != i else 0)
+        return BitMatrix(ell, tuple(rows))
+
+    def kernels(self):
+        rng = np.random.default_rng(53)
+        for ell in range(1, 13):
+            yield random_invertible(rng, ell)
+            yield self.singular(rng, ell)
+        yield kron_power(3)
+        yield kron_power(4)
+        yield random_invertible(rng, 16)
+
+    def test_match_references(self):
+        singular = 0
+        for m in self.kernels():
+            want = ref_determined(m)
+            table = determined_masks(m)
+            assert np.array_equal(table, want), m
+            assert _minimal_sets(table) == ref_minimal_sets(want), m
+            assert undetermined_counts(m) == ref_undetermined_counts(want), m
+            singular += gf2_rank(list(m.rows)) < m.ell
+        assert singular == 12
+
+    def test_padding_never_counted(self):
+        # 2^ell < 64 bits leave padding in the one word of each row
+        rng = np.random.default_rng(59)
+        for ell in range(1, 6):
+            for m in (random_invertible(rng, ell), self.singular(rng, ell)):
+                table = determined_masks(m)
+                assert table.shape == (ell, 1 << ell)
+                counts = undetermined_counts(m)
+                assert [sum(r) for r in counts] == (~table).sum(axis=1).tolist()
+            # a branch whose row is in the later span is undetermined everywhere
+            counts = undetermined_counts(BitMatrix(ell, (0,) * ell))
+            assert counts == ((tuple(math.comb(ell, k) for k in range(ell + 1)),) * ell)
+            words = _pack_bits(np.ones((1, 1 << ell), dtype=bool))
+            for c in range(ell):
+                _lattice_or(words, words, c)
+            assert int(words[0, 0]) == (1 << (1 << ell)) - 1
+
+    def test_lattice_or_definition(self):
+        # every in-word coordinate and the word slabs at ell = 9
+        rng = np.random.default_rng(61)
+        for ell in (1, 3, 6, 9):
+            src = rng.random((2, 1 << ell)) < 0.3
+            dst = rng.random((2, 1 << ell)) < 0.3
+            for c in range(ell):
+                words = _pack_bits(dst)
+                _lattice_or(words, _pack_bits(src), c)
+                want = dst.copy()
+                hold = (np.arange(1 << ell) >> c & 1).astype(bool)
+                want[:, hold] |= src[:, ~hold]
+                assert np.array_equal(_unpack_bits(words, 1 << ell), want), (ell, c)
+
+    def test_min_weights_read_the_counts(self):
+        rng = np.random.default_rng(67)
+        profiles = [random_polarizing(rng, ell) for ell in range(2, 13)]
+        for p in profiles + [kernel_profile(kron_power(4))]:
+            m = p.kernel
+            weights = min_determining_weights(m)
+            assert weights == split_erasure_polynomials(m).comp_leading_degree
+            assert weights == p.comp_branch_degrees
 
 
 class TestSixteen:
