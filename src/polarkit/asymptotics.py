@@ -10,6 +10,7 @@ of a correlated Gaussian pair, and the limiting polar/RM overlap fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,20 @@ from .extval import ExtendedUnitValue
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 
-# 20-point Gauss-Legendre rule; panels are narrow enough that this is exact
-# to machine precision for the smooth pieces of the orthant integrand.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+@functools.cache
+def _gauss_legendre():
+    """(node, weight) float pairs of the 20-point Gauss-Legendre rule.
+
+    Panels are narrow enough that this is exact to machine precision for the
+    smooth pieces of the orthant integrand.  Built on first use, which keeps
+    ``numpy.polynomial`` and its eigensolve out of ``import polarkit``; as
+    Python floats, the panel loop runs on plain float arithmetic.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(20)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
 def _phi(x: float) -> float:
@@ -175,7 +187,7 @@ def _panel(lo, hi, b, rho, s):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     acc = 0.0
-    for u, w in zip(_GL_NODES, _GL_WEIGHTS):
+    for u, w in _gauss_legendre():
         x = mid + half * u
         acc += w * _phi(x) * q_function((b - rho * x) / s)
     return half * acc

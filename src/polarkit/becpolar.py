@@ -380,8 +380,10 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     mode = np.array([z0.mode], dtype=np.int8)
     payload = np.array([z0.payload], dtype=np.float64)
     for b in digits:
-        # one element needs no grouping: straight through its class's update
-        mode[:], payload = _CLASS_STEPS[_classes(mode, payload)[0]](payload, int(b), t)
+        # one element needs no grouping: straight through its class's update,
+        # the class (see _classes) read off Python scalars
+        c = int(mode[0]) + 2 * (float(payload[0]) >= SATURATED)
+        mode[:], payload = _CLASS_STEPS[c](payload, int(b), t)
     return ExtendedUnitValue(int(mode[0]), float(payload[0]))
 
 

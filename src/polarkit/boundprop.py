@@ -40,7 +40,7 @@ class IntervalState:
     hi: ExtendedUnitValue
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise DomainError("interval bounds out of order")
 
     @staticmethod
@@ -134,8 +134,9 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     ``trace`` is a list of (x, s) pairs; x may be a float or an
     ExtendedUnitValue, s >= 1 (the final pair's s is unused).  When s is
     integral the comparisons run in the extended representation (bit-exact
-    against the evolution on pure-power branches); otherwise they fall back
-    to the -log2 domain.  The terminal drift min(x, 1-x) stands in for the
+    against the evolution on pure-power branches), the upper one only when
+    log2(c) is also a nonnegative integer; otherwise they fall back to the
+    -log2 domain.  The terminal drift min(x, 1-x) stands in for the
     polarization condition; the independence conditions are structural.
     """
     if not trace:
@@ -148,26 +149,28 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     if not 0.0 < c < math.inf:
         raise DomainError("constant c must be positive and finite")
     log2c = math.log2(c)
-    exact_c = log2c == int(log2c)
+    # times_pow2 scales by 2^k for integers k >= 0 only
+    exact_c = log2c >= 0.0 and log2c == int(log2c)
+    lams = [x.neglog2 for x in xs]
 
     c2 = 0
     c3 = 0
     max_ratio_log = -math.inf
     for k in range(len(xs) - 1):
-        x, s, x_next = xs[k], ss[k], xs[k + 1]
+        x, s, x_next, lam_next = xs[k], ss[k], xs[k + 1], lams[k + 1]
         if s == int(s):
             ref = x.pow_int(int(s))
+            ref_lam = ref.neglog2
             if x_next < ref:
                 c2 += 1
             if exact_c:
                 if x_next > ref.times_pow2(int(log2c)):
                     c3 += 1
-            else:
-                if x_next.neglog2 < ref.neglog2 - log2c:
-                    c3 += 1
-            ratio_log = ref.neglog2 - x_next.neglog2
+            elif lam_next < ref_lam - log2c:
+                c3 += 1
+            ratio_log = ref_lam - lam_next
         else:
-            lam, lam_next = x.neglog2, x_next.neglog2
+            lam = lams[k]
             if lam_next > s * lam:
                 c2 += 1
             if lam_next < s * lam - log2c:
@@ -176,8 +179,7 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
         if ratio_log > max_ratio_log:
             max_ratio_log = ratio_log
 
-    last = xs[-1]
-    drift = _exp2(-max(last.neglog2, last.complog2))
+    drift = _exp2(-max(lams[-1], xs[-1].complog2))
     return ConditionReport(
         steps=len(xs) - 1,
         c2_violations=c2,

@@ -16,11 +16,20 @@ plain floats; lam is meaningful up to ~1e300.
 ``COMPLOG`` with an infinite payload is the saturated top element: it denotes
 the supremum of the representable range (just below 1) and is produced only by
 bound propagation when an upper bound exceeds the unit interval.
+
+The scalar arithmetic here runs on plain floats.  Integer powers x**k with
+k >= 3 alone go through a one-element numpy array (see ``_pow_arr``): the
+array evolution engine in ``becpolar`` takes those powers with numpy's
+array power loop, which can differ in the last bit from the C pow behind
+Python's ``**``, and bounds must meet the engine's values exactly.  Lower
+powers are exact identities or one correctly rounded product, the same in
+both.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +55,36 @@ def _exp2(x: float) -> float:
 
 
 def _pow_arr(x: float, k: int) -> float:
-    """x**k through the numpy array power loop.
+    """x**k as the array evolution engine computes it.
 
-    The array loop (repeated squaring for small integer exponents) and the C
-    pow used by Python scalars can differ in the last bit; bound propagation
-    must take whichever the array evolution engine takes, so that a bound that
-    is tight in exact arithmetic compares equal rather than off by an ulp.
+    Bound propagation must take whichever power the engine takes, so that a
+    bound that is tight in exact arithmetic compares equal rather than off by
+    an ulp.  The engine's ``_eval_terms`` skips a zeroth power, uses the base
+    itself for a first power, and its ndarray ``**2`` is ``np.square``, one
+    correctly rounded product; so k = 0, 1 and 2 are 1.0, x and x*x here,
+    with no numpy call.  Higher k go through numpy's array power loop, which
+    can differ in the last bit from the C pow behind Python's ``**`` (and
+    ``x**2`` there from ``x*x``).
     """
+    if k == 2:
+        return x * x
+    if k == 1:
+        return x
+    if k == 0:
+        return 1.0
     return float(np.power(np.array([x]), k)[0])
 
 
-def _lam_from_linear(z: float) -> float:
-    return -math.log2(z)
-
-
-def _lam_from_complog(mu: float) -> float:
-    # -log2(1 - 2^-mu), computed without cancellation for large mu.
-    d = _exp2(-mu)
+def _neglog2(mode: int, payload: float) -> float:
+    """lam = -log2(z) of the value (mode, payload), accurate in every mode."""
+    if mode == NEGLOG:
+        return payload
+    if mode == LINEAR:
+        return -math.log2(payload)
+    # COMPLOG: -log2(1 - 2^-mu), computed without cancellation for large mu
+    d = math.pow(2.0, -payload)
     if d >= 1.0:
-        raise DomainError(f"complog payload {mu} represents a value outside (0,1)")
+        raise DomainError(f"complog payload {payload} represents a value outside (0,1)")
     return -math.log1p(-d) / _LN2
 
 
@@ -134,11 +154,7 @@ class ExtendedUnitValue:
     @property
     def neglog2(self) -> float:
         """lam = -log2(z) as a float, accurate in every mode."""
-        if self.mode == NEGLOG:
-            return self.payload
-        if self.mode == LINEAR:
-            return _lam_from_linear(self.payload)
-        return _lam_from_complog(self.payload)
+        return _neglog2(self.mode, self.payload)
 
     @property
     def complog2(self) -> float:
@@ -176,7 +192,8 @@ class ExtendedUnitValue:
         # Cross-mode: compare -log2 z (strictly decreasing in z).  Canonical
         # modes occupy disjoint value bands, so equal lams only occur right at
         # a band boundary, where the represented values coincide.
-        la, lb = self.neglog2, other.neglog2
+        la = _neglog2(self.mode, self.payload)
+        lb = _neglog2(other.mode, other.payload)
         if la == lb:
             return 0
         return -1 if la > lb else 1
@@ -205,14 +222,16 @@ class ExtendedUnitValue:
         if not (d >= 1 and d % 1 == 0):  # false for nan and inf too
             raise DomainError(f"exponent {d!r} must be a positive integer")
         d = int(d)
-        if d == 1 or self.is_top:
+        if d == 1 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
             return self
         if self.mode == NEGLOG:
             return ExtendedUnitValue.from_neglog2(float(d) * self.payload)
         if self.mode == LINEAR:
             r = _pow_arr(self.payload, d)
-            if r == 0.0:  # extreme exponent; fall back to the log domain
-                return ExtendedUnitValue.from_neglog2(d * _lam_from_linear(self.payload))
+            if r < sys.float_info.min:
+                # subnormal or zero: too few significant bits left, so take
+                # the power in the log domain instead
+                return ExtendedUnitValue.from_neglog2(d * -math.log2(self.payload))
             if r < 2.0**-SWITCH_BITS:
                 return ExtendedUnitValue(NEGLOG, -math.log2(r))
             return ExtendedUnitValue(LINEAR, r)
@@ -229,14 +248,14 @@ class ExtendedUnitValue:
         delta = _exp2(-mu)
         dd = -math.expm1(d * math.log1p(-delta))
         if dd >= 1.0:
-            return ExtendedUnitValue.from_neglog2(d * _lam_from_complog(mu))
+            return ExtendedUnitValue.from_neglog2(d * _neglog2(COMPLOG, mu))
         return ExtendedUnitValue.from_complog2(-math.log2(dd))
 
     def times_pow2(self, k: int) -> "ExtendedUnitValue":
         """min(top, z * 2^k) for an integer k >= 0; saturates above the interval."""
         if not (k >= 0 and k % 1 == 0):  # false for nan and inf too
             raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
-        if k == 0 or self.is_top:
+        if k == 0 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
             return self
         if self.mode == LINEAR:
             r = self.payload * 2.0**k  # exact: power-of-two scaling

@@ -1,13 +1,15 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from polarkit import rng
+from polarkit.asymptotics import _phi, q_function
 from polarkit.becpolar import enumerate_level, split_erasure_polynomials
 from polarkit.codec import BP_MAX_ELL, ERASED, _branch_rule, _pack_bits, _unpack_bits
-from polarkit.errors import NotPolarizing
+from polarkit.errors import AssumptionUnmet, DomainError, NotPolarizing
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from polarkit.gf2kernel import (
     MASK_DTYPE,
@@ -445,3 +447,224 @@ def sample_paths_masked(g: BitMatrix, eps: float, n: int, count: int,
                 continue
             modes[sel], payloads[sel] = ref_step_arrays(modes[sel], payloads[sel], j, t)
     return out
+
+
+# Reference scalar path: extended-value arithmetic, bound propagation, the
+# process audit and the orthant as first written.  Every integer power goes
+# through a one-element numpy array, lambda is read through the mode views,
+# the top test is a property and the Gauss-Legendre rule is numpy scalars.
+# Two fixes are part of it: a LINEAR power below the smallest normal float
+# takes the log domain, and the c-bound is compared exactly only when log2(c)
+# is a nonnegative integer.  polarkit's scalar path must match it bit for
+# bit, raised exceptions included.
+
+
+def ref_pow_arr(x, k):
+    return float(np.power(np.array([x]), k)[0])
+
+
+def ref_neglog2(v) -> float:
+    if v.mode == NEGLOG:
+        return v.payload
+    if v.mode == LINEAR:
+        return -math.log2(v.payload)
+    d = math.pow(2.0, -v.payload)
+    if d >= 1.0:
+        raise DomainError(f"complog payload {v.payload} represents a value outside (0,1)")
+    return -math.log1p(-d) / math.log(2.0)
+
+
+def ref_complog2(v) -> float:
+    if v.mode == COMPLOG:
+        return v.payload
+    if v.mode == LINEAR:
+        return -math.log2(1.0 - v.payload)
+    return -math.log1p(-math.pow(2.0, -v.payload)) / math.log(2.0)
+
+
+def ref_is_top(v) -> bool:
+    return v.mode == COMPLOG and math.isinf(v.payload)
+
+
+def ref_cmp(a, b) -> int:
+    if a.mode == b.mode:
+        x, y = a.payload, b.payload
+        if x == y:
+            return 0
+        if a.mode == NEGLOG:
+            return -1 if x > y else 1
+        return -1 if x < y else 1
+    la, lb = ref_neglog2(a), ref_neglog2(b)
+    if la == lb:
+        return 0
+    return -1 if la > lb else 1
+
+
+def ref_pow_int(v, d):
+    E = ExtendedUnitValue
+    if not (d >= 1 and d % 1 == 0):
+        raise DomainError(f"exponent {d!r} must be a positive integer")
+    d = int(d)
+    if d == 1 or ref_is_top(v):
+        return v
+    if v.mode == NEGLOG:
+        return E.from_neglog2(float(d) * v.payload)
+    if v.mode == LINEAR:
+        r = ref_pow_arr(v.payload, d)
+        if r < sys.float_info.min:
+            return E.from_neglog2(d * -math.log2(v.payload))
+        if r < 2.0**-SWITCH_BITS:
+            return E(NEGLOG, -math.log2(r))
+        return E(LINEAR, r)
+    mu = v.payload
+    if d <= 64:
+        delta = math.pow(2.0, -mu)
+        zc = 1.0 - delta
+        bracket = 0.0
+        for m in range(1, d + 1):
+            bracket += math.comb(d, m) * ref_pow_arr(delta, m - 1) * ref_pow_arr(zc, d - m)
+        return E.from_complog2(mu - math.log2(bracket))
+    delta = math.pow(2.0, -mu)
+    dd = -math.expm1(d * math.log1p(-delta))
+    if dd >= 1.0:
+        return E.from_neglog2(d * ref_neglog2(E(COMPLOG, mu)))
+    return E.from_complog2(-math.log2(dd))
+
+
+def ref_times_pow2(v, k):
+    E = ExtendedUnitValue
+    if not (k >= 0 and k % 1 == 0):
+        raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
+    if k == 0 or ref_is_top(v):
+        return v
+    if v.mode == LINEAR:
+        r = v.payload * 2.0**k
+        if r >= 1.0:
+            return E.top()
+        return E.from_float(r)
+    if v.mode == NEGLOG:
+        lam = v.payload - k
+        if lam <= 0.0:
+            return E.top()
+        return E.from_neglog2(lam)
+    return E.top()
+
+
+def ref_interval(lo, hi):
+    """(lo, hi), after the order check of ``IntervalState``."""
+    if ref_cmp(lo, hi) > 0:
+        raise DomainError("interval bounds out of order")
+    return lo, hi
+
+
+def ref_propagate(lo, hi, digit, profile, comp=False):
+    """(lo, hi) after one branch step of the Z-side (or comp-side) sandwich."""
+    ell = profile.ell
+    if not 0 <= digit < ell:
+        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    if comp:
+        if not profile.comp_map_consistent:
+            raise AssumptionUnmet(
+                "comp branch degrees do not match the derived matrix's partial "
+                "distances; the complement-side constants are unproven here"
+            )
+        d = profile.comp_branch_degrees[digit]
+        k = 2 * profile.comp_branch_indices[digit] + 1
+    else:
+        d = profile.partial_distances[digit]
+        k = ell - digit
+    return ref_interval(ref_pow_int(lo, d), ref_times_pow2(ref_pow_int(hi, d), k))
+
+
+def ref_check_process_conditions(trace, c) -> dict:
+    """The fields of ``check_process_conditions``' report, c5_note aside."""
+    if not trace:
+        raise DomainError("empty trace")
+    xs = []
+    for x, _ in trace:
+        if not isinstance(x, ExtendedUnitValue):
+            x = float(x)
+            if not 0.0 < x < 1.0:
+                raise DomainError("trace values must lie strictly inside (0,1)")
+            x = ExtendedUnitValue.from_float(x)
+        xs.append(x)
+    ss = [float(s) for _, s in trace]
+    for s in ss[:-1]:
+        if not 1.0 <= s < math.inf:
+            raise DomainError("exponents must be finite and satisfy s >= 1")
+    if not 0.0 < c < math.inf:
+        raise DomainError("constant c must be positive and finite")
+    log2c = math.log2(c)
+    exact_c = log2c >= 0 and log2c == int(log2c)
+    c2 = c3 = 0
+    max_ratio_log = -math.inf
+    for k in range(len(xs) - 1):
+        x, s, x_next = xs[k], ss[k], xs[k + 1]
+        if s == int(s):
+            ref = ref_pow_int(x, int(s))
+            if ref_cmp(x_next, ref) < 0:
+                c2 += 1
+            if exact_c:
+                if ref_cmp(x_next, ref_times_pow2(ref, int(log2c))) > 0:
+                    c3 += 1
+            elif ref_neglog2(x_next) < ref_neglog2(ref) - log2c:
+                c3 += 1
+            ratio_log = ref_neglog2(ref) - ref_neglog2(x_next)
+        else:
+            lam, lam_next = ref_neglog2(x), ref_neglog2(x_next)
+            if lam_next > s * lam:
+                c2 += 1
+            if lam_next < s * lam - log2c:
+                c3 += 1
+            ratio_log = s * lam - lam_next
+        max_ratio_log = max(max_ratio_log, ratio_log)
+    last = xs[-1]
+    return {
+        "steps": len(xs) - 1,
+        "c2_violations": c2,
+        "c3_violations": c3,
+        "max_c3_constant_observed": (
+            math.pow(2.0, max_ratio_log) if len(xs) > 1 else 0.0
+        ),
+        "terminal_drift": math.pow(2.0, -max(ref_neglog2(last), ref_complog2(last))),
+    }
+
+
+REF_GL_NODES, REF_GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def ref_panel(lo, hi, b, rho, s):
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    acc = 0.0
+    for u, w in zip(REF_GL_NODES, REF_GL_WEIGHTS):
+        x = mid + half * u
+        acc += w * _phi(x) * q_function((b - rho * x) / s)
+    return half * acc
+
+
+def ref_bivariate_orthant(t, v, rho) -> float:
+    """``bivariate_orthant`` with the panel loop on numpy float64 nodes."""
+    if math.isnan(t) or math.isnan(v):
+        raise DomainError("orthant thresholds must be real")
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError("correlation must lie in [-1,1]")
+    a, b = (t, v) if t <= v else (v, t)
+    if rho == 1.0:
+        return q_function(b)
+    if rho == -1.0:
+        return max(0.0, q_function(a) - q_function(-b))
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    lo, hi = max(a, -9.5), 9.5
+    if lo >= hi:
+        return 0.0
+    edges = list(np.linspace(lo, hi, int(math.ceil((hi - lo) / 0.5)) + 1))
+    if rho != 0.0 and s < 0.45:
+        w = s / abs(rho)
+        x0 = b / rho
+        zlo, zhi = max(lo, x0 - 12.0 * w), min(hi, x0 + 12.0 * w)
+        if zlo < zhi:
+            edges.extend(np.linspace(zlo, zhi, 65))
+    edges = sorted({float(e) for e in edges})
+    val = math.fsum(ref_panel(e0, e1, b, rho, s) for e0, e1 in zip(edges, edges[1:]))
+    return min(max(val, 0.0), 1.0)

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ndtr, owens_t
 
+import polarkit
+from conftest import ref_bivariate_orthant
 from polarkit.asymptotics import (
     DoubleExponent,
     GaussianPrediction,
@@ -241,6 +246,24 @@ class TestOrthant:
             for t, v in ((-1.5, 0.3), (0.2, 2.0), (1.0, -1.0)):
                 assert bivariate_orthant(t, v, rho) == bivariate_orthant(v, t, rho)
 
+    def test_matches_reference_bit_for_bit(self):
+        # the panel loop on plain floats against numpy float64 nodes
+        grid = (-2.0, -1.0, 0.0, 0.8, 2.0)
+        rhos = (0.0, 1.0, 1.0 - 1e-12, -0.99, -0.5, 0.3, 0.7, 0.95)
+        points = [(t, v, rho) for t in grid for v in grid for rho in rhos]
+        rs = np.random.default_rng(4)
+        points += [
+            (t, v, rho)
+            for t, v, rho in zip(
+                rs.uniform(-10.0, 10.0, 40).tolist(),
+                rs.uniform(-4.0, 4.0, 40).tolist(),
+                rs.uniform(-1.0, 1.0, 40).tolist(),
+            )
+        ]
+        for t, v, rho in points:
+            got = bivariate_orthant(t, v, rho)
+            assert got.hex() == ref_bivariate_orthant(t, v, rho).hex(), (t, v, rho)
+
     def test_bounded_by_single_tail(self):
         for rho in (-0.9, -0.3, 0.0, 0.5, 0.95):
             for t in (-2.0, 0.0, 1.5):
@@ -272,3 +295,11 @@ class TestOverlapLimit:
             overlap_limit(0.5, 0.6, 0.5)
         with pytest.raises(DomainError):
             overlap_limit(0.5, 0.3, 1.0)
+
+
+def test_import_skips_numpy_polynomial():
+    # the Gauss-Legendre rule is built on first use, not at import
+    src = os.path.dirname(os.path.dirname(polarkit.__file__))
+    code = "import sys, numpy, polarkit; sys.exit('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,7 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from polarkit.becpolar import enumerate_level, evolve_exact, split_erasure_polynomials
+from conftest import (
+    kron_power,
+    random_polarizing,
+    ref_check_process_conditions,
+    ref_interval,
+    ref_propagate,
+)
+from polarkit.becpolar import (
+    SATURATED,
+    enumerate_level,
+    evolve_exact,
+    split_erasure_polynomials,
+)
 from polarkit.boundprop import (
     ConditionReport,
     IntervalState,
@@ -14,8 +26,8 @@ from polarkit.boundprop import (
     propagate_z_interval,
 )
 from polarkit.errors import AssumptionUnmet, DomainError
-from polarkit.extval import NEGLOG, ExtendedUnitValue
-from polarkit.gf2kernel import BitMatrix
+from polarkit.extval import COMPLOG, LINEAR, NEGLOG, ExtendedUnitValue
+from polarkit.gf2kernel import BitMatrix, kernel_profile
 from polarkit.rng import path_digit_matrix
 
 
@@ -161,6 +173,18 @@ class TestProcessConditions:
         bad = check_process_conditions([(0.5, 1.5), (0.36, 1)], c=1.01)
         assert bad.c3_violations == 1
 
+    @pytest.mark.parametrize("c", [0.5, 0.25])
+    def test_fractional_constant(self, c):
+        # log2(c) is an integer below 0, so the c-bound is compared in the
+        # -log2 domain; x' = c * x^s exactly is not a violation
+        at = check_process_conditions([(0.5, 2), (0.25 * c, 1)], c=c)
+        assert (at.c2_violations, at.c3_violations) == (1, 0)
+        assert at.max_c3_constant_observed == c
+        above = check_process_conditions([(0.5, 2), (0.3 * c, 1)], c=c)
+        assert (above.c2_violations, above.c3_violations) == (1, 1)
+        on = check_process_conditions([(0.5, 2), (0.25, 1)], c=c)
+        assert (on.c2_violations, on.c3_violations) == (0, 1)
+
     def test_boundary_equality_is_not_a_violation(self):
         # x' = x^s exactly, and x' = c * x^s exactly
         rep = check_process_conditions([(0.5, 2), (0.25, 1)], c=4.0)
@@ -188,3 +212,142 @@ class TestProcessConditions:
         assert doc["steps"] == 1
         assert doc["c2_violations"] == 0
         assert "independen" in doc["c5_note"]
+
+
+def outcome(f, *args):
+    """Mode and payload bits of every value in a result, or the error raised."""
+    try:
+        got = f(*args)
+    except (DomainError, AssumptionUnmet, OverflowError) as e:
+        return type(e), str(e)
+    if isinstance(got, IntervalState):
+        got = (got.lo, got.hi)
+    if isinstance(got, ConditionReport):
+        got = {k: v for k, v in dataclasses.asdict(got).items() if k != "c5_note"}
+    if isinstance(got, dict):
+        return {k: v.hex() if isinstance(v, float) else v for k, v in got.items()}
+    return tuple((v.mode, float(v.payload).hex()) for v in got)
+
+
+def reference_kernels():
+    rs = np.random.default_rng(21)
+    profiles = [random_polarizing(rs, ell) for ell in (2, 3, 4, 5, 6) for _ in range(2)]
+    lits = ("10;11", "100;110;101")
+    return profiles + [kernel_profile(BitMatrix.from_literal(x)) for x in lits] + [
+        kernel_profile(kron_power(3))
+    ]
+
+
+def start_intervals():
+    """(lo, hi) start pairs: points in every band, hand-built values outside
+    their mode's band, wide intervals and a saturated upper bound."""
+    f = ExtendedUnitValue.from_float
+    points = [f(z) for z in (0.5, 0.3, 0.9, 1e-3, 1 - 1e-6, 2.0**-39)] + [
+        ExtendedUnitValue(NEGLOG, 50.0),
+        ExtendedUnitValue(COMPLOG, 45.0),
+        ExtendedUnitValue(LINEAR, 2.0**-40),
+        ExtendedUnitValue(NEGLOG, 40.0),
+        ExtendedUnitValue(NEGLOG, 12.0),
+        ExtendedUnitValue(COMPLOG, 40.0),
+        ExtendedUnitValue(COMPLOG, 3.0),
+        ExtendedUnitValue(LINEAR, 1 - 2.0**-45),
+    ]
+    return [(p, p) for p in points] + [
+        (f(0.29), f(0.31)),
+        (f(1e-12), f(0.5)),
+        (ExtendedUnitValue(NEGLOG, 200.0), f(1e-20)),
+        (f(0.2), ExtendedUnitValue.top()),
+        (ExtendedUnitValue(NEGLOG, 40.0), ExtendedUnitValue(LINEAR, 2.0**-40)),
+    ]
+
+
+class TestReferencePath:
+    """Bound propagation and the process audit against the reference scalar
+    path of tests/conftest.py: equal modes, payload bits, report fields and
+    raised errors along random depth-40 paths."""
+
+    def test_propagation_matches_reference(self):
+        rs = np.random.default_rng(5)
+        seen = set()
+        for prof in reference_kernels():
+            for lo, hi in start_intervals():
+                for comp in (False, True):
+                    step = propagate_comp_interval if comp else propagate_z_interval
+                    digits = rs.integers(0, prof.ell, 40).tolist()
+                    if rs.random() < 0.3:  # a run of the weakest branch drives hi to the top
+                        digits[:8] = [0] * 8
+                    state = (lo, hi)
+                    for b in digits:
+                        want = outcome(ref_propagate, *state, b, prof, comp)
+                        got = outcome(step, IntervalState(*state), b, prof)
+                        assert got == want, (prof.kernel, lo, hi, comp, digits)
+                        if isinstance(got[0], type):
+                            break
+                        new = [ExtendedUnitValue(m, float.fromhex(p)) for m, p in got]
+                        for old, v in zip(state, new):
+                            if old.mode == LINEAR and v.mode == NEGLOG:
+                                seen.add("switch")
+                            if old.mode != LINEAR and old.payload < SATURATED <= v.payload:
+                                seen.add("saturated")
+                            if v.is_top and not old.is_top:
+                                seen.add("top")
+                        state = new
+        assert seen == {"switch", "saturated", "top"}
+
+    def test_propagation_errors_match_reference(self, arikan):
+        broken = dataclasses.replace(arikan, comp_map_consistent=False)
+        half = ExtendedUnitValue.from_float(0.5)
+        for prof, b in ((arikan, 2), (arikan, -1), (broken, 0)):
+            for comp, step in ((False, propagate_z_interval), (True, propagate_comp_interval)):
+                got = outcome(step, IntervalState(half, half), b, prof)
+                assert got == outcome(ref_propagate, half, half, b, prof, comp)
+        lo, hi = ExtendedUnitValue(NEGLOG, 12.0), ExtendedUnitValue(LINEAR, 2.0**-40)
+        assert outcome(IntervalState, lo, hi) == outcome(ref_interval, lo, hi)
+
+    def test_process_conditions_match_reference(self):
+        rs = np.random.default_rng(9)
+        odd = [
+            ExtendedUnitValue(LINEAR, 2.0**-40),
+            ExtendedUnitValue(NEGLOG, 40.0),
+            ExtendedUnitValue(COMPLOG, 40.0),
+            ExtendedUnitValue.top(),
+        ]
+        for prof in reference_kernels():
+            polys = split_erasure_polynomials(prof.kernel)
+            for eps in (0.5, 0.1, 0.97):
+                digits = rs.integers(0, prof.ell, 40).tolist()
+                xs = [ExtendedUnitValue.from_float(eps)]
+                for b in digits:
+                    xs.append(evolve_exact(xs[-1], [b], polys))
+                ss = [prof.partial_distances[b] for b in digits] + [1]
+                traces = [
+                    list(zip(xs, ss)),
+                    list(zip(xs, [s + 0.5 for s in ss])),
+                    list(zip(xs[::-1], ss)),  # every step a violation
+                    list(zip([odd[i % 4] if i % 7 == 3 else x for i, x in enumerate(xs)], ss)),
+                    [(x, 1) for x in xs[:3]],
+                ]
+                # equal lams: across a band edge, and for adjacent LINEAR floats
+                edge = ExtendedUnitValue(NEGLOG, 40.0), ExtendedUnitValue(LINEAR, 2.0**-40)
+                z = ExtendedUnitValue(LINEAR, 1e-9)
+                below = ExtendedUnitValue(LINEAR, math.nextafter(1e-9, 0.0))
+                traces += [
+                    [(edge[0], 1), (edge[1], 1), (edge[0], 1)],
+                    [(z, 1), (below, 1), (z, 1)],
+                ]
+                for trace in traces:
+                    for c in (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0, 16.0, 2.0**50):
+                        got = outcome(check_process_conditions, trace, c)
+                        assert got == outcome(ref_check_process_conditions, trace, c), (
+                            prof.kernel, eps, c
+                        )
+
+    def test_process_condition_errors_match_reference(self):
+        good = [(0.5, 1), (0.25, 1)]
+        cases = [([], 4.0), ([(0.5, 0.5), (0.25, 1)], 4.0), ([(1.5, 1), (0.25, 1)], 4.0)]
+        cases += [(good, c) for c in (0.0, -1.0, math.nan, math.inf)]
+        cases += [([(0.5, s), (0.25, 1)], 4.0) for s in (math.nan, math.inf)]
+        for trace, c in cases:
+            got = outcome(check_process_conditions, trace, c)
+            assert isinstance(got[0], type)
+            assert got == outcome(ref_check_process_conditions, trace, c)

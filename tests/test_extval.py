@@ -1,8 +1,12 @@
 import math
+import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from conftest import ref_cmp, ref_pow_int, ref_times_pow2
+from polarkit.becpolar import _eval_terms
 from polarkit.errors import DomainError
 from polarkit.extval import (
     COMPLOG,
@@ -10,6 +14,7 @@ from polarkit.extval import (
     NEGLOG,
     SWITCH_BITS,
     ExtendedUnitValue,
+    _pow_arr,
 )
 
 
@@ -168,6 +173,17 @@ class TestPowInt:
         got = ExtendedUnitValue.from_float(0.5).pow_int(5000)
         assert got == ExtendedUnitValue(NEGLOG, 5000.0)
 
+    def test_linear_subnormal_power_matches_mp(self):
+        # z^d below the smallest normal float keeps too few bits; the log
+        # domain keeps lam within an ulp across the normal/subnormal and the
+        # subnormal/zero crossings (0.3^588 ~ 2^-1022, 0.3^619 ~ 2^-1075)
+        cases = [(0.3, d) for d in range(580, 621)] + [(1e-12, 26), (0.9, 7000)]
+        for z, d in cases:
+            got = ExtendedUnitValue.from_float(z).pow_int(d)
+            want = -mp.log(mp.power(mp.mpf(z), d), 2)
+            assert got.mode == NEGLOG
+            assert abs(mp.mpf(got.payload) - want) <= 2 * math.ulp(got.payload), (z, d)
+
     def test_complog_small_power_matches_mp(self):
         v = ExtendedUnitValue(COMPLOG, 50.0)  # z = 1 - 2^-50
         got = v.pow_int(3)
@@ -221,3 +237,102 @@ def test_as_pair():
     assert ExtendedUnitValue(NEGLOG, 100.0).as_pair() == ("neglog", 100.0)
     assert ExtendedUnitValue.from_float(0.5).as_pair() == ("linear", 0.5)
     assert SWITCH_BITS == 40.0
+
+
+def outcome(f, *args):
+    """(mode, payload bits) of a value, any other result, or the error raised."""
+    try:
+        got = f(*args)
+    except (DomainError, ValueError, OverflowError) as e:
+        return type(e), str(e)
+    if isinstance(got, ExtendedUnitValue):
+        return got.mode, float(got.payload).hex()
+    return got
+
+
+def scalar_values():
+    """Values in every mode band, at the band edges, past SATURATED, the top,
+    and hand-built non-canonical ones (a payload outside its mode's band)."""
+    r = random.Random(3)
+    vals = [ExtendedUnitValue.from_float(r.random()) for _ in range(12)]
+    vals += [ExtendedUnitValue.from_neglog2(r.uniform(1.0, 300.0)) for _ in range(6)]
+    vals += [ExtendedUnitValue.from_complog2(r.uniform(1.0, 300.0)) for _ in range(6)]
+    vals += [
+        ExtendedUnitValue.from_float(z)
+        for z in (0.5, 2.0**-40, 2.0**-39, 1 - 2.0**-40, 1e-300, 5e-324, 1 - 2.0**-53)
+    ]
+    vals += [
+        ExtendedUnitValue(NEGLOG, lam) for lam in (40.000000001, 128.0, 129.5, 1e6)
+    ] + [ExtendedUnitValue(COMPLOG, mu) for mu in (40.000000001, 128.0, 1e6)]
+    vals += [
+        ExtendedUnitValue.top(),
+        ExtendedUnitValue(LINEAR, 2.0**-40),
+        ExtendedUnitValue(LINEAR, 2.0**-60),
+        ExtendedUnitValue(LINEAR, 1 - 2.0**-41),
+        ExtendedUnitValue(NEGLOG, 40.0),
+        ExtendedUnitValue(NEGLOG, 10.0),
+        ExtendedUnitValue(NEGLOG, 2.0**-45),
+        ExtendedUnitValue(COMPLOG, 40.0),
+        ExtendedUnitValue(COMPLOG, 10.0),
+        ExtendedUnitValue(COMPLOG, 2.0**-45),
+    ]
+    return vals
+
+
+class TestScalarReference:
+    """pow_int, times_pow2 and the ordering against the reference scalar path
+    of tests/conftest.py: equal modes, payload bits and raised errors."""
+
+    def test_pow_int(self):
+        ds = [*range(1, 21), 31, 63, 64, 65, 100, 1000, 5000, 2**20, 0, -1, 1.5, math.nan, math.inf]
+        for v in scalar_values():
+            for d in ds:
+                assert outcome(v.pow_int, d) == outcome(ref_pow_int, v, d), (v, d)
+
+    def test_times_pow2(self):
+        for v in scalar_values():
+            for k in [*range(0, 70), 1000, -1, 1.5, math.nan, math.inf]:
+                assert outcome(v.times_pow2, k) == outcome(ref_times_pow2, v, k), (v, k)
+
+    def test_ordering(self):
+        vals = scalar_values()
+        for a in vals:
+            for b in vals:
+                want = outcome(ref_cmp, a, b)
+                assert outcome(a._cmp, b) == want, (a, b)
+                if isinstance(want, int):
+                    assert (a < b, a <= b, a > b, a >= b) == (
+                        want < 0, want <= 0, want > 0, want >= 0
+                    )
+
+
+class TestPowArr:
+    """_pow_arr for k = 0, 1 and 2 skips numpy; it must still give what
+    numpy's array power and the engine's _eval_terms give."""
+
+    def inputs(self):
+        rs = np.random.default_rng(11)
+        return np.concatenate([
+            rs.random(20000),
+            2.0 ** -rs.uniform(0.0, 600.0, 2000),  # tiny
+            1.0 - 2.0 ** -rs.uniform(1.0, 53.0, 2000),  # near 1
+            [2.0**-40, 2.0**-20, 0.5, 1.0, 1 - 2.0**-53],
+            [2.0**-1022, 2.0**-1030, 5e-324, 1e-310, 2.0**-537, 2.0**-511.5],  # subnormal results
+        ])
+
+    def test_low_powers_match_numpy_and_engine(self):
+        xs = self.inputs()
+        for k in (0, 1, 2):
+            got = [_pow_arr(x, k).hex() for x in xs.tolist()]
+            arr = np.power(xs, k).tolist()
+            single = [float(np.power(np.array([x]), k)[0]) for x in xs.tolist()]
+            engine = np.broadcast_to(_eval_terms([(1.0, k, 0)], xs, np.ones_like(xs)), xs.shape)
+            assert got == [x.hex() for x in arr], k
+            assert got == [x.hex() for x in single], k
+            assert got == [x.hex() for x in engine.tolist()], k
+
+    def test_higher_powers_are_numpys(self):
+        xs = self.inputs()[::10]
+        for k in (3, 4, 7, 16):
+            want = [x.hex() for x in np.power(xs, k).tolist()]
+            assert [_pow_arr(x, k).hex() for x in xs.tolist()] == want
