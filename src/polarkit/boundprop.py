@@ -184,9 +184,8 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
         steps=len(xs) - 1,
         c2_violations=c2,
         c3_violations=c3,
-        max_c3_constant_observed=(
-            _exp2(max_ratio_log) if len(xs) > 1 else 0.0
-        ),
+        # 2^x overflows from x = 1024 on; with no step it is 2^-inf = 0
+        max_c3_constant_observed=_exp2(max_ratio_log) if max_ratio_log < 1024.0 else math.inf,
         terminal_drift=drift,
         c5_note=_C5_NOTE,
     )

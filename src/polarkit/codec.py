@@ -65,10 +65,12 @@ the factor graph of n + 1 layers of N variables, channel inputs on top and
 word positions at the bottom, whose kernel nodes each tie ell variables of
 one layer to ell of the next through the local code {(u, uG)}.  A variable
 is known once some minimal codeword of the dual local code {(Gb, b)} holds
-it with every other variable known, and that rule closes a node in one
-pass.  Peeling to a fixpoint leaves a trial unresolved only if some
-information input stays unknown; otherwise every input is a forced
-function of the kept positions, a constructive proof that the word is
+it with every other variable known.  Those codewords are all the circuits
+of the local code, so one pass of the rule closes a node; per variable it
+is an OR of ANDs, factored into one program like the SC count's.  Peeling
+to a fixpoint leaves a trial unresolved only if some information input
+stays unknown; otherwise every input is a forced function of the kept
+positions, a constructive proof that the word is
 MAP-unique.  The graph must be SC's: the stage nearest the word groups the
 least significant position digit, as in the SC count.  The stages of the
 Kronecker power commute as linear maps but not as factor graphs, and on
@@ -232,10 +234,13 @@ class PolarCode:
         the most significant channel digit.
         """
         ell = self.profile.ell
+        # checked before the arithmetic, which would carry 1.5 through
+        if not i % 1 == 0:
+            raise DomainError(f"index {i!r} is not an integer")
         if not 1 <= i <= self.block_length:
             raise IndexOutOfRange(f"index {i} outside 1..{self.block_length}")
         digits = []
-        r = i - 1
+        r = int(i) - 1
         for _ in range(self.n):
             digits.append(r % ell)
             r //= ell
@@ -282,6 +287,17 @@ class PolarCode:
             tuple(np.flatnonzero(bits[p]).tolist())
             for p in np.flatnonzero(holds.sum(axis=0) == 1)
         )
+
+    @cached_property
+    def _bp_program(self) -> tuple:
+        """BP's node rule as one ``_factor`` program over the variables of a
+        kernel node: variable v is known iff, for some check of
+        ``_bp_checks`` holding v, every other variable of the check is.  The
+        checks are minimal, so each family is an antichain of nonempty sets."""
+        return _factor(tuple(
+            frozenset(frozenset(k) - {v} for k in self._bp_checks if v in k)
+            for v in range(2 * self.profile.ell)
+        ))
 
     @cached_property
     def _info_rref(self) -> tuple:
@@ -685,30 +701,6 @@ def _sc_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray:
     return _unpack_bits(open_[None], trials)[0]
 
 
-def _close_stage(var: np.ndarray, checks: tuple) -> None:
-    """Close every kernel node of one stage under its local code, in place.
-
-    ``var`` holds the known words of the node variables (u_0.., x_0..),
-    one contiguous slab each; a variable becomes known when some check
-    holds it and every other variable of that check is known.  Each check
-    takes the AND of the others for every member from prefix and suffix
-    ANDs.
-    """
-    for check in checks:
-        vs = [var[i] for i in check]
-        heads = [vs[0]]  # heads[i]: vs[0] & ... & vs[i]
-        for v in vs[1:-1]:
-            heads.append(heads[-1] & v)
-        tail = vs[-1]  # vs[i + 1] & ... & vs[-1]
-        gains = [heads[-1]]
-        for i in range(len(vs) - 2, 0, -1):
-            gains.append(heads[i - 1] & tail)
-            tail = tail & vs[i]
-        gains.append(tail)
-        for v, g in zip(reversed(vs), gains):
-            v |= g
-
-
 def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray | None:
     """Per-trial erasure-BP failure of the first ``trials`` trials of a
     batch of known words (``_known_words``), or None above BP_MAX_ELL,
@@ -719,10 +711,11 @@ def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray 
     joins layers s and s + 1 through the kernel nodes of ``_sc_failures``'
     stage s, which group the last remaining position digit.  Every layer
     is an (N, ceil(B/64)) uint64 array of known words.  A stage gathers its
-    2 ell variable slabs into one contiguous buffer, closes them there and
-    scatters them back.  Rounds sweep the stages up and back down until
-    every information input is known or a round learns nothing; a trial
-    fails iff an information input stays unknown.
+    2 ell variable slabs into one contiguous buffer, closes them there with
+    one run of ``_bp_program`` and scatters them back.  Rounds sweep the
+    stages up and back down until every information input is known or a
+    round learns nothing; a trial fails iff an information input stays
+    unknown.
     """
     ell = code.profile.ell
     if ell > BP_MAX_ELL:
@@ -744,13 +737,15 @@ def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray 
     buf = np.empty((2 * ell, size // ell, words), dtype=np.uint64)
     # the closure is exact per node, so a stage is not closed twice in a row
     order = [*range(n), *range(n - 2, 0, -1)]
-    checks = code._bp_checks
     seen = -1
     while True:
         for s in order:
             gathered = buf.reshape(stages[s].shape)
             np.copyto(gathered, stages[s])
-            _close_stage(buf, checks)
+            # a singleton family's root is a view of ``buf`` and may see an
+            # earlier gain of this loop, which the known set implies too
+            for var, gain in zip(buf, _run(code._bp_program, buf)):
+                var |= gain
             np.copyto(stages[s], gathered)
         open_ = np.bitwise_or.reduce(~layers[n][info], axis=0)
         count = int(np.bitwise_count(layers).sum())

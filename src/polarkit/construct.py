@@ -123,9 +123,12 @@ def digit_reverse(i: int, ell: int, n: int) -> int:
 
     1-based on both sides: the digits of i-1 reversed give j-1.
     """
+    # checked before the arithmetic, which would carry 1.5 through
+    if not i % 1 == 0:
+        raise DomainError(f"index {i!r} is not an integer")
     if not 1 <= i <= ell**n:
         raise IndexOutOfRange(f"index {i} outside 1..{ell}^{n}")
-    x = i - 1
+    x = int(i) - 1
     r = 0
     for _ in range(n):
         r = r * ell + x % ell

@@ -41,7 +41,6 @@ NEGLOG = 1
 COMPLOG = 2
 
 MODE_NAMES = {LINEAR: "linear", NEGLOG: "neglog", COMPLOG: "complog"}
-MODE_BY_NAME = {v: k for k, v in MODE_NAMES.items()}
 
 # Mode-switch boundary, in bits.
 SWITCH_BITS = 40.0

@@ -624,7 +624,8 @@ def ref_check_process_conditions(trace, c) -> dict:
         "c2_violations": c2,
         "c3_violations": c3,
         "max_c3_constant_observed": (
-            math.pow(2.0, max_ratio_log) if len(xs) > 1 else 0.0
+            (math.pow(2.0, max_ratio_log) if max_ratio_log < 1024.0 else math.inf)
+            if len(xs) > 1 else 0.0
         ),
         "terminal_drift": math.pow(2.0, -max(ref_neglog2(last), ref_complog2(last))),
     }

@@ -166,6 +166,18 @@ class TestProcessConditions:
         rep = check_process_conditions([(0.5, 1), (0.75, 1)], c=4.0)
         assert math.isclose(rep.max_c3_constant_observed, 1.5, rel_tol=1e-9)
 
+    def test_observed_constant_past_the_float_range(self):
+        # a log2 ratio of 2000 bits reads as an infinite constant; the
+        # counts still come from the comparisons
+        tiny = ExtendedUnitValue(NEGLOG, 2000.0)
+        rep = check_process_conditions([(tiny, 1), (0.5, 1)], c=4.0)
+        assert rep.max_c3_constant_observed == math.inf
+        assert (rep.c2_violations, rep.c3_violations) == (0, 1)
+        assert json.loads(rep.to_json())["max_c3_constant_observed"] == "inf"
+        # 1023.5 bits still fit
+        rep = check_process_conditions([(ExtendedUnitValue(NEGLOG, 1024.5), 1), (0.5, 1)], c=4.0)
+        assert rep.max_c3_constant_observed == 2.0**1023.5
+
     def test_fractional_exponent_path(self):
         # s = 1.5 falls back to the -log2 domain; 0.5^1.5 ~ 0.3536
         ok = check_process_conditions([(0.5, 1.5), (0.36, 1)], c=4.0)

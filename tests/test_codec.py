@@ -21,6 +21,7 @@ from polarkit.codec import (
     _known_words,
     _map_failures,
     _minimal_sets,
+    _pack_bits,
     _run,
     _sc_failures,
     encode,
@@ -52,6 +53,7 @@ from conftest import (
     random_invertible,
     random_polarizing,
     ref_bp_failures,
+    ref_close_stage,
     ref_sc_failures,
     sc_batch,
 )
@@ -138,6 +140,15 @@ class TestPolarCode:
             assert np.array_equal(row_bits(code, i), want[i - 1])
         with pytest.raises(IndexOutOfRange):
             code.generator_row(0)
+
+    def test_generator_row_takes_integral_indices_only(self, arikan):
+        code = full_rate(arikan, 3)
+        for i in (2.0, np.int64(2), np.float64(2.0)):
+            assert code.generator_row(i) == code.generator_row(2)
+            assert type(code.generator_row(i)) is int
+        for i in (1.5, 7.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                code.generator_row(i)
 
     def test_row_weight_multiplies_over_digits(self, arikan):
         code = full_rate(arikan, 6)
@@ -616,17 +627,58 @@ class TestPackedFailures:
         assert [v.tolist() for v in got] == [
             [False, True, True, True], [False, False, True, True], [False, False, False, True]]
 
+    @staticmethod
+    def bp_codes():
+        rng = np.random.default_rng(19)
+        named = [kernel_profile(BitMatrix.from_literal(lit))
+                 for lit in (ARIKAN, L3, "100;110;111")]
+        named.append(kernel_profile(kron_power(3)))
+        profs = named + [random_polarizing(rng, ell) for ell in range(3, 9)]
+        return [full_rate(prof, 1) for prof in profs]
+
+    @staticmethod
+    def bp_families(code):
+        return tuple(frozenset(frozenset(k) - {v} for k in code._bp_checks if v in k)
+                     for v in range(2 * code.profile.ell))
+
     def test_program_shares_ands(self):
         # ANDs of the sets as listed, against ANDs and ORs of the program,
-        # per kernel stage
+        # per SC kernel stage and per BP kernel node
         random16 = random_invertible(np.random.default_rng(1), 16)
-        for m, naive, ands, ors in ((kron_power(4), 3221, 165, 111),
-                                    (random16, 3476, 841, 529)):
-            families = _minimal_sets(determined_masks(m))
+        g8 = full_rate(kernel_profile(kron_power(3)), 1)
+        for families, naive, ands, ors in (
+                (_minimal_sets(determined_masks(kron_power(4))), 3221, 165, 111),
+                (_minimal_sets(determined_masks(random16)), 3476, 841, 529),
+                (self.bp_families(g8), 3724, 380, 208)):
             steps, _ = _factor(families)
             assert sum(len(k) - 1 for fam in families for k in fam) == naive
             assert sum(on >= 0 for _, on, _, _ in steps) == ands
             assert sum(off >= 0 for _, _, off, _ in steps) == ors
+
+    def test_bp_families_are_antichains(self):
+        # the precondition of ``_factor``, and the program is built from them
+        for code in self.bp_codes():
+            families = self.bp_families(code)
+            for fam in families:
+                assert fam and all(fam)
+                assert not any(a < b for a in fam for b in fam)
+            assert _factor(families) == code._bp_program
+
+    def test_bp_program_closes_a_node_like_the_reference(self):
+        # one run equals the check-by-check closure, and a second adds nothing
+        rng = np.random.default_rng(20)
+        for code in self.bp_codes():
+            ell = code.profile.ell
+            for p in (0.25, 0.5, 0.75):
+                bits = rng.random((2 * ell, 30, 64 * 3)) < p
+                buf = _pack_bits(bits)
+                want = [v.copy() for v in buf]
+                ref_close_stage(want, code._bp_checks)
+                for var, gain in zip(buf, _run(code._bp_program, buf)):
+                    var |= gain
+                assert np.array_equal(buf, want), (code.profile.kernel, p)
+                assert all(not (g & ~v).any()
+                           for v, g in zip(buf, _run(code._bp_program, buf)))
 
     @pytest.mark.parametrize("kernel,n", [
         (ARIKAN, 5), (L3, 3), ("100;110;111", 3), ("kron2", 2),

@@ -112,6 +112,15 @@ class TestDigitReverse:
         with pytest.raises(IndexOutOfRange):
             digit_reverse(9, 2, 3)
 
+    def test_integral_indices_only(self):
+        # an integral float is the int; checked before any digit arithmetic
+        assert digit_reverse(2.0, 2, 3) == 5
+        assert type(digit_reverse(2.0, 2, 3)) is int
+        assert digit_reverse(np.int64(2), 3, 2) == 4
+        for i in (1.5, 8.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                digit_reverse(i, 2, 3)
+
 
 class TestDigitTable:
     @pytest.mark.parametrize("ell", [2, 3, 4, 5])
