@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf
+from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from .gf2kernel import BitMatrix, is_polarizing, undetermined_counts
 from .serialize import dumps_17g, fmt_real_lines
@@ -374,7 +374,7 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     _check_depth(polys.ell, len(digits))
     for b in digits:
         # checked before the int cast, which would truncate 1.7 to 1
-        if not (b % 1 == 0 and 0 <= b < polys.ell):
+        if not (integral(b) and 0 <= b < polys.ell):
             raise DomainError(f"digit {b!r} is not an integer in 0..{polys.ell - 1}")
     t = _tables(polys)
     mode = np.array([z0.mode], dtype=np.int8)

@@ -99,9 +99,10 @@ from .errors import (
     FrozenBitNonzero,
     IndexOutOfRange,
     MismatchedLevel,
+    integral,
 )
 from .gf2kernel import KernelProfile, _lattice_or, determined_masks
-from .rng import erasure_flags, subseeds
+from .rng import erasure_flags, erasure_words, subseeds
 from .serialize import csv_text
 
 ERASED = -1
@@ -118,7 +119,7 @@ M4RI_ROWS = 8
 M4RI_BYTES = 2 << 20
 
 # erasure flags per chunk of simulated trials: a chunk of CELLS // N trials
-# draws its patterns in one pass, through two uint64 arrays of this size
+# is drawn as packed known words (CELLS / 8 bytes) and decoded as one batch
 CELLS = 1 << 22
 
 # widest kernel erasure BP runs on: ``_bp_checks`` compares every pair of
@@ -235,7 +236,7 @@ class PolarCode:
         """
         ell = self.profile.ell
         # checked before the arithmetic, which would carry 1.5 through
-        if not i % 1 == 0:
+        if not integral(i):
             raise DomainError(f"index {i!r} is not an integer")
         if not 1 <= i <= self.block_length:
             raise IndexOutOfRange(f"index {i} outside 1..{self.block_length}")
@@ -378,12 +379,12 @@ def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=m, bitorder="little").view(bool)
 
 
-def _known_words(erased: np.ndarray) -> np.ndarray:
-    """A (B, N) batch of erasure masks as the (N, ceil(B/64)) uint64 known
-    words of the SC count and BP: bit t of word w at position p marks
-    symbol p of trial 64 w + t known.  Padding trials past B read as fully
-    known, so they never fail."""
-    return ~_pack_bits(erased.T)
+def _erased_rows(known: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bool (len(index), N) erasure masks of trials ``index`` of a batch of
+    known words, each read from the one byte column that holds its bit."""
+    raw = known.astype("<u8", copy=False).view(np.uint8)
+    bits = raw[:, index >> 3] >> (index & 7).astype(np.uint8)
+    return np.ascontiguousarray((bits & 1).T) == 0
 
 
 def _encode_batch(u: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -676,7 +677,9 @@ def _run(program: tuple, slabs) -> list:
 
 def _sc_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray:
     """Per-trial SC failure of the first ``trials`` trials of a batch of
-    known words (``_known_words``).
+    known words: the complement of ``erasure_words``, (N, ceil(B/64))
+    uint64 with bit t of word w at position p marking symbol p of trial
+    64 w + t known.
 
     Runs the genie-aided rule, under which every earlier input is known, in
     n stages over whole trial words, holding only the current layer and the
@@ -703,7 +706,7 @@ def _sc_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray:
 
 def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray | None:
     """Per-trial erasure-BP failure of the first ``trials`` trials of a
-    batch of known words (``_known_words``), or None above BP_MAX_ELL,
+    batch of known words (see ``_sc_failures``), or None above BP_MAX_ELL,
     where BP is not run.
 
     Peels to a fixpoint on SC's factor graph: layer 0 holds the word
@@ -921,13 +924,15 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     Both failure events depend only on the erasure pattern (the code is
     linear with frozen zeros), so trials run on the all-zero word. Trial t
     uses the pattern of ``transmit_bec(0, eps, subseed(seed, t))``; each
-    chunk of ``max(1, CELLS // N)`` trials draws its patterns and runs the
-    decoders as a batch, so memory stays bounded at any block length N and
-    reports do not depend on the chunk size.  A trial that erasure BP
-    resolves is MAP-unique, so the rank test runs only on BP failures (on
-    every trial when the kernel is wider than BP_MAX_ELL, where BP is
-    not run).  Every trial asserts two inclusions: a BP failure is an SC
-    failure, and a MAP failure is an SC failure.
+    chunk of ``max(1, CELLS // N)`` trials draws its patterns straight into
+    packed known words (``erasure_words``) and runs the decoders on them
+    as a batch, so memory stays bounded at any block length N and reports
+    do not depend on the chunk size.  A trial that erasure BP resolves is
+    MAP-unique, so the rank test runs only on BP failures (on every trial
+    when the kernel is wider than BP_MAX_ELL, where BP is not run), and
+    only their erasure masks are unpacked from the words.  Every trial
+    asserts two inclusions: a BP failure is an SC failure, and a MAP
+    failure is an SC failure.
     """
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
@@ -940,8 +945,8 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        erased = erasure_flags(subseeds(seed, b, done), size, eps)
-        known = _known_words(erased)
+        # padding trials past b read as fully known, so they never fail
+        known = ~erasure_words(subseeds(seed, b, done), size, eps)
         sc_fail = _sc_failures(known, b, code)
         bp_fail = _bp_failures(known, b, code)
         if bp_fail is None:
@@ -950,7 +955,8 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
             _check_inside_sc(bp_fail, sc_fail, done, "BP undetermined")
         map_fail = np.zeros(b, dtype=bool)
         if bp_fail.any():
-            map_fail[bp_fail] = _map_failures(erased[bp_fail], code)
+            erased = _erased_rows(known, np.flatnonzero(bp_fail))
+            map_fail[bp_fail] = _map_failures(erased, code)
         _check_inside_sc(map_fail, sc_fail, done, "MAP ambiguous")
         sc_errors += int(sc_fail.sum())
         map_errors += int(map_fail.sum())

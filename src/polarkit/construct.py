@@ -32,6 +32,7 @@ from .errors import (
     MismatchedLevel,
     PrefixTooDeep,
     RequiresExactCdf,
+    integral,
 )
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
 from .gf2kernel import BitMatrix, KernelProfile, kernel_profile
@@ -124,7 +125,7 @@ def digit_reverse(i: int, ell: int, n: int) -> int:
     1-based on both sides: the digits of i-1 reversed give j-1.
     """
     # checked before the arithmetic, which would carry 1.5 through
-    if not i % 1 == 0:
+    if not integral(i):
         raise DomainError(f"index {i!r} is not an integer")
     if not 1 <= i <= ell**n:
         raise IndexOutOfRange(f"index {i} outside 1..{ell}^{n}")

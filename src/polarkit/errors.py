@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integrality test
+that guards the scalar index and exponent arguments raising them."""
+
+import math
+
+
+def integral(x) -> bool:
+    """True iff the real scalar x is a finite whole number.
+
+    A Python int of any size passes without a float conversion.  Any
+    other value must be finite before ``x % 1`` is taken, since numpy
+    warns on the remainder of an infinity or a nan.
+    """
+    return isinstance(x, int) or (math.isfinite(x) and x % 1 == 0)
 
 
 class PolarkitError(Exception):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integral
 
 LINEAR = 0
 NEGLOG = 1
@@ -218,7 +218,7 @@ class ExtendedUnitValue:
         bit in the degenerate cases (pure-power branches), so that propagated
         bounds meet the exact values with equality rather than off by an ulp.
         """
-        if not (d >= 1 and d % 1 == 0):  # false for nan and inf too
+        if not (integral(d) and d >= 1):
             raise DomainError(f"exponent {d!r} must be a positive integer")
         d = int(d)
         if d == 1 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
@@ -252,7 +252,7 @@ class ExtendedUnitValue:
 
     def times_pow2(self, k: int) -> "ExtendedUnitValue":
         """min(top, z * 2^k) for an integer k >= 0; saturates above the interval."""
-        if not (k >= 0 and k % 1 == 0):  # false for nan and inf too
+        if not (integral(k) and k >= 0):
             raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
         if k == 0 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
             return self

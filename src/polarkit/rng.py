@@ -12,6 +12,11 @@ path / trial index selects an effectively independent stream.
 Uniform digits in {0..ell-1} use the Lemire multiply-shift reduction
 ``(x * ell) >> 64`` (one shift when ell is a power of two); its bias is below
 ell * 2^-64 and is irrelevant at every sample size used here.
+
+Erasure flags (output k of a word's stream below eps) have one
+implementation, ``erasure_words``, which draws a (symbol, word) grid in
+cache-sized blocks straight into words of 64 packed flags; ``erasure_flags``
+unpacks it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+
+# cells per block of the packed erasure draw: the block's uint64 words and
+# their mixing scratch (512 KiB) stay in a core's L2 cache
+DRAW_BLOCK = 1 << 15
 
 
 def mix64(x: int) -> int:
@@ -38,9 +47,11 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return _mix64_inplace(x.astype(np.uint64, copy=True))
 
 
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """Mix a uint64 array in place, through one scratch array of its size."""
-    tmp = np.empty_like(x)
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Mix a uint64 array in place, through a scratch array of its shape
+    (``tmp``, or a new one)."""
+    if tmp is None:
+        tmp = np.empty_like(x)
     with np.errstate(over="ignore"):
         x ^= np.right_shift(x, np.uint64(30), out=tmp)
         x *= np.uint64(_M1)
@@ -121,28 +132,73 @@ def path_digit_matrix(seed: int, count: int, n: int, ell: int) -> np.ndarray:
 
 def uniform_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     """(rows, cols) doubles in [0, 1); row r comes from the derived stream r."""
-    return uniform01(_stream_words(subseeds(seed, rows), cols).T)
+    words = _stream_words(subseeds(seed, rows), 0, np.empty((cols, rows), dtype=np.uint64))
+    return uniform01(words.T)
 
 
 def erasure_flags(seeds, cols: int, eps: float) -> np.ndarray:
     """(rows, cols) bools; row r is ``uniform_matrix(seeds[r], 1, cols)[0] < eps``.
 
     ``seeds`` holds one uint64 word seed per row, so a batch of words
-    gets exactly the flags drawn one word at a time.  The test runs on the
-    top 53 bits m of each stream output: m * 2^-53 < eps iff
-    m < ceil(eps * 2^53), so no float matrix is built.  The result is the
-    transpose of a contiguous (cols, rows) array, so the flags of every
-    row at one column are adjacent.
+    gets exactly the flags drawn one word at a time.  The flags are
+    ``erasure_words`` unpacked: the result is the transpose of a
+    contiguous (cols, rows) array, so the flags of every row at one
+    column are adjacent.
+    """
+    rows = len(seeds)
+    nbytes = -(-rows // 8)
+    raw = erasure_words(seeds, cols, eps).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(raw[:, :nbytes], axis=None, bitorder="little").view(bool)
+    return np.ascontiguousarray(bits.reshape(cols, 8 * nbytes)[:, :rows]).T
+
+
+def erasure_words(seeds, cols: int, eps: float) -> np.ndarray:
+    """The flags of ``erasure_flags`` packed 64 rows to a word: a
+    (cols, ceil(rows/64)) uint64 array whose bit t of word w at column c
+    is the flag of row 64 w + t at c; padding bits past the last row are 0.
+
+    The test runs on the top 53 bits m of each stream output: m * 2^-53 <
+    eps iff m < ceil(eps * 2^53), so no float is built.  Outputs are
+    counter-addressed, so the (column, row) grid is drawn block by block,
+    DRAW_BLOCK cells at a time through one reused buffer that stays in
+    cache: whole columns while all rows fit in a block, else one column
+    at a time over row spans of a multiple of 64.
     """
     subs = _mix64_np(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(GAMMA))
-    words = _stream_words(subs, cols)
-    words >>= np.uint64(11)
-    return (words < np.uint64(math.ceil(eps * 2.0**53))).T
+    rows = subs.size
+    limit = np.uint64(math.ceil(eps * 2.0**53))
+    out = np.zeros((cols, (rows + 63) // 64), dtype="<u8")
+    raw = out.view(np.uint8)
+    span = max(1, rows) if rows <= DRAW_BLOCK else max(64, DRAW_BLOCK // 64 * 64)
+    width = max(1, min(cols, DRAW_BLOCK // span))
+    buf = np.empty(width * span, dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    # each block's flag rows are padded to whole bytes, so the block packs
+    # as one flat run of bits
+    flags = np.empty(width * -(-span // 8) * 8, dtype=bool)
+    for r0 in range(0, rows, span):
+        part = subs[r0 : r0 + span]
+        m = part.size
+        nbytes = -(-m // 8)
+        for c0 in range(0, cols, width):
+            k = min(width, cols - c0)
+            words = _stream_words(part, c0, buf[: k * m].reshape(k, m), tmp[: k * m].reshape(k, m))
+            words >>= np.uint64(11)
+            f = flags[: k * nbytes * 8].reshape(k, nbytes * 8)
+            np.less(words, limit, out=f[:, :m])
+            f[:, m:] = False
+            packed = np.packbits(f, bitorder="little").reshape(k, nbytes)
+            raw[c0 : c0 + k, r0 // 8 : r0 // 8 + nbytes] = packed
+    return out.astype(np.uint64, copy=False)
 
 
-def _stream_words(subs: np.ndarray, cols: int) -> np.ndarray:
-    """(cols, len(subs)): column r holds the first ``cols`` outputs of the
-    stream seeded subs[r]."""
+def _stream_words(
+    subs: np.ndarray, start: int, out: np.ndarray, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """Fill the (cols, len(subs)) array ``out``: column r holds outputs
+    start..start+cols-1 of the stream seeded subs[r]."""
+    cols = out.shape[0]
     with np.errstate(over="ignore"):
-        steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GAMMA)
-        return _mix64_inplace(steps[:, None] + subs[None, :])
+        steps = np.arange(start + 1, start + cols + 1, dtype=np.uint64) * np.uint64(GAMMA)
+        np.add(steps[:, None], subs[None, :], out=out)
+    return _mix64_inplace(out, tmp)

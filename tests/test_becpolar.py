@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -263,6 +264,17 @@ class TestEvolveExact:
                 evolve_exact(0.5, digits, polys)
         # integral floats are digits like any other
         assert evolve_exact(0.5, [1.0, 0.0], polys) == evolve_exact(0.5, [1, 0], polys)
+
+    def test_numpy_non_finite_digit_is_a_domain_error(self):
+        polys = split_erasure_polynomials(ARIKAN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.float64(np.inf), np.float64(np.nan)):
+                with pytest.raises(DomainError):
+                    evolve_exact(0.5, [0, bad], polys)
+            with pytest.raises(DomainError):
+                evolve_exact(0.5, [2**1100], polys)
+            assert evolve_exact(0.5, [np.float64(1.0)], polys) == evolve_exact(0.5, [1], polys)
 
     def test_tables_built_once(self, monkeypatch):
         builds = []

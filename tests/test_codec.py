@@ -17,8 +17,8 @@ from polarkit.codec import (
     SimulationReport,
     _bp_failures,
     _branch_rule,
+    _erased_rows,
     _factor,
-    _known_words,
     _map_failures,
     _minimal_sets,
     _pack_bits,
@@ -43,7 +43,7 @@ from polarkit.errors import (
 )
 from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
 from polarkit.asymptotics import q_inverse
-from polarkit.rng import erasure_flags, subseed, subseeds
+from polarkit.rng import erasure_flags, erasure_words, subseed, subseeds
 
 from conftest import (
     ARIKAN,
@@ -82,14 +82,20 @@ def row_bits(code, i):
                     dtype=np.uint8)
 
 
+def known_words(erased):
+    """A (B, N) bool batch of erasure masks as (N, ceil(B/64)) known words,
+    padding trials fully known."""
+    return ~_pack_bits(erased.T)
+
+
 def sc_fails(erased, code):
     """``_sc_failures`` of a (B, N) bool batch of erasure masks."""
-    return _sc_failures(_known_words(erased), len(erased), code)
+    return _sc_failures(known_words(erased), len(erased), code)
 
 
 def bp_fails(erased, code):
     """``_bp_failures`` of a (B, N) bool batch of erasure masks."""
-    return _bp_failures(_known_words(erased), len(erased), code)
+    return _bp_failures(known_words(erased), len(erased), code)
 
 
 def all_patterns(size):
@@ -149,6 +155,14 @@ class TestPolarCode:
         for i in (1.5, 7.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 code.generator_row(i)
+        # numpy warns on inf % 1, so the check must not take the remainder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in (np.float64(np.inf), np.float64(np.nan)):
+                with pytest.raises(DomainError):
+                    code.generator_row(i)
+            with pytest.raises(IndexOutOfRange):
+                code.generator_row(2**1100)
 
     def test_row_weight_multiplies_over_digits(self, arikan):
         code = full_rate(arikan, 6)
@@ -914,8 +928,8 @@ class TestSimulate:
                 assert rep.map_errors == _map_failures(erased, code).sum()
 
     def test_memory_bounded_at_n12(self, arikan, cdf_cache):
-        # 2048 trials of N = 4096 symbols span two chunks; the draw holds
-        # two uint64 arrays of CELLS entries, not a float matrix per trial
+        # 2048 trials of N = 4096 symbols span two chunks; the draw builds
+        # no float matrix per trial
         code = PolarCode.from_selection(
             arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 12), 0.25))
         tracemalloc.start()
@@ -925,6 +939,28 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak <= 128 << 20
+
+    def test_full_chunks_peak_under_16_mib(self, arikan, cdf_cache):
+        # the same two full chunks: each is drawn into 512 KiB of packed
+        # known words through one block buffer, which leaves BP's n + 1
+        # layers (6.5 MiB in all) the largest arrays
+        code = PolarCode.from_selection(
+            arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 12), 0.25))
+        tracemalloc.start()
+        try:
+            simulate(code, 0.5, 2048, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_map_rows_unpack_from_known_words(self):
+        for rows in (1, 63, 64, 65, 130):
+            seeds = subseeds(7, rows, 5)
+            known = ~erasure_words(seeds, 27, 0.4)
+            erased = erasure_flags(seeds, 27, 0.4)
+            for pick in (np.arange(rows), np.arange(rows - 1, -1, -3), np.array([rows - 1])):
+                assert np.array_equal(_erased_rows(known, pick), erased[pick])
 
     def test_bp_certified_chunks_skip_the_rank_test(self, arikan, cdf_cache):
         code = PolarCode.from_selection(

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -120,6 +121,17 @@ class TestDigitReverse:
         for i in (1.5, 8.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 digit_reverse(i, 2, 3)
+
+    def test_numpy_non_finite_index_is_a_domain_error(self):
+        # numpy warns on inf % 1, so the check must not take the remainder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in (np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan)):
+                with pytest.raises(DomainError):
+                    digit_reverse(i, 2, 3)
+            assert digit_reverse(np.float64(2.0), 2, 3) == 5
+            with pytest.raises(IndexOutOfRange):
+                digit_reverse(2**1100, 2, 3)
 
 
 class TestDigitTable:

@@ -1,4 +1,5 @@
 import math
+import warnings
 import random
 
 import mpmath as mp
@@ -210,6 +211,16 @@ class TestPowInt:
             with pytest.raises(DomainError):
                 v.pow_int(bad)
 
+    def test_numpy_non_finite_exponent_is_a_domain_error(self):
+        v = ExtendedUnitValue.from_float(0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.float64(np.inf), np.float64(np.nan)):
+                with pytest.raises(DomainError):
+                    v.pow_int(bad)
+            assert v.pow_int(np.float64(2.0)) == v.pow_int(2)
+            assert ExtendedUnitValue.top().pow_int(2**1100).is_top
+
 
 class TestTimesPow2:
     def test_neglog_shift(self):
@@ -231,6 +242,16 @@ class TestTimesPow2:
         for bad in (-1, 1.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 v.times_pow2(bad)
+
+    def test_numpy_non_finite_exponent_is_a_domain_error(self):
+        v = ExtendedUnitValue.from_float(2.0**-30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.float64(np.inf), np.float64(np.nan)):
+                with pytest.raises(DomainError):
+                    v.times_pow2(bad)
+            assert v.times_pow2(np.float64(10.0)) == v.times_pow2(10)
+            assert ExtendedUnitValue.top().times_pow2(2**1100).is_top
 
 
 def test_as_pair():

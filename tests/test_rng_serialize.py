@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from polarkit import rng
 from polarkit.rng import (
+    DRAW_BLOCK,
     GAMMA,
     erasure_flags,
+    erasure_words,
     mix64,
     path_digit_matrix,
     path_digits,
@@ -109,6 +112,49 @@ class TestDerivedStreams:
         d = path_digit_matrix(5, 200, 50, 3)
         counts = np.bincount(d.ravel(), minlength=3) / d.size
         assert np.all(np.abs(counts - 1 / 3) < 0.01)
+
+
+def unpack_words(words, rows):
+    """(cols, W) packed erasure words as (rows, cols) flags, plus the
+    (cols, 64 W - rows) padding bits past the last row."""
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(len(words), -1).astype(bool)
+    return bits[:, :rows].T, bits[:, rows:]
+
+
+class TestErasureWords:
+    # block sizes: the default, column blocks that end inside the 40
+    # columns, and blocks narrower than one column of 65 or 130 rows
+    @pytest.mark.parametrize("block", [DRAW_BLOCK, 200, 64, 1])
+    @pytest.mark.parametrize("seed,start", [(0, 0), (2**64 - 1, 0), (0, 1000), (2**64 - 1, 2**40)])
+    def test_matches_uniform_oracle(self, block, seed, start, monkeypatch):
+        monkeypatch.setattr(rng, "DRAW_BLOCK", block)
+        for rows in (1, 63, 64, 65, 130):
+            seeds = subseeds(seed, rows, start)
+            # the independent oracle: one word's stream at a time, as floats
+            u = np.array([uniform_matrix(int(s), 1, 40)[0] for s in seeds])
+            for cols in (1, 7, 40):
+                for eps in (0.0, 0.4, 1.0):
+                    words = erasure_words(seeds, cols, eps)
+                    assert words.shape == (cols, (rows + 63) // 64)
+                    assert words.dtype == np.uint64
+                    flags, pad = unpack_words(words, rows)
+                    assert np.array_equal(flags, u[:, :cols] < eps)
+                    # padding trials are never erased, so they read as known
+                    assert not pad.any()
+                    assert np.array_equal(erasure_flags(seeds, cols, eps), flags)
+
+    def test_block_layout_does_not_change_the_draw(self, monkeypatch):
+        seeds = subseeds(3, 300, 17)
+        want = erasure_words(seeds, 50, 0.3)
+        for block in (1, 64, 100, 128, 4096):
+            monkeypatch.setattr(rng, "DRAW_BLOCK", block)
+            assert np.array_equal(erasure_words(seeds, 50, 0.3), want)
+
+    def test_empty_grids(self):
+        assert erasure_words(subseeds(1, 5), 0, 0.5).shape == (0, 1)
+        assert erasure_words(subseeds(1, 0), 4, 0.5).shape == (4, 0)
+        assert erasure_flags(subseeds(1, 0), 4, 0.5).shape == (0, 4)
 
 
 class TestReduceDigits:
