@@ -23,6 +23,13 @@ lam' = d * lam - log2(a_d), bit for bit what the full polynomial gives (the
 argument is next to ``SATURATED``).  Deep levels are mostly saturated: about
 65% of the element-steps of 50-level Arikan paths at eps 0.5 are.
 
+``sample_paths`` shares an exact prefix tree among its paths: ``count``
+paths hold at most ell^k distinct states at depth k, so the largest such
+level with ell^k <= count is enumerated once and each path gathers its
+entry there by the tree index of its first k digits.  Only the levels
+below step every path; since each class update is element-wise, the result
+is bit-identical to stepping every path from the root.
+
 Branch labels follow the channel-splitting order: branch 0 is the first input
 bit of the kernel.  For the 2x2 kernel 10;11 this makes branch 0 the 2z - z^2
 branch and branch 1 the squaring branch.
@@ -505,15 +512,17 @@ class LevelCdf:
         return "".join(parts)
 
 
-def _levels(g: BitMatrix, eps: float, n: int, budget: int):
+def _levels(g: BitMatrix, eps: float, n: int, budget: int, t=None):
     """Yield ``enumerate_levels``' levels one at a time, holding no level
-    beyond the one being expanded."""
+    beyond the one being expanded; ``t`` is the kernel's _EvolveTables
+    when the caller has them already."""
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
     _check_depth(g.ell, n)
     if g.ell**n > budget:
         raise BudgetExceeded(f"{g.ell}^{n} exceeds the enumeration budget {budget}")
-    t = _EvolveTables(split_erasure_polynomials(g))
+    if t is None:
+        t = _EvolveTables(split_erasure_polynomials(g))
     root = ExtendedUnitValue.from_float(eps)
     modes = np.array([root.mode], dtype=np.int8)
     payloads = np.array([root.payload], dtype=np.float64)
@@ -574,20 +583,34 @@ def sample_paths(
     ``rng.path_digit_matrix(seed, count, n, ell)``.  Each level's digit
     column is drawn inside the level loop; no (count, n) array is built.
 
-    Each level is one ``_step`` call with the drawn digits, so the output
-    is bit-identical to stepping each path alone.
+    The first k levels come from a shared exact prefix tree: k is the
+    largest depth with k <= n and ell^k <= count, so the count paths hold
+    at most ell^k distinct states there.  Level k is enumerated once (see
+    ``_levels``), each path folds its first k digits into its tree index
+    (b_1 most significant, the ``LevelCdf`` order) and gathers that
+    entry's state; each later level is one ``_step`` call with the drawn
+    digits.  Every update is element-wise, so a tree entry is bit-identical
+    to stepping one path alone along its digits, and so is the output.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
     if count < 0:
         raise DomainError("path count must be nonnegative")
     _check_depth(g.ell, n)
+    k = 0
+    while k < n and g.ell ** (k + 1) <= count:
+        k += 1
     t = _EvolveTables(split_erasure_polynomials(g))
-    root = ExtendedUnitValue.from_float(eps)
-    modes = np.full(count, root.mode, dtype=np.int8)
-    payloads = np.full(count, root.payload, dtype=np.float64)
+    for modes, payloads in _levels(g, eps, k, g.ell**k, t):
+        pass
     subs = rng.subseeds(seed, count)
-    for d in range(n):
+    idx = np.zeros(count, dtype=np.int64)
+    for d in range(k):
+        idx *= g.ell
+        idx += rng.path_digits(subs, d, g.ell)
+    modes, payloads = modes[idx], payloads[idx]
+    del idx
+    for d in range(k, n):
         _step(modes, payloads, rng.path_digits(subs, d, g.ell), t)
     out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
     out["mode"], out["payload"] = modes, payloads

@@ -148,7 +148,9 @@ def cmd_polarize(cfg: ExperimentConfig) -> str:
     """Level CDF at depth n[0]: exact within budget, sampled beyond it."""
     g = _kernel(cfg)
     depth = cfg.n[0]
-    if g.ell**depth <= cfg.budget:
+    # ell >= 2, so ell^depth > budget once depth passes the budget's bit
+    # length: a huge depth never builds its giant power
+    if depth <= cfg.budget.bit_length() and g.ell**depth <= cfg.budget:
         cdf = _exact_cdf(g, cfg, depth)
     else:
         samples = becpolar.sample_paths(g, cfg.eps, depth, cfg.paths, cfg.seed)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -613,12 +614,43 @@ class TestSampling:
         (random_polarizing(24, 6), 0.5, 12, 1000, 12),
         (kron_power(4), 1e-13, 6, 500, 13),
         (random_polarizing(24, 6), 1 - 1e-13, 10, 500, 14),
+        # the exact prefix tree's depth k (ell^k <= count) at its edges
+        (ARIKAN, 0.5, 20, 4096, 15),  # count = ell^12
+        (ARIKAN, 0.5, 20, 4095, 16),
+        (ARIKAN, 0.5, 20, 4097, 17),
+        (L3, 0.5, 10, 2, 18),  # count < ell: k = 0
+        (kron_power(3), 0.5, 6, 7, 19),
+        (L3, 0.5, 4, 2000, 20),  # k = n: the whole sample is the tree's
+        (ARIKAN, 0.5, 5, 1000, 21),
+        (kron_power(4), 0.5, 6, 300, 22),
+        (random_polarizing(25, 5), 1e-13, 12, 700, 23),  # root in NEGLOG
     ])
     def test_matches_masked_oracle(self, g, eps, n, count, seed):
         got = sample_paths(g, eps, n, count, seed)
         want = sample_paths_masked(g, eps, n, count, seed)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    def test_prefix_tree_saves_steps_and_memory(self, monkeypatch):
+        # 100k Arikan paths share a 2^16-entry tree: the levels 1..16 step
+        # at most sum_{i<=16} 2^i entries, and only the 34 levels below it
+        # step every path; no count-sized scratch outlives the prefix
+        stepped = []
+        step = becpolar._step
+
+        def counting_step(modes, payloads, digits, t):
+            stepped.append(len(digits))
+            step(modes, payloads, digits, t)
+
+        monkeypatch.setattr(becpolar, "_step", counting_step)
+        tracemalloc.start()
+        try:
+            sample_paths(ARIKAN, 0.5, 50, 100000, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(stepped) <= sum(2**i for i in range(17)) + 34 * 100000
+        assert peak <= 5.5 * 2**20
 
     def test_oracle_cases_cross_every_band(self):
         # some level of the deep oracle cases steps all five classes at once:
@@ -641,6 +673,11 @@ class TestSampling:
         assert_paths_match_evolve(L3, 0.5, 30, 60, seed=43)
         assert_paths_match_evolve(random_polarizing(17, 5), 0.5, 8, 50, seed=5)
         assert_paths_match_evolve(random_polarizing(18, 6), 0.4, 5, 50, seed=6)
+        # at the edges of the sampler's exact prefix tree (ell^k <= count)
+        assert_paths_match_evolve(ARIKAN, 0.5, 14, 16, seed=1)
+        assert_paths_match_evolve(ARIKAN, 0.5, 14, 15, seed=2)
+        assert_paths_match_evolve(L3, 0.5, 2, 40, seed=3)  # k = n
+        assert_paths_match_evolve(random_polarizing(25, 5), 1e-13, 8, 30, seed=5)
 
     def test_result_layout(self):
         for n, count in ((6, 0), (6, 1), (6, 17), (0, 5), (0, 0)):

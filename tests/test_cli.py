@@ -109,6 +109,15 @@ class TestExitCodes:
             ["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4"], capsys)
         assert rc == EXIT_BAD_CONFIG and "must lie inside" in err
 
+    def test_huge_polarize_depth_is_rejected_at_once(self, capsys):
+        # ell^n against the budget must not be evaluated as a giant integer
+        argv = ["polarize", "--kernel", "100;110;101", "--n", "1000000000",
+                "--paths", "10"]
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_BAD_CONFIG and out == ""
+        assert err == ("polarkit: bad config: requested depth would push "
+                       "-log2 Z beyond the valid float range\n")
+
     @pytest.mark.parametrize("command", list(_COMMANDS))
     @pytest.mark.parametrize("bad", [
         ["--kernel", "12;11"], ["--kernel", "10;1"], ["--kernel", ";"],
@@ -324,10 +333,10 @@ L3 = "100;110;101"
 class TestGoldenBytes:
     """Exact stdout for the 16x16 kernel 10;11 (x)4, recorded before the
     subset tables moved to numpy, for a sampled level beyond the budget,
-    recorded when path sampling moved to arrays (Arikan n = 24) and before
-    it moved to grouped slices (L3 n = 30), and for every table
-    command on Arikan and L3, recorded before the tables moved to one CSV
-    writer.  The ell = 5 selection-compare table, whose kernel row weights
+    recorded when path sampling moved to arrays (Arikan n = 24), before it
+    moved to grouped slices (L3 n = 30) and before it shared an exact prefix
+    tree (G8 n = 10), and for every table command on Arikan and L3, recorded
+    before the tables moved to one CSV writer.  The ell = 5 selection-compare table, whose kernel row weights
     are not all powers of two, was recorded once RM ranked exact integer
     weights.  The profile of a random ell = 16 kernel and codec-sim over a
     random ell = 10 kernel, which runs MAP on every trial since BP stops at
@@ -419,3 +428,11 @@ class TestGoldenBytes:
         rc, out, _ = run(argv, capsys)
         assert rc == EXIT_OK
         assert out == (self.golden / "polarize_sampled_l3_n30_paths2000_seed43.csv").read_text()
+
+    def test_polarize_sampled_g8_n10(self, capsys):
+        # 3000 paths share the 8^3-entry exact prefix tree of the sampler
+        argv = ["polarize", "--kernel", kron_power(3).to_literal(), "--n", "10",
+                "--paths", "3000", "--seed", "5", "--budget", "1000"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == EXIT_OK
+        assert out == (self.golden / "polarize_sampled_g8_n10_paths3000_seed5.csv").read_text()
