@@ -76,27 +76,29 @@ class ErasurePolynomialSet:
     def ell(self) -> int:
         return self.kernel.ell
 
+    def _branch(self, j) -> int:
+        """Branch j as an int; raises DomainError unless it names a branch."""
+        if not (integral(j) and 0 <= j < self.ell):
+            raise DomainError(f"branch {j!r} outside 0..{self.ell - 1}")
+        return int(j)
+
     def erasure_prob(self, j: int, eps: float) -> float:
         """p_j(eps) evaluated in float arithmetic; eps may be 0 or 1."""
+        row = self.counts[self._branch(j)]
         if not 0.0 <= eps <= 1.0:
             raise DomainError("erasure probability outside [0,1]")
         ell = self.ell
         c = 1.0 - eps
-        return math.fsum(
-            a * eps**k * c ** (ell - k) for k, a in enumerate(self.counts[j]) if a
-        )
+        return math.fsum(a * eps**k * c ** (ell - k) for k, a in enumerate(row) if a)
 
     def complement_prob(self, j: int, delta: float) -> float:
         """q_j(delta) = 1 - p_j(1 - delta), evaluated from its own counts."""
+        row = self.comp_counts[self._branch(j)]
         if not 0.0 <= delta <= 1.0:
             raise DomainError("argument outside [0,1]")
         ell = self.ell
         c = 1.0 - delta
-        return math.fsum(
-            a * delta**k * c ** (ell - k)
-            for k, a in enumerate(self.comp_counts[j])
-            if a
-        )
+        return math.fsum(a * delta**k * c ** (ell - k) for k, a in enumerate(row) if a)
 
     def to_json(self) -> str:
         obj = {"kernel": self.kernel.to_literal(), "ell": self.ell}
@@ -450,11 +452,10 @@ class LevelCdf:
         """Exact Z of channel ``index`` (1-based); exact enumerations only."""
         if not self.is_exact or self._modes is None:
             raise RequiresExactCdf("per-index values need an exact enumeration")
-        if not 1 <= index <= self.size:
-            raise DomainError(f"index {index} outside 1..{self.size}")
-        return ExtendedUnitValue(
-            int(self._modes[index - 1]), float(self._payloads[index - 1])
-        )
+        if not (integral(index) and 1 <= index <= self.size):
+            raise DomainError(f"index {index!r} outside 1..{self.size}")
+        i = int(index) - 1
+        return ExtendedUnitValue(int(self._modes[i]), float(self._payloads[i]))
 
     def mean_z(self) -> float:
         """Mean of Z over the level (the martingale conserves this at eps)."""

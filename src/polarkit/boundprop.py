@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import AssumptionUnmet, DomainError
+from .errors import AssumptionUnmet, DomainError, integral
 from .extval import ExtendedUnitValue, _exp2
 from .gf2kernel import KernelProfile
 from .serialize import dumps_17g
@@ -66,8 +66,9 @@ def propagate_z_interval(
     interval (where the upper bound is vacuous).
     """
     ell = profile.ell
-    if not 0 <= digit < ell:
+    if not (integral(digit) and 0 <= digit < ell):
         raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    digit = int(digit)
     d = profile.partial_distances[digit]
     lo = state.lo.pow_int(d)
     hi = state.hi.pow_int(d).times_pow2(ell - digit)
@@ -84,8 +85,9 @@ def propagate_comp_interval(
     the derived matrix's partial distances.
     """
     ell = profile.ell
-    if not 0 <= digit < ell:
+    if not (integral(digit) and 0 <= digit < ell):
         raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    digit = int(digit)
     if not profile.comp_map_consistent:
         raise AssumptionUnmet(
             "comp branch degrees do not match the derived matrix's partial "

@@ -122,6 +122,8 @@ def _resolve(args) -> ExperimentConfig:
     for key in ("rate", "t", "beta"):
         if not getattr(cfg, key):
             raise ConfigError(f"{key} must list at least one value")
+        if any(math.isnan(v) for v in getattr(cfg, key)):
+            raise ConfigError(f"{key} must not be nan")
     if math.isnan(cfg.eps) or not 0.0 <= cfg.eps <= 1.0:
         raise ConfigError("eps must lie in [0, 1]")
     if cfg.trials < 1 or cfg.paths < 1 or cfg.budget < 1:

@@ -8,10 +8,12 @@ consecutive blocks of ell^{n-1} inputs are encoded recursively and the
 resulting words are combined ell consecutive output symbols at a time,
 (x_{p ell}, ..., x_{p ell + ell - 1}) = (v_0[p], ..., v_{ell-1}[p]) G.
 
-Successive cancellation over the erasure channel is exact ternary algebra:
-at each kernel node, branch input u_j is determined iff g_j restricted to
-the known output coordinates lies outside the span of the other unresolved
-rows there (later rows plus earlier rows whose input is still unknown).
+Successive cancellation over the erasure channel is exact ternary algebra,
+and every rule of it comes from the kernel's dual codewords (G b, b)
+(``gf2kernel``): at a kernel node, branch input u_j is determined iff some
+b inside the known outputs has parities G b equal to 1 at row j and 0 at
+every later row and at every earlier row whose input is still unknown, and
+u_j is then parity(x & b) plus the known earlier inputs that G b marks.
 Determined bits are always correct, so the only failure mode is an
 undetermined information bit and a block is in error iff one occurs; no
 guesses are made.  ``sc_decode_bec`` runs this decoder on one word and
@@ -21,15 +23,16 @@ is skipped (the rate-0 nodes of Alamdar-Yazdi and Kschischang, "A
 simplified successive-cancellation decoder for polar codes").  Every node
 holds its word as two lists of Python ints, one ell-bit entry per kernel
 node.  A branch rule is one lookup in a per-code dict for that branch,
-keyed by (known-output mask, unresolved-earlier mask) and filled from
-``_branch_rule`` on a miss; it is the only rule cache.  One kernel stage
-re-encodes through two lists of 2^ell output masks, output erasures from
-the erased branches and output values from the branch values.
+keyed by (known-output mask, unresolved-earlier mask) and filled on a miss
+by ``_branch_rule``, which takes the first fitting b among the branch's
+determiners; it is the only rule cache.  One kernel stage re-encodes
+through two lists of 2^ell output masks, output erasures from the erased
+branches and output values from the branch values.
 
 Whether SC fails needs less.  Compare it with the genie-aided decoder, in
 which every earlier input is known when branch j is decided, so the rule
-reduces to ``determined_masks``: u_j is determined iff g_j restricted to
-the known coordinates lies outside the span of the later rows there.  An
+reduces to ``determined_masks``: u_j is determined iff one of its
+determiners lies inside the known outputs.  An
 earlier input is unknown in the real decoder only below an undetermined
 leaf, and frozen leaves are always known, so up to and including the first
 undetermined information bit both decoders see identical known and
@@ -100,9 +103,17 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
     integral,
+    integral_array,
 )
-from .gf2kernel import KernelProfile, _lattice_or, determined_masks
-from .rng import erasure_flags, erasure_words, subseeds
+from .gf2kernel import (
+    BitMatrix,
+    KernelProfile,
+    _lattice_or,
+    _pack_bits,
+    _unpack_bits,
+    determined_masks,
+)
+from .rng import erasure_words, subseeds
 from .serialize import csv_text
 
 ERASED = -1
@@ -147,11 +158,7 @@ class PolarCode:
         size = self.profile.ell**self.n
         if size > MAX_BLOCK:
             raise DimensionTooLarge(f"block length {size} exceeds {MAX_BLOCK}")
-        # validate before the int cast, which would truncate 1.7 to 1
-        idx = np.array(list(self.frozen))
-        with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
-            if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
-                raise DomainError("frozen indices must be integers")
+        idx = integral_array(list(self.frozen), "frozen indices")
         bad = idx[(idx < 1) | (idx > size)]
         if bad.size:
             raise IndexOutOfRange(f"frozen index {int(bad.min())} outside 1..{size}")
@@ -275,12 +282,10 @@ class PolarCode:
         """Minimal dual codewords of one kernel node's local code {(u, uG)},
         each as the tuple of its variables: u_j is variable j, x_c is
         variable ell + c.  The dual code is {(Gb, b)}: b on the outputs and
-        the parities of the rows against b on the inputs."""
+        its parities ``BitMatrix._parities`` on the inputs."""
         ell = self.profile.ell
         b = np.arange(1, 1 << ell, dtype=np.int64)
-        rows = np.array(self.profile.kernel.rows, dtype=np.int64)
-        gb = (np.bitwise_count(b[:, None] & rows) & 1).astype(np.int64) @ (1 << np.arange(ell))
-        supp = gb | b << ell
+        supp = self.profile.kernel._parities[1:] | b << ell
         # a support is minimal iff it holds no other nonzero support
         holds = (supp[:, None] & ~supp[None, :]) == 0
         bits = (supp[:, None] >> np.arange(2 * ell)) & 1
@@ -363,22 +368,6 @@ def _pack_rows(rows, size: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8).astype(np.uint64)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack bool (..., m) along the last axis to (..., ceil(m/64)) uint64,
-    bit c of word w holding entry 64 w + c."""
-    m = bits.shape[-1]
-    nbytes = 8 * ((m + 63) // 64)
-    out = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
-    out[..., : (m + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
-    return out.view("<u8").astype(np.uint64, copy=False)
-
-
-def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of ``_pack_bits`` for a 2-D array: (r, words) to bool (r, m)."""
-    raw = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=m, bitorder="little").view(bool)
-
-
 def _erased_rows(known: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Bool (len(index), N) erasure masks of trials ``index`` of a batch of
     known words, each read from the one byte column that holds its bit."""
@@ -428,59 +417,21 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
     if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
     x = x.astype(np.int8)
-    erased = erasure_flags([seed % 2**64], x.size, eps)[0]
+    erased = erasure_words([seed % 2**64], x.size, eps)[:, 0] & 1 == 1
     return ErasureWord(np.where(erased, np.int8(ERASED), x))
 
 
-def _branch_rule(code: PolarCode, j: int, kmask: int, pmask: int):
-    """Determination rule for branch j of one kernel node.
-
-    kmask marks known output coordinates, pmask marks earlier branches whose
-    input is still unknown.  Returns (det, alpha, beta): when det, the input
-    is u_j = parity(x & alpha) xor parity(u_prior & beta) with alpha a subset
-    of kmask and beta over the known earlier branches.  u_j is determined iff
-    the unit vector on u_j is reachable from the known-coordinate columns of
-    the unresolved-row submatrix.
-    """
-    rows = code.profile.kernel.rows
-    ell = code.profile.ell
-    unknown = (1 << j) | pmask
-    for t in range(j + 1, ell):
-        unknown |= 1 << t
-    # column k as a bitvector over unresolved row indices, with the combo
-    # of original columns tracked alongside for the alpha mask
-    piv = {}
-    for k in range(ell):
-        if not (kmask >> k) & 1:
-            continue
-        v = 0
-        for t in range(ell):
-            if (unknown >> t) & 1:
-                v |= ((rows[t] >> k) & 1) << t
-        c = 1 << k
-        while v:
-            p = v.bit_length() - 1
-            if p in piv:
-                pv, pc = piv[p]
-                v ^= pv
-                c ^= pc
-            else:
-                piv[p] = (v, c)
-                break
-    target = 1 << j
-    alpha = 0
-    while target:
-        p = target.bit_length() - 1
-        if p not in piv:
-            return (False, 0, 0)
-        pv, pc = piv[p]
-        target ^= pv
-        alpha ^= pc
-    beta = 0
-    for t in range(j):
-        if not (pmask >> t) & 1:
-            beta |= ((rows[t] & alpha).bit_count() & 1) << t
-    return (True, alpha, beta)
+def _branch_rule(g: BitMatrix, j: int, kmask: int, pmask: int):
+    """Rule of branch j at a node of kernel g with the outputs kmask known
+    and the earlier branches pmask unknown: (det, alpha, beta), where u_j =
+    parity(x & alpha) xor parity(u_prior & beta) when det.  alpha is the
+    first determiner b of branch j inside kmask whose G b vanishes on
+    pmask; beta is G b on the known earlier branches."""
+    b, gb = g._determiners[j]
+    hit = np.flatnonzero((b & ~kmask | gb & pmask) == 0)
+    if not hit.size:
+        return (False, 0, 0)
+    return (True, int(b[hit[0]]), int(gb[hit[0]]) ^ 1 << j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,7 +467,7 @@ def _packed_rule(code: PolarCode, j: int, key: int) -> int:
     """``_branch_rule`` of branch j at key K | P << ell, packed as
     alpha | beta << ell | 1 << 2 ell, or 0 when the branch is undetermined."""
     ell = code.profile.ell
-    det, alpha, beta = _branch_rule(code, j, key & ((1 << ell) - 1), key >> ell)
+    det, alpha, beta = _branch_rule(code.profile.kernel, j, key & ((1 << ell) - 1), key >> ell)
     return alpha | beta << ell | 1 << 2 * ell if det else 0
 
 

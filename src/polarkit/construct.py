@@ -33,6 +33,7 @@ from .errors import (
     PrefixTooDeep,
     RequiresExactCdf,
     integral,
+    integral_array,
 )
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
 from .gf2kernel import BitMatrix, KernelProfile, kernel_profile
@@ -57,14 +58,11 @@ class SelectionSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not 0.0 <= self.rate <= 1.0:
+            raise DomainError("rate must lie in [0, 1]")
         size = self.ell**self.n
         want = math.floor(size * self.rate)
-        # checked before the int cast, which would truncate 1.7 to 1
-        idx = np.asarray(self.indices)
-        with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
-            if idx.size and (idx.dtype.kind not in "iuf" or (idx % 1 != 0).any()):
-                raise DomainError("indices must be integers")
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(integral_array(self.indices, "indices"), dtype=np.int64)
         if len(idx) != want:
             raise DomainError(
                 f"selection holds {len(idx)} indices, rate demands {want}")
@@ -200,8 +198,10 @@ def default_prefix_depth(n: int, beta: float, profile: KernelProfile,
     c is the kernel's process-condition constant; the result is clamped to
     1..n (the schedule outgrows n at desk scale).
     """
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if not 0.0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite")
     m = math.ceil((math.log2(n) + math.log2(math.log2(profile.c3_constant)))
                   / beta)
     m = max(1, min(m, n))

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integrality test
-that guards the scalar index and exponent arguments raising them."""
+"""Exception types shared across the package, and the integrality tests
+that guard the index and exponent arguments raising them."""
 
 import math
+
+import numpy as np
 
 
 def integral(x) -> bool:
@@ -12,6 +14,17 @@ def integral(x) -> bool:
     warns on the remainder of an infinity or a nan.
     """
     return isinstance(x, int) or (math.isfinite(x) and x % 1 == 0)
+
+
+def integral_array(values, what: str) -> np.ndarray:
+    """``values`` as a numpy array, checked before any int cast (which would
+    truncate 1.7 to 1): raises DomainError unless every entry is a finite
+    whole number of a numeric dtype."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
+        if arr.size and (arr.dtype.kind not in "iuf" or (arr % 1 != 0).any()):
+            raise DomainError(f"{what} must be integers")
+    return arr
 
 
 class PolarkitError(Exception):

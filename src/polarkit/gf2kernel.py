@@ -1,9 +1,19 @@
-"""Square GF(2) kernels: inversion, polarization test, distance profile.
+"""Square GF(2) kernels: inversion, polarization test, distance profile
+and the erasure rule of one kernel node.
 
 Rows are stored as machine-word bitmasks (bit c = column c), so Hamming
 weights are popcounts and row combinations are single XORs.  Kernels have
-ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks,
-and a table over all 2^ell coordinate subsets is one bit per subset,
+ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks.
+
+Every erasure rule reads one table per kernel: the parities G b of all
+2^ell output masks b (bit t: row t against b), whose pairs (G b, b) are the
+dual codewords of the local code {(u, uG)}.  As parity(uG & b) sums the u_t
+that G b marks, u_j is determined from the known outputs K, with the
+earlier inputs P unknown, iff some b inside K has G b equal to 1 at row j
+and 0 at every later row and every row of P.  With P empty these b are the
+determiners of branch j.
+
+A table over all 2^ell coordinate subsets is one bit per subset,
 bit-packed 64 to a uint64 word.  Such a table is closed over the subset
 lattice in ell whole-array passes, one per coordinate (``_lattice_or``):
 a shift and mask inside every word for the six low coordinates, an OR of
@@ -100,30 +110,42 @@ class BitMatrix:
         return f"BitMatrix({self.to_literal()!r})"
 
     @cached_property
-    def _subset_tables(self) -> tuple:
-        """The ``determined_masks`` table and the ``undetermined_counts``,
-        from one packed table of the erasure patterns.
+    def _parities(self) -> np.ndarray:
+        """Entry b is G b for the output mask b (bit t: row t against b),
+        built by doubling over the columns."""
+        gb = np.zeros(1, dtype=MASK_DTYPE)
+        for c in range(self.ell):
+            col = sum((r >> c & 1) << t for t, r in enumerate(self.rows))
+            gb = np.concatenate((gb, gb ^ col))
+        gb.setflags(write=False)
+        return gb
 
-        Branch j is undetermined with erased set E iff some vector of the
-        coset row_j + span(rows j+1..) has its support inside E.  Each coset
-        vector marks its own pattern, and the ell lattice passes carry every
-        mark to all supersets, giving the undetermined patterns.  Known mask
-        K erases full ^ K, which reverses the order of the patterns.
-        """
+    @cached_property
+    def _determiners(self) -> tuple:
+        """Per branch j, the output masks b, ascending, whose parities G b
+        are 1 at row j and 0 at every later row, and those parities."""
+        gb = self._parities
+        masks = (np.flatnonzero(gb >> j == 1) for j in range(self.ell))
+        return tuple((b, gb[b]) for b in masks)
+
+    @cached_property
+    def _subset_tables(self) -> tuple:
+        """The ``determined_masks`` table, each branch's determiners closed
+        upward by ell lattice passes, and the ``undetermined_counts``:
+        C(ell, k) less the closure's known masks of weight ell - k."""
         ell = self.ell
-        # whole words: no coset vector reaches the padding past 2^ell < 64
-        marks = np.zeros((ell, max(1 << ell, 64)), dtype=bool)
-        for j, coset in _cosets(self.rows):
-            marks[j, coset] = True
-        undet = np.packbits(marks, axis=1, bitorder="little").view("<u8")
+        gb = self._parities
+        # row by row: one (ell, 2^ell) uint16 shift raises a process's peak RSS
+        det = _pack_bits(np.array([gb >> j == 1 for j in range(ell)]))
         for c in range(ell):
-            _lattice_or(undet, undet, c)
-        # read backwards, big bit first, the inverted bytes list det[j, K]
-        # for K = 0, 1, ... after the padding
-        backwards = (~undet).astype("<u8", copy=False).view(np.uint8)[:, ::-1]
-        det = np.unpackbits(backwards, axis=1, bitorder="big")[:, -(1 << ell):].view(bool)
-        det.setflags(write=False)
-        return det, _weight_counts(undet, ell)
+            _lattice_or(det, det, c)
+        table = _unpack_bits(det, 1 << ell)
+        table.setflags(write=False)
+        counts = tuple(
+            tuple(math.comb(ell, k) - row[ell - k] for k in range(ell + 1))
+            for row in _weight_counts(det, ell)
+        )
+        return table, counts
 
 
 @dataclass(frozen=True)
@@ -186,6 +208,22 @@ def _lattice_or(dst: np.ndarray, src: np.ndarray, c: int) -> None:
     else:
         shape = src.shape[:-1] + (-1, 2, 1 << (c - 6))
         dst.reshape(shape)[..., 1, :] |= src.reshape(shape)[..., 0, :]
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack bool (..., m) along the last axis to (..., ceil(m/64)) uint64,
+    bit c of word w holding entry 64 w + c."""
+    m = bits.shape[-1]
+    nbytes = 8 * ((m + 63) // 64)
+    out = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
+    out[..., : (m + 7) // 8] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of ``_pack_bits`` for a 2-D array: (r, words) to bool (r, m)."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little").view(bool)
 
 
 def _weight_counts(words: np.ndarray, ell: int) -> tuple[tuple[int, ...], ...]:
@@ -284,7 +322,8 @@ def determined_masks(m: BitMatrix) -> np.ndarray:
     """Read-only (ell, 2^ell) bool table: entry [j, K] is set iff row j
     restricted to the known-coordinate mask K is linearly independent of the
     later rows restricted to K, i.e. iff the branch-j input is determined when
-    exactly the coordinates in K are known.
+    exactly the coordinates in K are known and so is every earlier input:
+    iff some determiner of branch j lies inside K.
 
     Built once per ``BitMatrix`` instance, with ``undetermined_counts``, and
     kept on it.

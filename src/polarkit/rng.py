@@ -15,8 +15,7 @@ ell * 2^-64 and is irrelevant at every sample size used here.
 
 Erasure flags (output k of a word's stream below eps) have one
 implementation, ``erasure_words``, which draws a (symbol, word) grid in
-cache-sized blocks straight into words of 64 packed flags; ``erasure_flags``
-unpacks it.
+cache-sized blocks straight into words of 64 packed flags.
 """
 
 from __future__ import annotations
@@ -136,24 +135,11 @@ def uniform_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     return uniform01(words.T)
 
 
-def erasure_flags(seeds, cols: int, eps: float) -> np.ndarray:
-    """(rows, cols) bools; row r is ``uniform_matrix(seeds[r], 1, cols)[0] < eps``.
-
-    ``seeds`` holds one uint64 word seed per row, so a batch of words
-    gets exactly the flags drawn one word at a time.  The flags are
-    ``erasure_words`` unpacked: the result is the transpose of a
-    contiguous (cols, rows) array, so the flags of every row at one
-    column are adjacent.
-    """
-    rows = len(seeds)
-    nbytes = -(-rows // 8)
-    raw = erasure_words(seeds, cols, eps).astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(raw[:, :nbytes], axis=None, bitorder="little").view(bool)
-    return np.ascontiguousarray(bits.reshape(cols, 8 * nbytes)[:, :rows]).T
-
-
 def erasure_words(seeds, cols: int, eps: float) -> np.ndarray:
-    """The flags of ``erasure_flags`` packed 64 rows to a word: a
+    """Erasure flags of one word per seed, packed 64 rows to a word.
+
+    Row r, the word seeded ``seeds[r]``, has its flag at column c set iff
+    ``uniform_matrix(seeds[r], 1, cols)[0, c] < eps``.  The result is a
     (cols, ceil(rows/64)) uint64 array whose bit t of word w at column c
     is the flag of row 64 w + t at c; padding bits past the last row are 0.
 

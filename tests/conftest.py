@@ -8,13 +8,15 @@ import pytest
 from polarkit import rng
 from polarkit.asymptotics import _phi, q_function
 from polarkit.becpolar import enumerate_level, split_erasure_polynomials
-from polarkit.codec import BP_MAX_ELL, ERASED, _branch_rule, _pack_bits, _unpack_bits
+from polarkit.codec import BP_MAX_ELL, ERASED
 from polarkit.errors import AssumptionUnmet, DomainError, NotPolarizing
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from polarkit.gf2kernel import (
     MASK_DTYPE,
     BitMatrix,
     KernelProfile,
+    _pack_bits,
+    _unpack_bits,
     determined_masks,
     kernel_profile,
 )
@@ -111,11 +113,61 @@ def kron_power(power: int) -> BitMatrix:
     return BitMatrix.from_rows(a.tolist())
 
 
+def ref_branch_rule(g: BitMatrix, j: int, kmask: int, pmask: int):
+    """``_branch_rule`` by Gaussian elimination: (det, alpha, beta).
+
+    u_j is determined iff the unit vector on u_j is reachable from the
+    known-coordinate columns of the unresolved-row submatrix (row j, the
+    later rows and the earlier rows in pmask).  alpha is the combination of
+    known columns that reaches it, and beta the parities of the known
+    earlier rows against alpha.
+    """
+    rows = g.rows
+    ell = g.ell
+    unknown = (1 << j) | pmask
+    for t in range(j + 1, ell):
+        unknown |= 1 << t
+    # column k as a bitvector over unresolved row indices, with the combo
+    # of original columns tracked alongside for the alpha mask
+    piv = {}
+    for k in range(ell):
+        if not (kmask >> k) & 1:
+            continue
+        v = 0
+        for t in range(ell):
+            if (unknown >> t) & 1:
+                v |= ((rows[t] >> k) & 1) << t
+        c = 1 << k
+        while v:
+            p = v.bit_length() - 1
+            if p in piv:
+                pv, pc = piv[p]
+                v ^= pv
+                c ^= pc
+            else:
+                piv[p] = (v, c)
+                break
+    target = 1 << j
+    alpha = 0
+    while target:
+        p = target.bit_length() - 1
+        if p not in piv:
+            return (False, 0, 0)
+        pv, pc = piv[p]
+        target ^= pv
+        alpha ^= pc
+    beta = 0
+    for t in range(j):
+        if not (pmask >> t) & 1:
+            beta |= ((rows[t] & alpha).bit_count() & 1) << t
+    return (True, alpha, beta)
+
+
 def sc_batch(y: np.ndarray, code) -> np.ndarray:
     """Reference SC decoder: B ternary words at once, (B, N) ternary inputs.
 
     A plain recursion over every tree node, frozen subtrees included, that
-    re-reads each node's branch rules from ``_branch_rule`` and re-encodes
+    re-reads each node's branch rules from ``ref_branch_rule`` and re-encodes
     with one pass per kernel column; ``sc_decode_bec`` must match it on
     every word.
     """
@@ -147,8 +199,9 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
             alpha_t = np.empty(uq.size, dtype=np.uint32)
             beta_t = np.empty(uq.size, dtype=np.uint32)
             for s, keyval in enumerate(uq):
-                det_t[s], alpha_t[s], beta_t[s] = _branch_rule(
-                    code, j, int(keyval >> np.uint64(32)), int(keyval & np.uint64(0xFFFFFFFF))
+                det_t[s], alpha_t[s], beta_t[s] = ref_branch_rule(
+                    code.profile.kernel, j,
+                    int(keyval >> np.uint64(32)), int(keyval & np.uint64(0xFFFFFFFF)),
                 )
             inv = inv.reshape(b, lc)
             val = (
@@ -560,8 +613,9 @@ def ref_interval(lo, hi):
 def ref_propagate(lo, hi, digit, profile, comp=False):
     """(lo, hi) after one branch step of the Z-side (or comp-side) sandwich."""
     ell = profile.ell
-    if not 0 <= digit < ell:
+    if not (digit % 1 == 0 and 0 <= digit < ell):
         raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    digit = int(digit)
     if comp:
         if not profile.comp_map_consistent:
             raise AssumptionUnmet(

@@ -195,6 +195,15 @@ class TestSplit:
         with pytest.raises(DomainError):
             polys.erasure_prob(0, 1.5)
 
+    def test_branch_index_is_checked(self):
+        # -1 must not read the last branch; a whole float names its branch
+        polys = split_erasure_polynomials(L3)
+        for prob in (polys.erasure_prob, polys.complement_prob):
+            assert prob(2.0, 0.25) == prob(2, 0.25)
+            for bad in (-1, 3, 0.5, math.nan):
+                with pytest.raises(DomainError):
+                    prob(bad, 0.25)
+
     def test_rejects_non_polarizing(self):
         with pytest.raises(NotPolarizing):
             split_erasure_polynomials(BitMatrix.from_literal("10;01"))
@@ -537,6 +546,10 @@ class TestEnumerate:
             cdf.value_at(0)
         with pytest.raises(DomainError):
             cdf.value_at(65)
+        assert cdf.value_at(2.0) == cdf.value_at(2)
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                cdf.value_at(bad)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

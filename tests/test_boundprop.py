@@ -58,6 +58,15 @@ class TestZInterval:
         with pytest.raises(DomainError):
             propagate_comp_interval(s, -1, arikan)
 
+    @pytest.mark.parametrize("step", [propagate_z_interval, propagate_comp_interval])
+    def test_integral_float_digit(self, arikan, step):
+        # a whole float is the digit it names; a fraction is out of range
+        s = IntervalState(ExtendedUnitValue.from_float(0.2), ExtendedUnitValue.from_float(0.4))
+        assert step(s, 1.0, arikan) == step(s, 1, arikan)
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                step(s, bad, arikan)
+
     def test_pure_power_branch_is_tight_below(self, arikan):
         # all-squaring path: lo bound equals the exact evolution bit for bit
         polys = split_erasure_polynomials(arikan.kernel)
@@ -309,7 +318,7 @@ class TestReferencePath:
     def test_propagation_errors_match_reference(self, arikan):
         broken = dataclasses.replace(arikan, comp_map_consistent=False)
         half = ExtendedUnitValue.from_float(0.5)
-        for prof, b in ((arikan, 2), (arikan, -1), (broken, 0)):
+        for prof, b in ((arikan, 2), (arikan, -1), (arikan, 0.5), (arikan, 1.0), (broken, 0)):
             for comp, step in ((False, propagate_z_interval), (True, propagate_comp_interval)):
                 got = outcome(step, IntervalState(half, half), b, prof)
                 assert got == outcome(ref_propagate, half, half, b, prof, comp)

@@ -129,6 +129,18 @@ class TestExitCodes:
         assert rc == EXIT_BAD_CONFIG and out == ""
         assert err.startswith("polarkit: bad config: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("edge", [["--n", "0"], ["--beta", "nan"]], ids=" ".join)
+    def test_edge_value_sweep(self, command, edge, capsys):
+        # edge values end in a documented exit code, never a traceback
+        rc, out, err = run([command, "--trials", "20", "--paths", "20", *edge], capsys)
+        assert rc in (EXIT_OK, EXIT_BAD_KERNEL, EXIT_BUDGET, EXIT_BAD_CONFIG)
+        if rc != EXIT_OK:
+            assert out == "" and err.startswith("polarkit: ") and err.count("\n") == 1
+        if "nan" in edge:
+            assert rc == EXIT_BAD_CONFIG
+            assert err == "polarkit: bad config: beta must not be nan\n"
+
     def test_usage_errors_exit_bad_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

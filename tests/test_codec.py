@@ -21,7 +21,6 @@ from polarkit.codec import (
     _factor,
     _map_failures,
     _minimal_sets,
-    _pack_bits,
     _run,
     _sc_failures,
     encode,
@@ -41,9 +40,15 @@ from polarkit.errors import (
     IndexOutOfRange,
     MismatchedLevel,
 )
-from polarkit.gf2kernel import BitMatrix, determined_masks, kernel_profile
+from polarkit.gf2kernel import (
+    BitMatrix,
+    _pack_bits,
+    _unpack_bits,
+    determined_masks,
+    kernel_profile,
+)
 from polarkit.asymptotics import q_inverse
-from polarkit.rng import erasure_flags, erasure_words, subseed, subseeds
+from polarkit.rng import erasure_words, subseed, subseeds
 
 from conftest import (
     ARIKAN,
@@ -53,6 +58,7 @@ from conftest import (
     random_invertible,
     random_polarizing,
     ref_bp_failures,
+    ref_branch_rule,
     ref_close_stage,
     ref_sc_failures,
     sc_batch,
@@ -80,6 +86,11 @@ def row_bits(code, i):
     r = code.generator_row(i)
     return np.array([(r >> c) & 1 for c in range(code.block_length)],
                     dtype=np.uint8)
+
+
+def erasure_masks(seeds, size, eps):
+    """(len(seeds), size) bool erasure masks: ``erasure_words`` unpacked."""
+    return _unpack_bits(erasure_words(seeds, size, eps), len(seeds)).T
 
 
 def known_words(erased):
@@ -285,21 +296,41 @@ class TestBranchRule:
     @pytest.mark.parametrize("literal", [ARIKAN, L3, "1000;1100;1010;1111"])
     def test_pmask_zero_matches_determined_masks(self, arikan, l3prof, literal):
         g = BitMatrix.from_literal(literal)
-        from polarkit.gf2kernel import kernel_profile
-
-        code = full_rate(kernel_profile(g), 1)
         table = determined_masks(g)
         for j in range(g.ell):
             for kmask in range(1 << g.ell):
-                det, alpha, beta = _branch_rule(code, j, kmask, 0)
+                det, alpha, beta = _branch_rule(g, j, kmask, 0)
                 assert det == table[j, kmask]
                 if det:
                     assert alpha & ~kmask == 0
 
+    def test_matches_elimination(self):
+        # every (j, K, P) of random invertible kernels, polarizing or not:
+        # the same decision as the elimination, and alpha inside K with
+        # parities e_j on the unresolved rows (row j, the later rows and P)
+        # and beta on the known earlier rows
+        rng = np.random.default_rng(71)
+        for ell in range(2, 7):
+            for g in (random_invertible(rng, ell), random_invertible(rng, ell)):
+                for j in range(ell):
+                    unresolved_later = (1 << ell) - (1 << j)
+                    for pmask in range(1 << j):
+                        for kmask in range(1 << ell):
+                            det, alpha, beta = _branch_rule(g, j, kmask, pmask)
+                            assert det == ref_branch_rule(g, j, kmask, pmask)[0]
+                            if not det:
+                                continue
+                            assert alpha & ~kmask == 0
+                            parities = sum(
+                                ((r & alpha).bit_count() & 1) << t for t, r in enumerate(g.rows)
+                            )
+                            unresolved = unresolved_later | pmask
+                            assert parities & unresolved == 1 << j
+                            assert parities & ~unresolved == beta
+
     def test_rule_parity_is_consistent(self, l3prof):
         # decoding a full kernel block with any two inputs known and the
         # outputs partially known must reproduce the true branch value
-        code = full_rate(l3prof, 1)
         g = np.array(l3prof.kernel.as_lists(), dtype=np.uint8)
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -307,7 +338,7 @@ class TestBranchRule:
             x = u @ g % 2
             kmask = int(rng.integers(0, 8))
             for j in range(3):
-                det, alpha, beta = _branch_rule(code, j, kmask, 0)
+                det, alpha, beta = _branch_rule(l3prof.kernel, j, kmask, 0)
                 if not det:
                     continue
                 acc = 0
@@ -439,9 +470,9 @@ class TestRuleStore:
             int(i) + 1 for i in np.flatnonzero(rng.random(size) < 0.5)))
         calls = []
 
-        def counted(code_, j, kmask, pmask):
+        def counted(g, j, kmask, pmask):
             calls.append((j, kmask, pmask))
-            return _branch_rule(code_, j, kmask, pmask)
+            return _branch_rule(g, j, kmask, pmask)
 
         monkeypatch.setattr(codec, "_branch_rule", counted)
         words = oracle_words(code, rng)
@@ -732,7 +763,7 @@ class TestPackedFailures:
         # chunks of 100 trials: the second word of each is partial
         monkeypatch.setattr(codec, "CELLS", 100 * size)
         rep = simulate(code, 0.4, 250, seed=ell)
-        erased = erasure_flags(subseeds(ell, 250), size, 0.4)
+        erased = erasure_masks(subseeds(ell, 250), size, 0.4)
         sc = ref_sc_failures(erased, code)
         assert rep.sc_errors == sc.sum()
         assert rep.map_errors == _map_failures(erased, code).sum()
@@ -855,7 +886,7 @@ class TestSimulate:
     def test_chunk_patterns_are_per_trial_words(self, seed):
         zeros = np.zeros(27, dtype=np.int8)
         for start, rows in ((0, 40), (2040, 16), (4090, 9)):
-            erased = erasure_flags(subseeds(seed, rows, start), 27, 0.4)
+            erased = erasure_masks(subseeds(seed, rows, start), 27, 0.4)
             for r in range(rows):
                 word = transmit_bec(zeros, 0.4, subseed(seed, start + r))
                 assert np.array_equal(erased[r], word.erased_mask())
@@ -923,7 +954,7 @@ class TestSimulate:
                 # 130 + 70 trials: neither chunk fills its last 64-trial word
                 monkeypatch.setattr(codec, "CELLS", 130 * code.block_length)
                 rep = simulate(code, eps, trials, seed=n)
-                erased = erasure_flags(subseeds(n, trials), code.block_length, eps)
+                erased = erasure_masks(subseeds(n, trials), code.block_length, eps)
                 assert rep.sc_errors == sc_fails(erased, code).sum()
                 assert rep.map_errors == _map_failures(erased, code).sum()
 
@@ -958,7 +989,7 @@ class TestSimulate:
         for rows in (1, 63, 64, 65, 130):
             seeds = subseeds(7, rows, 5)
             known = ~erasure_words(seeds, 27, 0.4)
-            erased = erasure_flags(seeds, 27, 0.4)
+            erased = erasure_masks(seeds, 27, 0.4)
             for pick in (np.arange(rows), np.arange(rows - 1, -1, -3), np.array([rows - 1])):
                 assert np.array_equal(_erased_rows(known, pick), erased[pick])
 
@@ -982,7 +1013,7 @@ class TestSimulate:
         monkeypatch.setattr(codec, "CELLS", 128 * 9)
         rep = simulate(code, 0.4, 300, seed=6)
         assert tested == [128, 128, 44]
-        erased = erasure_flags(subseeds(6, 300), 9, 0.4)
+        erased = erasure_masks(subseeds(6, 300), 9, 0.4)
         assert rep.sc_errors == sc_fails(erased, code).sum()
         assert rep.map_errors == _map_failures(erased, code).sum()
         assert rep.map_errors > 0

@@ -171,6 +171,9 @@ class TestSelectionSet:
         for bad in ([1.7, 2.2], [1.0, 2.5], [1.0, np.nan], [1.0, np.inf]):
             with pytest.raises(DomainError):
                 SelectionSet(n=2, ell=2, rate=0.5, indices=bad, rule="x")
+        for rate in (math.nan, -0.5, 1.5):
+            with pytest.raises(DomainError):
+                SelectionSet(n=2, ell=2, rate=rate, indices=[1, 4], rule="x")
         # integral floats are indices like any other
         ok = SelectionSet(n=2, ell=2, rate=0.5, indices=[1.0, 4.0], rule="x")
         assert ok.indices.dtype == np.int64 and ok.indices.tolist() == [1, 4]
@@ -282,6 +285,9 @@ class TestDefaultPrefixDepth:
     def test_domain(self, arikan):
         with pytest.raises(DomainError):
             default_prefix_depth(16, 0.0, arikan)
+        for n, beta in ((0, 0.5), (16, math.nan), (16, math.inf)):
+            with pytest.raises(DomainError):
+                default_prefix_depth(n, beta, arikan)
 
 
 class TestHybridSelection:

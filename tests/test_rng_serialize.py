@@ -8,7 +8,6 @@ from polarkit import rng
 from polarkit.rng import (
     DRAW_BLOCK,
     GAMMA,
-    erasure_flags,
     erasure_words,
     mix64,
     path_digit_matrix,
@@ -69,10 +68,10 @@ class TestDerivedStreams:
         drawn = np.concatenate([u[:, :3].ravel(), np.nextafter(u[:, :3].ravel(), 2.0)])
         edges = [0.0, 5e-324, 0.3, 0.5, 1.0 - 2.0**-53, 1.0]
         for eps in edges + [float(v) for v in drawn]:
-            assert np.array_equal(erasure_flags([seed], 40, eps)[0], u[0] < eps)
-            assert np.array_equal(erasure_flags(words, 40, eps), u < eps)
-        # one column's flags are adjacent, so a batch packs along its trials
-        assert erasure_flags(words, 40, 0.5).T.flags.c_contiguous
+            one, _ = unpack_words(erasure_words([seed], 40, eps), 1)
+            batch, _ = unpack_words(erasure_words(words, 40, eps), len(words))
+            assert np.array_equal(one, u[:1] < eps)
+            assert np.array_equal(batch, u < eps)
 
     def test_uniform_range_and_determinism(self):
         m = uniform_matrix(99, 40, 50)
@@ -142,7 +141,6 @@ class TestErasureWords:
                     assert np.array_equal(flags, u[:, :cols] < eps)
                     # padding trials are never erased, so they read as known
                     assert not pad.any()
-                    assert np.array_equal(erasure_flags(seeds, cols, eps), flags)
 
     def test_block_layout_does_not_change_the_draw(self, monkeypatch):
         seeds = subseeds(3, 300, 17)
@@ -154,7 +152,6 @@ class TestErasureWords:
     def test_empty_grids(self):
         assert erasure_words(subseeds(1, 5), 0, 0.5).shape == (0, 1)
         assert erasure_words(subseeds(1, 0), 4, 0.5).shape == (4, 0)
-        assert erasure_flags(subseeds(1, 0), 4, 0.5).shape == (0, 4)
 
 
 class TestReduceDigits:
