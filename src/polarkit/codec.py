@@ -49,17 +49,10 @@ combination of information rows is supported entirely inside the erasure
 set.  Whenever that happens the SC decoder is also stuck (a bit forced by
 the observations would have to agree with both candidate words), so MAP
 failures are a per-trial subset of SC failures; ``simulate`` checks the
-inclusion on every trial.  The test uses the systematic form of the
-information rows, built once per code: each row has one pivot column where
-no other row has a 1.  A combination vanishing on the kept pivot columns
-uses only the orphan rows, whose pivots are erased, so the pattern is
-ambiguous iff the parity block (the rows on the non-pivot columns)
-restricted to orphan rows and kept columns has rank below the orphan
-count.  That rank runs on a zero-padded batch of patterns with the
-Four-Russians elimination of Albrecht, Bard and Hart ("Efficient
-multiplication of dense matrices over GF(2)"): reduce eight rows, build
-the XOR table of their 256 combinations, and clear those eight pivots from
-every row below with one lookup per row.
+inclusion on every trial.  The test is one elimination per pattern over
+the information rows as Python ints, masked to the kept positions: each
+row is reduced by the earlier ones, keyed by their leading bit, and the
+pattern is ambiguous as soon as one row reduces to zero.
 
 Erasure belief propagation (peeling) sits between the two and certifies
 most trials without the rank test (Hussami, Korada and Urbanke,
@@ -122,12 +115,6 @@ ERASED = -1
 WILSON_Z = q_inverse(0.025)
 
 MAX_BLOCK = 2**22
-
-# rows per Four-Russians block of the MAP rank test (256-entry XOR tables;
-# at most 8, since a row's table index is one packed byte), and the working
-# set of one sub-batch of trials: row stack plus tables
-M4RI_ROWS = 8
-M4RI_BYTES = 2 << 20
 
 # erasure flags per chunk of simulated trials: a chunk of CELLS // N trials
 # is drawn as packed known words (CELLS / 8 bytes) and decoded as one batch
@@ -306,29 +293,17 @@ class PolarCode:
         ))
 
     @cached_property
-    def _info_rref(self) -> tuple:
-        """Systematic form of the information rows: (pivots, free, parity).
-
-        The rows are brought to reduced row echelon form; row r then has a
-        single 1 among the pivot columns, at ``pivots[r]``.  ``free`` lists
-        the other columns, ascending, and ``parity`` holds the rows
-        restricted to them, bit-packed to (k, ceil(len(free)/64)) uint64.
-        """
-        size = self.block_length
-        rows = _pack_rows(
-            [self.generator_row(int(i)) for i in self.info_indices], size
-        )
-        pivots = np.empty(rows.shape[0], dtype=np.int64)
-        for r in range(rows.shape[0]):
-            row = rows[r].copy()
-            w = int(np.flatnonzero(row)[0])
-            low = int(row[w]) & -int(row[w])
-            pivots[r] = 64 * w + low.bit_length() - 1
-            hit = (rows[:, w] & np.uint64(low)) != 0
-            hit[r] = False
-            np.bitwise_xor(rows, row, out=rows, where=hit[:, None])
-        free = np.setdiff1d(np.arange(size), pivots)
-        return pivots, free, _pack_bits(_unpack_bits(rows, size)[:, free])
+    def _info_rows(self) -> list:
+        """``generator_row`` of every information index, as Python ints, the
+        Kronecker factors taken for all rows at once."""
+        ell, info = self.profile.ell, self.info_indices - 1
+        kernel = self._kernel_array.astype(bool)
+        rows = np.ones((info.size, 1), dtype=bool)
+        for p in reversed(range(self.n)):  # digit p of i - 1, innermost first
+            factor = kernel[info // ell**p % ell]
+            rows = (factor[:, :, None] & rows[:, None, :]).reshape(-1, ell ** (self.n - p))
+        return [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(rows, axis=1, bitorder="little")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,14 +333,6 @@ class ErasureWord:
     @property
     def erasure_count(self) -> int:
         return int((self.symbols == ERASED).sum())
-
-
-def _pack_rows(rows, size: int) -> np.ndarray:
-    """Python-int row bitmasks packed to a writable (len(rows), ceil(size/64))
-    uint64 array, bit c of word w holding column 64 w + c."""
-    nbytes = 8 * ((size + 63) // 64)
-    buf = b"".join(int(r).to_bytes(nbytes, "little") for r in rows)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8).astype(np.uint64)
 
 
 def _erased_rows(known: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -708,83 +675,27 @@ def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray 
         seen = count
 
 
-def _gf2_ranks(a: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, R, W) batch of bit-packed GF(2) matrices; ``a`` is
-    overwritten.
-
-    Four-Russians elimination (Albrecht-Bard-Hart): each block of
-    M4RI_ROWS rows is fully reduced among itself, the XOR table of all
-    combinations of its rows is built, and every row below clears the
-    block's pivot columns with one table lookup.
-    """
-    bsz, nrows, _ = a.shape
-    rank = np.zeros(bsz, dtype=np.int64)
-    tri = np.arange(bsz)
-    table = np.zeros((bsz, 1 << M4RI_ROWS) + a.shape[2:], dtype=np.uint64)
-    for top in range(0, nrows, M4RI_ROWS):
-        blk = a[:, top : top + M4RI_ROWS]
-        h = blk.shape[1]
-        words = np.empty((bsz, h), dtype=np.intp)
-        bits = np.empty((bsz, h), dtype=np.uint64)
-        for i in range(h):
-            row = blk[:, i].copy()
-            w = (row != 0).argmax(axis=1)
-            word = row[tri, w]
-            bit = word & -word  # lowest set bit; 0 for a zero row
-            hit = (blk[tri, :, w] & bit[:, None]) != 0
-            hit[:, i] = False
-            np.bitwise_xor(blk, row[:, None, :], out=blk, where=hit[:, :, None])
-            words[:, i] = w
-            bits[:, i] = bit
-        rank += np.count_nonzero(bits, axis=1)
-        below = a[:, top + h :]
-        if below.shape[1] == 0:
-            break
-        for i in range(h):
-            np.bitwise_xor(
-                table[:, : 1 << i], blk[:, i, None, :], out=table[:, 1 << i : 2 << i]
-            )
-        cols = below[tri[:, None], :, words] & bits[:, :, None]
-        index = np.packbits(cols != 0, axis=1, bitorder="little")[:, 0]
-        below ^= table[tri[:, None], index]
-    return rank
+def _ambiguous(known: int, code: PolarCode) -> bool:
+    """MAP rank test of one word, its known coordinates the bits of
+    ``known``: each information row, masked to them, is reduced by the
+    earlier ones, keyed by their leading bit, and the word is ambiguous as
+    soon as one reduces to zero."""
+    pivots = {}
+    for row in code._info_rows:
+        v = row & known
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if not v:
+            return True
+        pivots[v.bit_length()] = v
+    return False
 
 
 def _map_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Per-row MAP ambiguity of a (B, N) batch of erasure masks.
-
-    In systematic form a combination of information rows vanishes on the
-    pivot columns exactly where it leaves out every row whose pivot is
-    kept, so a nonzero codeword inside the erasure set is a nonzero
-    combination of the orphan rows (erased pivots) that vanishes on the
-    kept free columns: the word is ambiguous iff the parity block
-    restricted to (orphan rows, kept free columns) has rank below the
-    orphan count.  With more orphans than kept columns that holds without
-    elimination.
-    """
-    if code.k == 0:
-        return np.zeros(erased.shape[0], dtype=bool)
-    pivots, free, parity = code._info_rref
-    orphan = erased[:, pivots]
-    kept = ~erased[:, free]
-    count = orphan.sum(axis=1)
-    out = count > kept.sum(axis=1)
-    test = np.flatnonzero((count > 0) & ~out)
-    if test.size == 0:
-        return out
-    # similar orphan counts share a sub-batch, which keeps the zero padding small
-    test = test[np.argsort(count[test], kind="stable")]
-    nw = parity.shape[1]
-    step = max(1, M4RI_BYTES // ((int(count[test[-1]]) + (1 << M4RI_ROWS)) * nw * 8))
-    for lo in range(0, test.size, step):
-        sel = test[lo : lo + step]
-        cnt = count[sel]
-        t, r = np.nonzero(orphan[sel])
-        slot = np.arange(t.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        a = np.zeros((sel.size, int(cnt[-1]), nw), dtype=np.uint64)
-        a[t, slot] = parity[r] & _pack_bits(kept[sel])[t]
-        out[sel] = _gf2_ranks(a) < cnt
-    return out
+    """Per-row MAP ambiguity of a (B, N) batch of erasure masks."""
+    known = np.packbits(~erased, axis=1, bitorder="little")
+    return np.array([_ambiguous(int.from_bytes(w.tobytes(), "little"), code)
+                     for w in known], dtype=bool)
 
 
 def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:

@@ -521,7 +521,7 @@ class TestExactFailureProbabilities:
 
 
 class TestRandomKernels:
-    """The batched genie-aided SC count and the M4RI rank test against
+    """The batched genie-aided SC count and the MAP rank test against
     independent references on random polarizing kernels at n = 2."""
 
     @pytest.mark.parametrize("ell,seed,samples", [
@@ -803,8 +803,7 @@ class TestMapDecode:
             assert got == ("unique" if len(seen) == len(words) else "ambiguous")
 
     def test_batch_matches_rank_oracle(self, arikan, cdf_cache):
-        # 256 information rows and up to ~150 orphans: many Four-Russians
-        # blocks per word, and more than one sub-batch of words
+        # 256 information rows, both verdicts common
         code = PolarCode.from_selection(
             arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 9), 0.5))
         rng = np.random.default_rng(3)
@@ -997,7 +996,7 @@ class TestSimulate:
         code = PolarCode.from_selection(
             arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 10), 0.25))
         simulate(code, 0.5, 200, seed=3)
-        assert "_info_rref" not in code.__dict__
+        assert "_info_rows" not in code.__dict__
 
     def test_wide_kernel_rank_tests_every_trial(self, monkeypatch):
         prof = random_polarizing(np.random.default_rng(19), 9)
