@@ -10,7 +10,11 @@ polynomial
 
 Everything downstream (exact level enumeration, Monte Carlo paths, interval
 propagation) reduces to iterating these polynomials in the extended-precision
-representation of :mod:`polarkit.extval`.
+representation of :mod:`polarkit.extval`.  Its two log modes are the two
+sides of one rule, indexed by side: side 0 steps NEGLOG payloads -log2 z
+with p_j, side 1 steps COMPLOG payloads -log2(1 - z) with the complement
+polynomials q_j(d) = 1 - p_j(1 - d), and mode = NEGLOG + side.  Every
+per-side table and step is written once and takes the side.
 
 One grouped stepper, ``_step``, advances every multi-element array, exact
 levels and sampled paths alike: it sorts the elements once by (branch,
@@ -47,7 +51,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import BitMatrix, is_polarizing, undetermined_counts
+from .gf2kernel import BitMatrix, is_polarizing, min_determining_weights, undetermined_counts
 from .serialize import dumps_17g, fmt_real_lines
 
 _LN2 = math.log(2.0)
@@ -82,23 +86,22 @@ class ErasurePolynomialSet:
             raise DomainError(f"branch {j!r} outside 0..{self.ell - 1}")
         return int(j)
 
+    def _eval(self, side: int, j, x: float) -> float:
+        """p_j(x) on side 0 or q_j(x) on side 1, in float arithmetic."""
+        row = (self.counts, self.comp_counts)[side][self._branch(j)]
+        if not 0.0 <= x <= 1.0:
+            raise DomainError(f"{('erasure probability', 'argument')[side]} outside [0,1]")
+        ell = self.ell
+        c = 1.0 - x
+        return math.fsum(a * x**k * c ** (ell - k) for k, a in enumerate(row) if a)
+
     def erasure_prob(self, j: int, eps: float) -> float:
         """p_j(eps) evaluated in float arithmetic; eps may be 0 or 1."""
-        row = self.counts[self._branch(j)]
-        if not 0.0 <= eps <= 1.0:
-            raise DomainError("erasure probability outside [0,1]")
-        ell = self.ell
-        c = 1.0 - eps
-        return math.fsum(a * eps**k * c ** (ell - k) for k, a in enumerate(row) if a)
+        return self._eval(0, j, eps)
 
     def complement_prob(self, j: int, delta: float) -> float:
         """q_j(delta) = 1 - p_j(1 - delta), evaluated from its own counts."""
-        row = self.comp_counts[self._branch(j)]
-        if not 0.0 <= delta <= 1.0:
-            raise DomainError("argument outside [0,1]")
-        ell = self.ell
-        c = 1.0 - delta
-        return math.fsum(a * delta**k * c ** (ell - k) for k, a in enumerate(row) if a)
+        return self._eval(1, j, delta)
 
     def to_json(self) -> str:
         obj = {"kernel": self.kernel.to_literal(), "ell": self.ell}
@@ -122,13 +125,12 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
         for j in range(ell)
     ]
     lead = [min(k for k in range(ell + 1) if counts[j][k]) for j in range(ell)]
-    comp_lead = [min(k for k in range(ell + 1) if comp[j][k]) for j in range(ell)]
     return ErasurePolynomialSet(
         kernel=m,
         counts=counts,
         leading_degree=tuple(lead),
         comp_counts=tuple(tuple(r) for r in comp),
-        comp_leading_degree=tuple(comp_lead),
+        comp_leading_degree=min_determining_weights(m),
     )
 
 
@@ -203,18 +205,17 @@ def _side_tables(row, ell):
 class _EvolveTables:
     """Per-branch term lists, brackets and saturated-step constants.
 
-    The ``comp_`` fields describe the complement polynomials q_j, which
-    step COMPLOG payloads.
+    Each field is a pair indexed by side: side 0 holds the erasure
+    polynomials p_j, which step NEGLOG payloads, and side 1 the complement
+    polynomials q_j, which step COMPLOG payloads (mode = NEGLOG + side).
     """
 
     def __init__(self, polys: ErasurePolynomialSet):
         ell = polys.ell
-        self.terms, self.lead, self.bracket, self.c = zip(
-            *(_side_tables(row, ell) for row in polys.counts)
-        )
-        self.comp_terms, self.comp_lead, self.comp_bracket, self.comp_c = zip(
-            *(_side_tables(row, ell) for row in polys.comp_counts)
-        )
+        self.terms, self.lead, self.bracket, self.c = zip(*(
+            zip(*(_side_tables(row, ell) for row in rows))
+            for rows in (polys.counts, polys.comp_counts)
+        ))
 
 
 @functools.lru_cache(maxsize=8)
@@ -233,13 +234,13 @@ def _step_linear(z, j, t: _EvolveTables):
 
     Only the elements whose p (or else q) falls below 2^-SWITCH_BITS leave
     the band, so only they take a log2; the rest keep p.  Like the
-    saturated steps, the result may reuse the storage of ``z``: p is ``z``
+    saturated step, the result may reuse the storage of ``z``: p is ``z``
     itself for a single first-power branch.
     """
     thresh = 2.0**-SWITCH_BITS
     zc = 1.0 - z
-    p = _eval_terms(t.terms[j], z, zc)
-    q = _eval_terms(t.comp_terms[j], zc, z)
+    p = _eval_terms(t.terms[0][j], z, zc)
+    q = _eval_terms(t.terms[1][j], zc, z)
     mode = np.full(len(p), LINEAR, dtype=np.int8)
     neg = p < thresh
     comp = q < thresh
@@ -254,51 +255,37 @@ def _step_linear(z, j, t: _EvolveTables):
     return mode, p
 
 
-def _step_neglog(lam, j, t: _EvolveTables):
-    """Branch j on NEGLOG payloads lam = -log2 z; returns canonical (mode, payload)."""
-    lam2 = t.lead[j] * lam
-    if t.bracket[j] is not None:  # else the bracket is exactly 1.0
-        z = np.exp2(-lam)
-        lam2 -= np.log2(_eval_terms(t.bracket[j], z, 1.0 - z))
-    small = lam2 <= SWITCH_BITS  # re-normalize toward LINEAR
+def _step_log(x, j, t: _EvolveTables, side: int):
+    """Branch j on the log payloads x of one side: lam = -log2 z on side 0
+    (NEGLOG), mu = -log2(1 - z) on side 1 (COMPLOG); returns canonical
+    (mode, payload)."""
+    x2 = t.lead[side][j] * x
+    bracket = t.bracket[side][j]
+    if bracket is not None:  # else the bracket is exactly 1.0
+        y = np.exp2(-x)
+        x2 -= np.log2(_eval_terms(bracket, y, 1.0 - y))
+    small = x2 <= SWITCH_BITS  # re-normalize toward LINEAR
     if small.any():
-        lam2[small] = np.exp2(-lam2[small])
-    return np.where(small, LINEAR, NEGLOG), lam2
+        d = np.exp2(-x2[small])
+        x2[small] = 1.0 - d if side else d
+    return np.where(small, LINEAR, NEGLOG + side), x2
 
 
-def _step_complog(mu, j, t: _EvolveTables):
-    """Branch j on COMPLOG payloads mu = -log2(1-z); returns canonical (mode, payload)."""
-    mu2 = t.comp_lead[j] * mu
-    if t.comp_bracket[j] is not None:  # else the bracket is exactly 1.0
-        dd = np.exp2(-mu)
-        mu2 -= np.log2(_eval_terms(t.comp_bracket[j], dd, 1.0 - dd))
-    small = mu2 <= SWITCH_BITS
-    if small.any():
-        mu2[small] = 1.0 - np.exp2(-mu2[small])
-    return np.where(small, LINEAR, COMPLOG), mu2
-
-
-def _step_neglog_saturated(lam, j, t: _EvolveTables):
-    """Branch j on NEGLOG payloads lam >= SATURATED, in place (see SATURATED)."""
-    lam *= t.lead[j]
-    lam -= t.c[j]
-    return NEGLOG, lam
-
-
-def _step_complog_saturated(mu, j, t: _EvolveTables):
-    """Branch j on COMPLOG payloads mu >= SATURATED, in place (see SATURATED)."""
-    mu *= t.comp_lead[j]
-    mu -= t.comp_c[j]
-    return COMPLOG, mu
+def _step_saturated(x, j, t: _EvolveTables, side: int):
+    """Branch j on the log payloads x >= SATURATED of one side, in place
+    (see SATURATED)."""
+    x *= t.lead[side][j]
+    x -= t.c[side][j]
+    return NEGLOG + side, x
 
 
 # the only branch math: each class's update, indexed by class (see _classes)
 _CLASS_STEPS = (
     _step_linear,
-    _step_neglog,
-    _step_complog,
-    _step_neglog_saturated,
-    _step_complog_saturated,
+    functools.partial(_step_log, side=0),
+    functools.partial(_step_log, side=1),
+    functools.partial(_step_saturated, side=0),
+    functools.partial(_step_saturated, side=1),
 )
 
 

@@ -57,47 +57,45 @@ class IntervalState:
         return {"lo": self.lo.as_pair(), "hi": self.hi.as_pair()}
 
 
+def _digit(digit, ell: int) -> int:
+    """digit as an int; raises DomainError unless it names a branch."""
+    if not (integral(digit) and 0 <= digit < ell):
+        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    return int(digit)
+
+
+def _sandwich(state: IntervalState, d: int, k: int) -> IntervalState:
+    """[lo^d, 2^k * hi^d], saturating at the top of the unit interval
+    (where the upper bound is vacuous)."""
+    return IntervalState(lo=state.lo.pow_int(d), hi=state.hi.pow_int(d).times_pow2(k))
+
+
 def propagate_z_interval(
     state: IntervalState, digit: int, profile: KernelProfile
 ) -> IntervalState:
-    """One branch step of the Z-side sandwich.
-
-    lo' = lo^D, hi' = 2^(ell-digit) * hi^D, saturating at the top of the unit
-    interval (where the upper bound is vacuous).
-    """
-    ell = profile.ell
-    if not (integral(digit) and 0 <= digit < ell):
-        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
-    digit = int(digit)
-    d = profile.partial_distances[digit]
-    lo = state.lo.pow_int(d)
-    hi = state.hi.pow_int(d).times_pow2(ell - digit)
-    return IntervalState(lo=lo, hi=hi)
+    """One branch step of the Z-side sandwich: d = D_digit(G) and
+    k = ell - digit in ``_sandwich``."""
+    digit = _digit(digit, profile.ell)
+    return _sandwich(state, profile.partial_distances[digit], profile.ell - digit)
 
 
 def propagate_comp_interval(
     state: IntervalState, digit: int, profile: KernelProfile
 ) -> IntervalState:
-    """One branch step of the complement-side sandwich, on x = 1 - Z.
-
-    lo' = lo^d_j, hi' = 2^(2 i_j + 1) * hi^d_j with (d_j, i_j) from the
-    profile's comp branch mapping; requires the mapping to be consistent with
-    the derived matrix's partial distances.
+    """One branch step of the complement-side sandwich, on x = 1 - Z:
+    d = d_j and k = 2 i_j + 1 in ``_sandwich``, with (d_j, i_j) from the
+    profile's comp branch mapping; requires the mapping to be consistent
+    with the derived matrix's partial distances.
     """
-    ell = profile.ell
-    if not (integral(digit) and 0 <= digit < ell):
-        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
-    digit = int(digit)
+    digit = _digit(digit, profile.ell)
     if not profile.comp_map_consistent:
         raise AssumptionUnmet(
             "comp branch degrees do not match the derived matrix's partial "
             "distances; the complement-side constants are unproven here"
         )
-    d = profile.comp_branch_degrees[digit]
-    i = profile.comp_branch_indices[digit]
-    lo = state.lo.pow_int(d)
-    hi = state.hi.pow_int(d).times_pow2(2 * i + 1)
-    return IntervalState(lo=lo, hi=hi)
+    return _sandwich(
+        state, profile.comp_branch_degrees[digit], 2 * profile.comp_branch_indices[digit] + 1
+    )
 
 
 @dataclass(frozen=True)

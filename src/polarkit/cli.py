@@ -237,7 +237,9 @@ def cmd_codec_sim(cfg: ExperimentConfig) -> str:
 def cmd_map_bound(cfg: ExperimentConfig) -> str:
     """Weight-side bound table: log-log of the MAP lower bound vs its limit.
 
-    theorem3_rhs = n*E_w + sqrt(n*V_w) * Qinv(rate / I); requires rate < I.
+    theorem3_rhs = n*E_w + sqrt(n*V_w) * Qinv(rate / I); requires every
+    --rate below I = 1 - eps.  The defaults (eps 0.5, rate 0.5) sit on that
+    boundary, so the default config exits 4: pass a lower --rate or --eps.
     """
     g = _kernel(cfg)
     prof = kernel_profile(g)

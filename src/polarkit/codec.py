@@ -228,28 +228,12 @@ class PolarCode:
         Row selection digit-reverses i-1: the innermost kernel factor takes
         the most significant channel digit.
         """
-        ell = self.profile.ell
         # checked before the arithmetic, which would carry 1.5 through
         if not integral(i):
             raise DomainError(f"index {i!r} is not an integer")
         if not 1 <= i <= self.block_length:
             raise IndexOutOfRange(f"index {i} outside 1..{self.block_length}")
-        digits = []
-        r = int(i) - 1
-        for _ in range(self.n):
-            digits.append(r % ell)
-            r //= ell
-        v = 1
-        span = 1
-        for d in reversed(digits):  # b_1 first
-            row = self.profile.kernel.rows[d]
-            acc = 0
-            for c in range(ell):
-                if (row >> c) & 1:
-                    acc |= v << (c * span)
-            v = acc
-            span *= ell
-        return v
+        return self._generator_rows(np.array([int(i) - 1]))[0]
 
     @cached_property
     def _sc_program(self) -> tuple:
@@ -294,13 +278,17 @@ class PolarCode:
 
     @cached_property
     def _info_rows(self) -> list:
-        """``generator_row`` of every information index, as Python ints, the
-        Kronecker factors taken for all rows at once."""
-        ell, info = self.profile.ell, self.info_indices - 1
+        """``generator_row`` of every information index."""
+        return self._generator_rows(self.info_indices - 1)
+
+    def _generator_rows(self, index: np.ndarray) -> list:
+        """Generator rows of the 0-based channel indices ``index`` as Python
+        ints, the Kronecker factors taken for all rows at once."""
+        ell = self.profile.ell
         kernel = self._kernel_array.astype(bool)
-        rows = np.ones((info.size, 1), dtype=bool)
-        for p in reversed(range(self.n)):  # digit p of i - 1, innermost first
-            factor = kernel[info // ell**p % ell]
+        rows = np.ones((index.size, 1), dtype=bool)
+        for p in reversed(range(self.n)):  # digit p of the index, innermost first
+            factor = kernel[index // ell**p % ell]
             rows = (factor[:, :, None] & rows[:, None, :]).reshape(-1, ell ** (self.n - p))
         return [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(rows, axis=1, bitorder="little")]
@@ -333,14 +321,6 @@ class ErasureWord:
     @property
     def erasure_count(self) -> int:
         return int((self.symbols == ERASED).sum())
-
-
-def _erased_rows(known: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Bool (len(index), N) erasure masks of trials ``index`` of a batch of
-    known words, each read from the one byte column that holds its bit."""
-    raw = known.astype("<u8", copy=False).view(np.uint8)
-    bits = raw[:, index >> 3] >> (index & 7).astype(np.uint8)
-    return np.ascontiguousarray((bits & 1).T) == 0
 
 
 def _encode_batch(u: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -691,11 +671,16 @@ def _ambiguous(known: int, code: PolarCode) -> bool:
     return False
 
 
-def _map_failures(erased: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Per-row MAP ambiguity of a (B, N) batch of erasure masks."""
-    known = np.packbits(~erased, axis=1, bitorder="little")
-    return np.array([_ambiguous(int.from_bytes(w.tobytes(), "little"), code)
-                     for w in known], dtype=bool)
+def _map_failures(known: np.ndarray, index: np.ndarray, code: PolarCode) -> np.ndarray:
+    """MAP ambiguity of trials ``index`` of a batch of known words (see
+    ``_sc_failures``): each trial's bits are gathered from the one byte
+    column that holds them and packed along the positions into the
+    Python-int mask of ``_ambiguous``."""
+    raw = known.astype("<u8", copy=False).view(np.uint8)
+    bits = (raw[:, index >> 3] >> (index & 7).astype(np.uint8)) & 1
+    masks = np.packbits(bits, axis=0, bitorder="little").T
+    return np.array([_ambiguous(int.from_bytes(m.tobytes(), "little"), code)
+                     for m in masks], dtype=bool)
 
 
 def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
@@ -710,7 +695,8 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
         raise MismatchedLevel(
             f"word length {len(word)} does not match block length {code.block_length}"
         )
-    return "ambiguous" if _map_failures(word.erased_mask()[None, :], code)[0] else "unique"
+    known = np.packbits(~word.erased_mask(), bitorder="little")
+    return "ambiguous" if _ambiguous(int.from_bytes(known.tobytes(), "little"), code) else "unique"
 
 
 def wilson_interval(errors: int, trials: int) -> tuple:
@@ -792,7 +778,7 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     do not depend on the chunk size.  A trial that erasure BP resolves is
     MAP-unique, so the rank test runs only on BP failures (on every trial
     when the kernel is wider than BP_MAX_ELL, where BP is not run), and
-    only their erasure masks are unpacked from the words.  Every trial
+    only their known masks are read from the words.  Every trial
     asserts two inclusions: a BP failure is an SC failure, and a MAP
     failure is an SC failure.
     """
@@ -817,8 +803,7 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
             _check_inside_sc(bp_fail, sc_fail, done, "BP undetermined")
         map_fail = np.zeros(b, dtype=bool)
         if bp_fail.any():
-            erased = _erased_rows(known, np.flatnonzero(bp_fail))
-            map_fail[bp_fail] = _map_failures(erased, code)
+            map_fail[bp_fail] = _map_failures(known, np.flatnonzero(bp_fail), code)
         _check_inside_sc(map_fail, sc_fail, done, "MAP ambiguous")
         sc_errors += int(sc_fail.sum())
         map_errors += int(map_fail.sum())

@@ -8,6 +8,12 @@ three modes:
 * ``NEGLOG``  -- lam = -log2(z), valid for lam > 40 (z close to 0);
 * ``COMPLOG`` -- mu = -log2(1 - z), valid for mu > 40 (z close to 1).
 
+The two log modes mirror each other under z -> 1 - z, which swaps them with
+the payload intact (``complement``).  Side 0 is the NEGLOG side, where the
+erasure polynomials p_j act; side 1 is the COMPLOG side, where the
+complement polynomials q_j act; mode = NEGLOG + side.  Each side-1
+conversion is its side-0 twin taken through ``complement``.
+
 The switch threshold of 40 bits leaves > 12 decimal digits of slack inside
 float64's 53-bit mantissa, so a round trip through a mode switch perturbs the
 represented value by a relative error below 2^-45 (see tests).  Payloads are
@@ -111,7 +117,7 @@ class ExtendedUnitValue:
     @classmethod
     def from_neglog2(cls, lam: float) -> "ExtendedUnitValue":
         lam = float(lam)
-        if not lam > 0.0 or math.isnan(lam):
+        if not lam > 0.0:  # nan included
             raise DomainError(f"neglog payload {lam!r} must be positive")
         if lam > SWITCH_BITS:
             return cls(NEGLOG, lam)
@@ -123,16 +129,12 @@ class ExtendedUnitValue:
 
     @classmethod
     def from_complog2(cls, mu: float) -> "ExtendedUnitValue":
+        """The value with 1 - z = 2^-mu: the mirror of ``from_neglog2``
+        (mu = inf gives the saturated top)."""
         mu = float(mu)
-        if not mu > 0.0 or math.isnan(mu):
+        if not mu > 0.0:  # nan included
             raise DomainError(f"complog payload {mu!r} must be positive")
-        if mu > SWITCH_BITS:
-            return cls(COMPLOG, mu)  # includes the saturated top (mu = inf)
-        d = _exp2(-mu)
-        z = -math.expm1(-mu * _LN2)
-        if z < 2.0**-SWITCH_BITS:
-            return cls(NEGLOG, -math.log2(z))
-        return cls(LINEAR, 1.0 - d)
+        return cls.from_neglog2(mu).complement()
 
     @classmethod
     def top(cls) -> "ExtendedUnitValue":
@@ -158,13 +160,7 @@ class ExtendedUnitValue:
     @property
     def complog2(self) -> float:
         """mu = -log2(1-z) as a float, accurate in every mode."""
-        if self.mode == COMPLOG:
-            return self.payload
-        if self.mode == LINEAR:
-            return -math.log2(1.0 - self.payload)
-        # NEGLOG: 1-z = 1 - 2^-lam
-        z = _exp2(-self.payload)
-        return -math.log1p(-z) / _LN2
+        return self.complement().neglog2
 
     @property
     def is_top(self) -> bool:

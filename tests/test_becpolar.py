@@ -344,9 +344,10 @@ class TestSaturatedStep:
             np.geomspace(SATURATED, 1e6, 1021),
         ))
         for comp, counts, leads, consts in (
-            (False, polys.counts, ref.lead, t.c),
-            (True, polys.comp_counts, ref.comp_lead, t.comp_c),
+            (False, polys.counts, ref.lead, t.c[0]),
+            (True, polys.comp_counts, ref.comp_lead, t.c[1]),
         ):
+            assert len(consts) == polys.ell
             for j, (row, d, c) in enumerate(zip(counts, leads, consts)):
                 bracket = ref_bracket(ref, j, lam, comp)
                 assert np.all(bracket == row[d])

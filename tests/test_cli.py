@@ -109,6 +109,13 @@ class TestExitCodes:
             ["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4"], capsys)
         assert rc == EXIT_BAD_CONFIG and "must lie inside" in err
 
+    def test_map_bound_defaults_sit_on_the_capacity(self, capsys):
+        # the default eps 0.5 and rate 0.5 put the rate on I = 1 - eps, which
+        # map-bound rejects: it needs --rate below I
+        rc, out, err = run(["map-bound", "--n", "4"], capsys)
+        assert rc == EXIT_BAD_CONFIG and out == ""
+        assert err == "polarkit: bad config: rate 0.5 must lie inside (0, I=0.5)\n"
+
     def test_huge_polarize_depth_is_rejected_at_once(self, capsys):
         # ell^n against the budget must not be evaluated as a giant integer
         argv = ["polarize", "--kernel", "100;110;101", "--n", "1000000000",

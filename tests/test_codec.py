@@ -17,7 +17,6 @@ from polarkit.codec import (
     SimulationReport,
     _bp_failures,
     _branch_rule,
-    _erased_rows,
     _factor,
     _map_failures,
     _minimal_sets,
@@ -107,6 +106,12 @@ def sc_fails(erased, code):
 def bp_fails(erased, code):
     """``_bp_failures`` of a (B, N) bool batch of erasure masks."""
     return _bp_failures(known_words(erased), len(erased), code)
+
+
+def map_fails(erased, code):
+    """``_map_failures`` of every trial of a (B, N) bool batch of erasure
+    masks."""
+    return _map_failures(known_words(erased), np.arange(len(erased)), code)
 
 
 def all_patterns(size):
@@ -547,7 +552,7 @@ class TestRandomKernels:
         sc = sc_fails(erased, code)
         u = sc_batch(np.where(erased, np.int8(ERASED), np.int8(0)), code)
         assert np.array_equal(sc, ((u == ERASED) & code._info_mask).any(axis=1))
-        amb = _map_failures(erased, code)
+        amb = map_fails(erased, code)
         assert not (amb & ~sc).any()
         gen = np.stack([row_bits(code, int(i)) for i in code.info_indices])
         for t in rng.choice(len(erased), 400, replace=False):
@@ -574,7 +579,7 @@ class TestRandomKernels:
             code = PolarCode(profile=prof, n=2,
                              frozen=frozenset(range(1, 17)) - {i})
             sc = int(sc_fails(erased, code).sum())
-            amb = int(_map_failures(erased, code).sum())
+            amb = int(map_fails(erased, code).sum())
             assert Fraction(sc, 1 << 16) == Fraction(cdf.value_at(i).value)
             w = code.generator_row(i).bit_count()
             assert Fraction(amb, 1 << 16) == Fraction(1, 2**w)
@@ -588,7 +593,7 @@ class TestBeliefPropagation:
     def chain(erased, code):
         sc = sc_fails(erased, code)
         bp = bp_fails(erased, code)
-        amb = _map_failures(erased, code)
+        amb = map_fails(erased, code)
         assert not (amb & ~bp).any()
         assert not (bp & ~sc).any()
         return sc, bp, amb
@@ -766,7 +771,7 @@ class TestPackedFailures:
         erased = erasure_masks(subseeds(ell, 250), size, 0.4)
         sc = ref_sc_failures(erased, code)
         assert rep.sc_errors == sc.sum()
-        assert rep.map_errors == _map_failures(erased, code).sum()
+        assert rep.map_errors == map_fails(erased, code).sum()
         assert rep == SimulationReport(
             eps=0.4, n=n, ell=ell, rate=code.rate, trials=250, seed=ell,
             sc_errors=int(sc.sum()), map_errors=rep.map_errors,
@@ -808,7 +813,7 @@ class TestMapDecode:
             arikan, polar_selection(cdf_cache(ARIKAN, 0.5, 9), 0.5))
         rng = np.random.default_rng(3)
         erased = rng.random((180, 512)) < rng.uniform(0.4, 0.56, (180, 1))
-        amb = _map_failures(erased, code)
+        amb = map_fails(erased, code)
         assert 0.2 < amb.mean() < 0.9
         gen = np.stack([row_bits(code, int(i)) for i in code.info_indices])
         want = [np_gf2_rank(gen[:, ~e]) < code.k for e in erased]
@@ -955,7 +960,7 @@ class TestSimulate:
                 rep = simulate(code, eps, trials, seed=n)
                 erased = erasure_masks(subseeds(n, trials), code.block_length, eps)
                 assert rep.sc_errors == sc_fails(erased, code).sum()
-                assert rep.map_errors == _map_failures(erased, code).sum()
+                assert rep.map_errors == map_fails(erased, code).sum()
 
     def test_memory_bounded_at_n12(self, arikan, cdf_cache):
         # 2048 trials of N = 4096 symbols span two chunks; the draw builds
@@ -984,13 +989,17 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 16 << 20
 
-    def test_map_rows_unpack_from_known_words(self):
+    def test_map_rows_unpack_from_known_words(self, l3prof):
+        # N = 27 leaves five padding bits in each trial's packed mask
+        code = PolarCode(profile=l3prof, n=3, frozen=frozenset(range(1, 28, 2)))
+        gen = np.stack([row_bits(code, int(i)) for i in code.info_indices])
         for rows in (1, 63, 64, 65, 130):
             seeds = subseeds(7, rows, 5)
             known = ~erasure_words(seeds, 27, 0.4)
             erased = erasure_masks(seeds, 27, 0.4)
             for pick in (np.arange(rows), np.arange(rows - 1, -1, -3), np.array([rows - 1])):
-                assert np.array_equal(_erased_rows(known, pick), erased[pick])
+                want = [np_gf2_rank(gen[:, ~e]) < code.k for e in erased[pick]]
+                assert _map_failures(known, pick, code).tolist() == want
 
     def test_bp_certified_chunks_skip_the_rank_test(self, arikan, cdf_cache):
         code = PolarCode.from_selection(
@@ -1004,9 +1013,9 @@ class TestSimulate:
         code = PolarCode.from_selection(prof, sel)
         tested = []
 
-        def counted(erased, code):
-            tested.append(len(erased))
-            return _map_failures(erased, code)
+        def counted(known, index, code):
+            tested.append(len(index))
+            return _map_failures(known, index, code)
 
         monkeypatch.setattr(codec, "_map_failures", counted)
         monkeypatch.setattr(codec, "CELLS", 128 * 9)
@@ -1014,7 +1023,7 @@ class TestSimulate:
         assert tested == [128, 128, 44]
         erased = erasure_masks(subseeds(6, 300), 9, 0.4)
         assert rep.sc_errors == sc_fails(erased, code).sum()
-        assert rep.map_errors == _map_failures(erased, code).sum()
+        assert rep.map_errors == map_fails(erased, code).sum()
         assert rep.map_errors > 0
 
     def test_inclusions_are_asserted(self, arikan, cdf_cache, monkeypatch):
@@ -1029,7 +1038,7 @@ class TestSimulate:
             simulate(code, 0.3, 50, seed=1)
         monkeypatch.setattr(codec, "_bp_failures", lambda known, trials, code: None)
         monkeypatch.setattr(codec, "_map_failures",
-                            lambda erased, code: np.ones(len(erased), dtype=bool))
+                            lambda known, index, code: np.ones(len(index), dtype=bool))
         with pytest.raises(AssertionError, match="MAP ambiguous but SC determined"):
             simulate(code, 0.3, 50, seed=1)
 

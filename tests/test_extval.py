@@ -58,8 +58,9 @@ class TestConstructors:
         assert v.mode == LINEAR and v.payload == 1.0 - 2.0**-10
         w = ExtendedUnitValue.from_complog2(2.0**-45)
         assert w.mode == NEGLOG
-        with pytest.raises(DomainError):
-            ExtendedUnitValue.from_complog2(0.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="complog payload"):
+                ExtendedUnitValue.from_complog2(bad)
 
     def test_top(self):
         t = ExtendedUnitValue.top()
@@ -118,6 +119,61 @@ class TestComplement:
             assert math.isclose(
                 v.complement().value, 1 - z, rel_tol=1e-12, abs_tol=1e-300
             )
+
+
+MIRROR_MUS = (2.0**-45, 0.5, 39.5, 40.0, 40.5, 1e6, math.inf)
+
+
+def direct_from_complog2(mu):
+    """(mode, payload) of 1 - z = 2^-mu, written out without the mirror."""
+    if mu > SWITCH_BITS:
+        return COMPLOG, mu
+    z = -math.expm1(-mu * math.log(2.0))
+    if z < 2.0**-SWITCH_BITS:
+        return NEGLOG, -math.log2(z)
+    return LINEAR, 1.0 - math.pow(2.0, -mu)
+
+
+def direct_complog2(v):
+    """-log2(1 - z) of v, written out per mode without the mirror."""
+    if v.mode == COMPLOG:
+        return v.payload
+    if v.mode == LINEAR:
+        return -math.log2(1.0 - v.payload)
+    return -math.log1p(-math.pow(2.0, -v.payload)) / math.log(2.0)
+
+
+class TestMirror:
+    """The COMPLOG side is the NEGLOG side taken through ``complement``;
+    both forms, and the per-mode formulas, agree bit for bit."""
+
+    @staticmethod
+    def bits(x):
+        return float(x).hex()
+
+    def test_from_complog2_is_mirrored_from_neglog2(self):
+        for mu in MIRROR_MUS:
+            got = ExtendedUnitValue.from_complog2(mu)
+            mirror = ExtendedUnitValue.from_neglog2(mu).complement()
+            assert (got.mode, self.bits(got.payload)) == (mirror.mode, self.bits(mirror.payload))
+            mode, payload = direct_from_complog2(mu)
+            assert (got.mode, self.bits(got.payload)) == (mode, self.bits(payload))
+        assert ExtendedUnitValue.from_complog2(math.inf).is_top
+        modes = {ExtendedUnitValue.from_complog2(mu).mode for mu in MIRROR_MUS}
+        assert modes == {LINEAR, NEGLOG, COMPLOG}
+
+    def test_complog2_is_mirrored_neglog2(self):
+        values = [ExtendedUnitValue.from_float(z) for z in (2.0**-40, 0.3, 0.5, 1 - 2.0**-39)]
+        for mu in MIRROR_MUS:
+            values += [
+                ExtendedUnitValue.from_neglog2(mu),
+                ExtendedUnitValue.from_complog2(mu),
+                ExtendedUnitValue(NEGLOG, mu),
+                ExtendedUnitValue(COMPLOG, mu),
+            ]
+        for v in values:
+            want = self.bits(direct_complog2(v))
+            assert self.bits(v.complog2) == self.bits(v.complement().neglog2) == want
 
 
 class TestOrdering:
