@@ -51,7 +51,13 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import BitMatrix, is_polarizing, min_determining_weights, undetermined_counts
+from .gf2kernel import (
+    BitMatrix,
+    determined_counts,
+    is_polarizing,
+    min_determining_weights,
+    undetermined_counts,
+)
 from .serialize import dumps_17g, fmt_real_lines
 
 _LN2 = math.log(2.0)
@@ -113,23 +119,20 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
     """Exact one-step splitting of a BEC under the kernel.
 
     Branch j's weight-k count is the number of weight-k erasure patterns
-    that leave it undetermined (``undetermined_counts``).
+    that leave it undetermined (``undetermined_counts``); its complement
+    polynomial's weight-k count is the number of weight-k known masks that
+    determine it (``determined_counts``).
     """
     if not is_polarizing(m):
         raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
 
-    ell = m.ell
     counts = undetermined_counts(m)
-    comp = [
-        [math.comb(ell, k) - counts[j][ell - k] for k in range(ell + 1)]
-        for j in range(ell)
-    ]
-    lead = [min(k for k in range(ell + 1) if counts[j][k]) for j in range(ell)]
+    lead = [min(k for k, a in enumerate(row) if a) for row in counts]
     return ErasurePolynomialSet(
         kernel=m,
         counts=counts,
         leading_degree=tuple(lead),
-        comp_counts=tuple(tuple(r) for r in comp),
+        comp_counts=determined_counts(m),
         comp_leading_degree=min_determining_weights(m),
     )
 

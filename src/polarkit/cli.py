@@ -138,6 +138,13 @@ def _kernel(cfg: ExperimentConfig) -> BitMatrix:
         raise ConfigError(f"bad kernel literal: {exc}") from exc
 
 
+def _check_positive_depths(cfg: ExperimentConfig) -> None:
+    """The first check of every command that builds a code or a threshold
+    at each depth, which depth 0 does not have."""
+    if 0 in cfg.n:
+        raise ConfigError("n must list positive depths")
+
+
 def _exact_cdf(g, cfg, depth):
     return becpolar.enumerate_level(g, cfg.eps, depth, budget=cfg.budget)
 
@@ -161,6 +168,7 @@ def cmd_polarize(cfg: ExperimentConfig) -> str:
 
 
 def cmd_scaling_verify(cfg: ExperimentConfig) -> str:
+    _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps
@@ -188,6 +196,7 @@ def cmd_exponent_verify(cfg: ExperimentConfig) -> str:
 
 def cmd_selection_compare(cfg: ExperimentConfig) -> str:
     """polar / rm / hybrid selections at rate[0], overlap against RM rate[-1]."""
+    _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
     r = cfg.rate[0]
@@ -221,6 +230,7 @@ def cmd_selection_compare(cfg: ExperimentConfig) -> str:
 
 
 def cmd_codec_sim(cfg: ExperimentConfig) -> str:
+    _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
     rows = []
@@ -241,6 +251,7 @@ def cmd_map_bound(cfg: ExperimentConfig) -> str:
     --rate below I = 1 - eps.  The defaults (eps 0.5, rate 0.5) sit on that
     boundary, so the default config exits 4: pass a lower --rate or --eps.
     """
+    _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps

@@ -27,7 +27,8 @@ keyed by (known-output mask, unresolved-earlier mask) and filled on a miss
 by ``_branch_rule``, which takes the first fitting b among the branch's
 determiners; it is the only rule cache.  One kernel stage re-encodes
 through two lists of 2^ell output masks, output erasures from the erased
-branches and output values from the branch values.
+branches and output values from the branch values (the kernel's codewords
+uG, ``BitMatrix._codewords``).
 
 Whether SC fails needs less.  Compare it with the genie-aided decoder, in
 which every earlier input is known when branch j is decided, so the rule
@@ -39,20 +40,20 @@ undetermined information bit both decoders see identical known and
 unknown masks at every node.  Hence SC fails iff some information leaf is
 undetermined under the genie rule.  That rule is upward-closed in the
 known outputs, so branch j is determined iff all outputs of one of its
-minimal determining sets are known: an OR of ANDs, factored once per code
-into one program of ANDs and ORs that all branches share.  The count runs
-that program top-down in n stages over bit-packed trials, 64 to a word,
-the layout BP runs on too.
+minimal determining sets (``gf2kernel.minimal_determining_sets``) are
+known: an OR of ANDs, factored once per code into one program of ANDs and
+ORs that all branches share.  The count runs that program top-down in n
+stages over bit-packed trials, 64 to a word, the layout BP runs on too.
 
 MAP is the matching global test: the pattern is ambiguous iff some nonzero
 combination of information rows is supported entirely inside the erasure
 set.  Whenever that happens the SC decoder is also stuck (a bit forced by
 the observations would have to agree with both candidate words), so MAP
 failures are a per-trial subset of SC failures; ``simulate`` checks the
-inclusion on every trial.  The test is one elimination per pattern over
-the information rows as Python ints, masked to the kept positions: each
-row is reduced by the earlier ones, keyed by their leading bit, and the
-pattern is ambiguous as soon as one row reduces to zero.
+inclusion on every trial.  The test is one elimination per pattern
+(``gf2kernel.gf2_independent``) over the information rows as Python ints,
+masked to the kept positions: the pattern is ambiguous as soon as one row
+reduces to zero.
 
 Erasure belief propagation (peeling) sits between the two and certifies
 most trials without the rank test (Hussami, Korada and Urbanke,
@@ -101,10 +102,9 @@ from .errors import (
 from .gf2kernel import (
     BitMatrix,
     KernelProfile,
-    _lattice_or,
-    _pack_bits,
     _unpack_bits,
-    determined_masks,
+    gf2_independent,
+    minimal_determining_sets,
 )
 from .rng import erasure_words, subseeds
 from .serialize import csv_text
@@ -204,13 +204,12 @@ class PolarCode:
         """One kernel stage of ternary re-encoding as two lists of 2^ell
         ell-bit output masks: entry E of the first marks the outputs erased
         when exactly the inputs in E are erased (those on some row of E),
-        entry V of the second the output values of input bits V."""
+        entry V of the second, ``BitMatrix._codewords``, the output values
+        of input bits V."""
         erased = [0]
-        ones = [0]
         for row in self.profile.kernel.rows:
             erased += [e | row for e in erased]
-            ones += [v ^ row for v in ones]
-        return erased, ones
+        return erased, self.profile.kernel._codewords.tolist()
 
     @cached_property
     def _spread(self) -> tuple:
@@ -239,7 +238,7 @@ class PolarCode:
     def _sc_program(self) -> tuple:
         """The genie-aided rule of every branch as one ``_factor`` program
         over the known outputs of a kernel node."""
-        return _factor(_minimal_sets(determined_masks(self.profile.kernel)))
+        return _factor(minimal_determining_sets(self.profile.kernel))
 
     @cached_property
     def _info_reversed(self) -> np.ndarray:
@@ -493,31 +492,6 @@ def sc_decode_bec(word: ErasureWord, code: PolarCode) -> ScResult:
     return ScResult(u=u, undetermined=tuple(int(i) for i in undet))
 
 
-def _minimal_sets(det: np.ndarray) -> tuple:
-    """Per branch j of a ``determined_masks`` table, the minimal known-output
-    sets, as a frozenset of frozensets of output coordinates.
-
-    Knowing more outputs never undetermines a branch, so branch j is
-    determined iff every coordinate of one of its minimal sets is known.  A
-    determined set is minimal iff dropping any one coordinate leaves it
-    undetermined: one lattice pass per coordinate on the packed table marks
-    the sets that stay determined without it.
-    """
-    ell = det.shape[0]
-    packed = _pack_bits(det)
-    shrinks = np.zeros(packed.shape, dtype=np.uint64)
-    for c in range(ell):
-        _lattice_or(shrinks, packed, c)
-    minimal = _unpack_bits(packed & ~shrinks, det.shape[1])
-    return tuple(
-        frozenset(
-            frozenset(c for c in range(ell) if k >> c & 1)
-            for k in np.flatnonzero(row).tolist()
-        )
-        for row in minimal
-    )
-
-
 def _factor(families: tuple) -> tuple:
     """One straight-line program for the OR of ANDs of every family of sets.
 
@@ -657,18 +631,9 @@ def _bp_failures(known: np.ndarray, trials: int, code: PolarCode) -> np.ndarray 
 
 def _ambiguous(known: int, code: PolarCode) -> bool:
     """MAP rank test of one word, its known coordinates the bits of
-    ``known``: each information row, masked to them, is reduced by the
-    earlier ones, keyed by their leading bit, and the word is ambiguous as
-    soon as one reduces to zero."""
-    pivots = {}
-    for row in code._info_rows:
-        v = row & known
-        while v and v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
-        if not v:
-            return True
-        pivots[v.bit_length()] = v
-    return False
+    ``known``: ambiguous iff the information rows, masked to them, are
+    linearly dependent (``gf2_independent``)."""
+    return not gf2_independent(row & known for row in code._info_rows)
 
 
 def _map_failures(known: np.ndarray, index: np.ndarray, code: PolarCode) -> np.ndarray:

@@ -3,10 +3,13 @@ and the erasure rule of one kernel node.
 
 Rows are stored as machine-word bitmasks (bit c = column c), so Hamming
 weights are popcounts and row combinations are single XORs.  Kernels have
-ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks.
+ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks,
+built by one routine, XOR doubling over a matrix's rows: the codewords uG
+of the kernel, and the parities G b (bit t: row t against b) as those of
+its transpose.  This module alone builds the kernel tables; every other
+module reads them.
 
-Every erasure rule reads one table per kernel: the parities G b of all
-2^ell output masks b (bit t: row t against b), whose pairs (G b, b) are the
+Every erasure rule reads the parities, whose pairs (G b, b) are the
 dual codewords of the local code {(u, uG)}.  As parity(uG & b) sums the u_t
 that G b marks, u_j is determined from the known outputs K, with the
 earlier inputs P unknown, iff some b inside K has G b equal to 1 at row j
@@ -17,7 +20,9 @@ A table over all 2^ell coordinate subsets is one bit per subset,
 bit-packed 64 to a uint64 word.  Such a table is closed over the subset
 lattice in ell whole-array passes, one per coordinate (``_lattice_or``):
 a shift and mask inside every word for the six low coordinates, an OR of
-word slabs for the others.
+word slabs for the others.  The closed determiners, the determination
+lattice, are kept on the kernel as read-only packed words
+(``BitMatrix._subset_tables``), and every subset rule is read from them.
 """
 
 from __future__ import annotations
@@ -110,15 +115,21 @@ class BitMatrix:
         return f"BitMatrix({self.to_literal()!r})"
 
     @cached_property
+    def _codewords(self) -> np.ndarray:
+        """Entry u is the codeword uG, built by XOR doubling over the rows:
+        the span of rows 0..i is the span of rows 0..i-1 followed by its
+        coset of row i."""
+        cw = np.zeros(1, dtype=MASK_DTYPE)
+        for row in self.rows:
+            cw = np.concatenate((cw, cw ^ row))
+        cw.setflags(write=False)
+        return cw
+
+    @cached_property
     def _parities(self) -> np.ndarray:
         """Entry b is G b for the output mask b (bit t: row t against b),
-        built by doubling over the columns."""
-        gb = np.zeros(1, dtype=MASK_DTYPE)
-        for c in range(self.ell):
-            col = sum((r >> c & 1) << t for t, r in enumerate(self.rows))
-            gb = np.concatenate((gb, gb ^ col))
-        gb.setflags(write=False)
-        return gb
+        the same doubling over the transpose's rows."""
+        return self.transpose()._codewords
 
     @cached_property
     def _determiners(self) -> tuple:
@@ -130,55 +141,25 @@ class BitMatrix:
 
     @cached_property
     def _subset_tables(self) -> tuple:
-        """The ``determined_masks`` table, each branch's determiners closed
-        upward by ell lattice passes, and the ``undetermined_counts``:
-        C(ell, k) less the closure's known masks of weight ell - k."""
+        """The determination lattice, each branch's determiners closed
+        upward by ell lattice passes, as read-only (ell, ceil(2^ell/64))
+        uint64 words; the ``determined_masks`` table they unpack to; their
+        set bits by known weight, the ``determined_counts``; and from the
+        other side the ``undetermined_counts``, C(ell, k) less those of
+        weight ell - k."""
         ell = self.ell
         gb = self._parities
         # row by row: one (ell, 2^ell) uint16 shift raises a process's peak RSS
-        det = _pack_bits(np.array([gb >> j == 1 for j in range(ell)]))
+        words = _pack_bits(np.array([gb >> j == 1 for j in range(ell)]))
         for c in range(ell):
-            _lattice_or(det, det, c)
-        table = _unpack_bits(det, 1 << ell)
+            _lattice_or(words, words, c)
+        words.setflags(write=False)
+        table = _unpack_bits(words, 1 << ell)
         table.setflags(write=False)
-        counts = tuple(
-            tuple(math.comb(ell, k) - row[ell - k] for k in range(ell + 1))
-            for row in _weight_counts(det, ell)
-        )
-        return table, counts
-
-
-@dataclass(frozen=True)
-class BecChannel:
-    """Binary erasure channel with erasure probability epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("erasure probability must lie strictly inside (0,1)")
-
-    @property
-    def capacity(self) -> float:
-        return 1.0 - self.epsilon
-
-    @property
-    def bhattacharyya(self) -> float:
-        return self.epsilon
-
-
-def _cosets(rows):
-    """Per row i, last first: (i, the masks of row_i + span(rows i+1..)).
-
-    The cosets are built from the bottom row up by doubling: the span of
-    rows i.. is the span of rows i+1.. followed by the coset of row i.  All
-    of them together hold 2^ell - 1 masks.
-    """
-    span = np.zeros(1, dtype=MASK_DTYPE)
-    for i in range(len(rows) - 1, -1, -1):
-        coset = span ^ rows[i]
-        yield i, coset
-        span = np.concatenate((span, coset))
+        det = _weight_counts(words, ell)
+        undet = tuple(tuple(math.comb(ell, k) - row[ell - k] for k in range(ell + 1))
+                      for row in det)
+        return words, table, det, undet
 
 
 # for the coordinates c < 6, which index bits inside a word: the shift 2^c
@@ -245,19 +226,18 @@ def _weight_counts(words: np.ndarray, ell: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in counts[:, : ell + 1, 0].tolist())
 
 
-def _rank(rows) -> int:
-    basis = {}
-    rank = 0
+def gf2_independent(rows) -> bool:
+    """True iff the rows, as Python ints, are linearly independent over
+    GF(2): each row is reduced by the earlier ones, keyed by their leading
+    bit, and the test fails as soon as one reduces to zero."""
+    pivots = {}
     for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in basis:
-                v ^= basis[h]
-            else:
-                basis[h] = v
-                rank += 1
-                break
-    return rank
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if not v:
+            return False
+        pivots[v.bit_length()] = v
+    return True
 
 
 def gf2_invert(m: BitMatrix) -> BitMatrix:
@@ -293,7 +273,7 @@ def is_polarizing(m: BitMatrix) -> bool:
     claimed (Korada-Sasoglu-Urbanke, arXiv:0901.0536).  The kernel polarizes
     iff some row breaks this.
     """
-    if _rank(m.rows) < m.ell:
+    if not gf2_independent(m.rows):
         return False
     used = 0
     for row in reversed(m.rows):
@@ -308,14 +288,13 @@ def partial_distances(m: BitMatrix) -> tuple[int, ...]:
     """D_i = Hamming distance from row i to the span of rows i+1..ell-1.
 
     The last row's span is {0}, so D_{ell-1} is its weight; D_i is the least
-    weight in the coset row_i + span(rows i+1..) (``_cosets``).
+    weight in the coset row_i + span(rows i+1..): the codewords uG
+    (``BitMatrix._codewords``) whose lowest input bit is i.
     """
-    if _rank(m.rows) < m.ell:
+    if not gf2_independent(m.rows):
         raise SingularMatrix("partial distances need an invertible kernel")
-    out = [0] * m.ell
-    for i, coset in _cosets(m.rows):
-        out[i] = int(np.bitwise_count(coset).min())
-    return tuple(out)
+    weights = np.bitwise_count(m._codewords)
+    return tuple(int(weights[1 << i :: 2 << i].min()) for i in range(m.ell))
 
 
 def determined_masks(m: BitMatrix) -> np.ndarray:
@@ -325,28 +304,57 @@ def determined_masks(m: BitMatrix) -> np.ndarray:
     exactly the coordinates in K are known and so is every earlier input:
     iff some determiner of branch j lies inside K.
 
-    Built once per ``BitMatrix`` instance, with ``undetermined_counts``, and
-    kept on it.
+    Built once per ``BitMatrix`` instance with its other subset tables and
+    kept on it; their readers call this first, so the build is timed here.
     """
-    return m._subset_tables[0]
+    return m._subset_tables[1]
+
+
+def determined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
+    """Per branch j, entry k counts the known masks of weight k that
+    determine the branch-j input: the pattern counts of its complement
+    polynomial q_j."""
+    determined_masks(m)
+    return m._subset_tables[2]
 
 
 def undetermined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
     """Per branch j, entry k counts the weight-k erasure patterns that leave
     the branch-j input undetermined: the pattern counts of its erasure
     polynomial."""
-    determined_masks(m)  # the build runs, and is timed, under determined_masks
-    return m._subset_tables[1]
+    determined_masks(m)
+    return m._subset_tables[3]
 
 
 def min_determining_weights(m: BitMatrix) -> tuple[int, ...]:
-    """Per branch, the minimum number of known coordinates that determine it
-    (ell when none do): the least k at which some weight-(ell - k) erasure
-    pattern leaves it determined."""
+    """Per branch, the minimum number of known coordinates that determine it:
+    the lowest weight ``determined_counts`` holds (ell when none does)."""
+    return tuple(next((k for k, c in enumerate(row) if c), m.ell) for row in determined_counts(m))
+
+
+def minimal_determining_sets(m: BitMatrix) -> tuple:
+    """Per branch j, the minimal known-output sets that determine it, as a
+    frozenset of frozensets of output coordinates.
+
+    Knowing more outputs never undetermines a branch, so branch j is
+    determined iff every coordinate of one of its minimal sets is known.  A
+    determined set is minimal iff dropping any one coordinate leaves it
+    undetermined: one lattice pass per coordinate on the kept packed words
+    marks the sets that stay determined without it.
+    """
+    determined_masks(m)
+    words = m._subset_tables[0]
     ell = m.ell
+    shrinks = np.zeros(words.shape, dtype=np.uint64)
+    for c in range(ell):
+        _lattice_or(shrinks, words, c)
+    minimal = _unpack_bits(words & ~shrinks, 1 << ell)
     return tuple(
-        next((k for k in range(ell + 1) if row[ell - k] < math.comb(ell, k)), ell)
-        for row in undetermined_counts(m)
+        frozenset(
+            frozenset(c for c in range(ell) if k >> c & 1)
+            for k in np.flatnonzero(row).tolist()
+        )
+        for row in minimal
     )
 
 

@@ -235,8 +235,8 @@ def sc_batch(y: np.ndarray, code) -> np.ndarray:
 # Reference subset tables: the determination table by row-by-row elimination
 # of every known mask at once, its minimal sets by strided bool views, and
 # its per-weight undetermined counts by one bincount per branch.  The packed
-# lattice passes behind ``determined_masks``, ``_minimal_sets`` and
-# ``undetermined_counts`` must match them exactly.
+# lattice passes behind ``determined_masks``, ``minimal_determining_sets``
+# and ``undetermined_counts`` must match them exactly.
 
 
 def ref_determined(m: BitMatrix) -> np.ndarray:
@@ -262,8 +262,9 @@ def ref_determined(m: BitMatrix) -> np.ndarray:
 
 
 def ref_minimal_sets(det: np.ndarray) -> tuple:
-    """``_minimal_sets``: a determined set is minimal iff each set without
-    one of its coordinates is undetermined, tested on strided views."""
+    """``minimal_determining_sets``: a determined set is minimal iff each
+    set without one of its coordinates is undetermined, tested on strided
+    views."""
     ell = det.shape[0]
     minimal = det.copy()
     for c in range(ell):

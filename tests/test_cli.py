@@ -147,6 +147,13 @@ class TestExitCodes:
         if "nan" in edge:
             assert rc == EXIT_BAD_CONFIG
             assert err == "polarkit: bad config: beta must not be nan\n"
+        elif command in ("kernel-analyze", "polarize", "exponent-verify"):
+            # level-0 tables; kernel-analyze reads no depth
+            assert rc == EXIT_OK and err == ""
+        else:
+            # every command that needs a code or a threshold, one message
+            assert rc == EXIT_BAD_CONFIG and out == ""
+            assert err == "polarkit: bad config: n must list positive depths\n"
 
     def test_usage_errors_exit_bad_config(self, capsys):
         with pytest.raises(SystemExit) as exc:

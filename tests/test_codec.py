@@ -19,7 +19,6 @@ from polarkit.codec import (
     _branch_rule,
     _factor,
     _map_failures,
-    _minimal_sets,
     _run,
     _sc_failures,
     encode,
@@ -45,6 +44,7 @@ from polarkit.gf2kernel import (
     _unpack_bits,
     determined_masks,
     kernel_profile,
+    minimal_determining_sets,
 )
 from polarkit.asymptotics import q_inverse
 from polarkit.rng import erasure_words, subseed, subseeds
@@ -654,7 +654,7 @@ class TestPackedFailures:
             ell = m.ell
             masks = np.arange(1 << ell)
             slabs = [(masks >> c & 1).astype(bool) for c in range(ell)]
-            families = _minimal_sets(det)
+            families = minimal_determining_sets(m)
             for j, fam in enumerate(families):
                 covered = np.zeros(1 << ell, dtype=bool)
                 for k in fam:
@@ -697,8 +697,8 @@ class TestPackedFailures:
         random16 = random_invertible(np.random.default_rng(1), 16)
         g8 = full_rate(kernel_profile(kron_power(3)), 1)
         for families, naive, ands, ors in (
-                (_minimal_sets(determined_masks(kron_power(4))), 3221, 165, 111),
-                (_minimal_sets(determined_masks(random16)), 3476, 841, 529),
+                (minimal_determining_sets(kron_power(4)), 3221, 165, 111),
+                (minimal_determining_sets(random16), 3476, 841, 529),
                 (self.bp_families(g8), 3724, 380, 208)):
             steps, _ = _factor(families)
             assert sum(len(k) - 1 for fam in families for k in fam) == naive

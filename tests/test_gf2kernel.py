@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,23 +18,25 @@ from conftest import (
     ref_undetermined_counts,
 )
 from polarkit.becpolar import split_erasure_polynomials
-from polarkit.codec import _minimal_sets
 from polarkit.errors import (
     DimensionTooLarge,
     NotPolarizing,
     SingularMatrix,
 )
 from polarkit.gf2kernel import (
-    BecChannel,
+    MASK_DTYPE,
     BitMatrix,
     _lattice_or,
     _pack_bits,
     _unpack_bits,
+    determined_counts,
     determined_masks,
+    gf2_independent,
     gf2_invert,
     is_polarizing,
     kernel_profile,
     min_determining_weights,
+    minimal_determining_sets,
     partial_distances,
     profile_to_json,
     undetermined_counts,
@@ -93,6 +97,20 @@ class TestBitMatrix:
             m = BitMatrix.from_literal(lit)
             assert m.to_literal() == lit
             assert BitMatrix.from_rows(m.as_lists()) == m
+
+    def test_span_tables(self):
+        # entry u of the codewords is uG, entry b of the parities G b, both
+        # from the one doubling routine and read-only
+        rng = np.random.default_rng(73)
+        for m in (BitMatrix.from_literal("1"), BitMatrix.from_literal("100;110;101"),
+                  BitMatrix(4, (0b0011, 0b0011, 0b0101, 0)), random_invertible(rng, 7)):
+            cw, gb = m._codewords, m._parities
+            assert cw.dtype == gb.dtype == MASK_DTYPE
+            assert not cw.flags.writeable and not gb.flags.writeable
+            for u in range(1 << m.ell):
+                picked = [r for t, r in enumerate(m.rows) if u >> t & 1]
+                assert cw[u] == functools.reduce(operator.xor, picked, 0)
+                assert gb[u] == sum(((r & u).bit_count() & 1) << t for t, r in enumerate(m.rows))
 
     def test_row_weights(self):
         m = BitMatrix.from_literal("100;110;101")
@@ -365,8 +383,20 @@ class TestPackedSubsetTables:
             want = ref_determined(m)
             table = determined_masks(m)
             assert np.array_equal(table, want), m
-            assert _minimal_sets(table) == ref_minimal_sets(want), m
+            assert minimal_determining_sets(m) == ref_minimal_sets(want), m
             assert undetermined_counts(m) == ref_undetermined_counts(want), m
+            # the other side: determined masks by known weight, and its lowest
+            known = np.bitwise_count(np.arange(1 << m.ell, dtype=MASK_DTYPE))
+            assert determined_counts(m) == tuple(
+                tuple(np.bincount(known[row], minlength=m.ell + 1).tolist()) for row in want), m
+            assert min_determining_weights(m) == tuple(
+                int(known[row].min()) if row.any() else m.ell for row in want), m
+            # the kept words: read-only, the table packed, never rebuilt
+            words = m._subset_tables[0]
+            assert words.dtype == np.uint64 and not words.flags.writeable
+            assert words.shape == (m.ell, -(-(1 << m.ell) // 64))
+            assert np.array_equal(_unpack_bits(words, 1 << m.ell), table)
+            assert determined_masks(m) is table
             singular += gf2_rank(list(m.rows)) < m.ell
         assert singular == 31
 
@@ -409,6 +439,32 @@ class TestPackedSubsetTables:
             weights = min_determining_weights(m)
             assert weights == split_erasure_polynomials(m).comp_leading_degree
             assert weights == p.comp_branch_degrees
+
+
+class TestIndependence:
+    """``gf2_independent`` against the conftest elimination ``gf2_rank``."""
+
+    def test_matches_rank(self):
+        rng = np.random.default_rng(71)
+        assert gf2_independent([]) and gf2_independent(iter([]))
+        for width in (1, 3, 8, 16, 64, 200):
+            for count in (1, 2, width // 2 + 1, width, width + 1):
+                rows = [int.from_bytes(rng.bytes(-(-width // 8)), "little") % (1 << width)
+                        for _ in range(count)]
+                cases = [rows, rows + [0], [0] + rows, rows + [rows[0]],
+                         rows[:1] + rows, rows + [rows[0] ^ rows[-1]]]
+                for case in cases:
+                    want = gf2_rank(case) == len(case)
+                    assert gf2_independent(case) == want, (width, case)
+                    assert gf2_independent(iter(case)) == want
+
+    def test_full_rank_kernels(self):
+        # the rows of invertible kernels, in either order, and one more
+        rng = np.random.default_rng(72)
+        for ell in range(1, 17):
+            rows = list(random_invertible(rng, ell).rows)
+            assert gf2_independent(rows) and gf2_independent(rows[::-1])
+            assert not gf2_independent(rows + [rows[0] ^ rows[-1]])
 
 
 class TestSixteen:
@@ -485,16 +541,3 @@ class TestKernelProfile:
         assert doc["partial_distances"] == [1, 2]
         assert doc["exponent"] == 0.5
         assert doc["comp_map_consistent"] is True
-
-
-class TestBecChannel:
-    def test_capacity_and_z(self):
-        ch = BecChannel(0.3)
-        assert ch.capacity == 0.7
-        assert ch.bhattacharyya == 0.3
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            BecChannel(0.0)
-        with pytest.raises(ValueError):
-            BecChannel(1.0)
