@@ -16,23 +16,31 @@ with p_j, side 1 steps COMPLOG payloads -log2(1 - z) with the complement
 polynomials q_j(d) = 1 - p_j(1 - d), and mode = NEGLOG + side.  Every
 per-side table and step is written once and takes the side.
 
-One grouped stepper, ``_step``, advances every multi-element array, exact
-levels and sampled paths alike: it sorts the elements once by (branch,
-class) and sends each group through its class's update as one slice.  The
-five classes are the three mode bands, and the NEGLOG and COMPLOG payloads
-at or above ``SATURATED`` = 128.  There
-z (or 1 - z) is at most 2^-128, the bracket p_j(z) / z^d evaluates to its
-lead count a_d exactly in float64, and the step is the affine update
+Each element belongs to one of five classes: the three mode bands, and the
+NEGLOG and COMPLOG payloads at or above ``SATURATED`` = 128.  There z (or
+1 - z) is at most 2^-128, the bracket p_j(z) / z^d evaluates to its lead
+count a_d exactly in float64, and the step is the affine update
 lam' = d * lam - log2(a_d), bit for bit what the full polynomial gives (the
-argument is next to ``SATURATED``).  Deep levels are mostly saturated: about
-65% of the element-steps of 50-level Arikan paths at eps 0.5 are.
+argument is next to ``SATURATED``).  Each class has one element-wise update
+per branch, and three loops drive them:
 
-``sample_paths`` shares an exact prefix tree among its paths: ``count``
-paths hold at most ell^k distinct states at depth k, so the largest such
-level with ell^k <= count is enumerated once and each path gathers its
-entry there by the tree index of its first k digits.  Only the levels
-below step every path; since each class update is element-wise, the result
-is bit-identical to stepping every path from the root.
+- ``_expand`` builds an exact tree level: it sorts the parents once by
+  class, prepares each class's shared bases (z, 1 - z, 2^-lam and their
+  powers) once, and runs every branch's update on that same slice.
+- ``_step`` advances elements along drawn digits: it sorts them once by
+  (branch, class) and sends each group through its class's update.
+- ``sample_paths`` shares an exact prefix tree among its paths: ``count``
+  paths hold at most ell^k distinct states at depth k, so the largest such
+  level with ell^k <= count is enumerated once and each path gathers its
+  entry there by the tree index of its first k digits.  Below it, a path
+  whose payload is so far above ``SATURATED`` that it stays saturated to
+  the last level joins an absorbed tail, which takes the affine update
+  straight from a (side, branch) table; only the rest go through ``_step``.
+  Most deep element-steps are saturated (91% for 50-level Arikan paths and
+  77% for 30-level L3 paths at eps 0.5), so few are left for the sort.
+
+Every update is element-wise, so each loop's output is bit-identical to
+stepping every element alone from the root.
 
 Branch labels follow the channel-splitting order: branch 0 is the first input
 bit of the kernel.  For the 2x2 kernel 10;11 this makes branch 0 the 2z - z^2
@@ -150,7 +158,29 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
 # d * lam - log2(bracket) is d * lam - log2(a_d) bit for bit, for every
 # ell <= MAX_ELL = 16.  It also never re-normalizes, since its result is at
 # least 128 - log2(12870) > SWITCH_BITS.
+#
+# Absorbed paths.  A saturated step maps x to fl(fl(d * x) - c), with lead
+# degree d >= 1 and c = log2(a_d) at most C, the largest c on either side.
+# Rounding is monotone and fl(d * x) >= x, so the result is at least
+# fl(x - C).  Let drop = C + 2^-20 and T_r = SATURATED + r * drop; every T_r
+# is below 2^14 - 14, since r <= 900 (n * log2(ell) <= 900) and C < 14.  If
+# x >= T_r - 2^-37 with r >= 1, then fl(x - C) >= T_(r-1) - 2^-37: either
+# x >= 2^14 and fl(x - C) >= 2^14 - 14 is above every threshold, or the
+# rounding costs at most 2^-38 and x - C >= T_(r-1) + 2^-20 - 2^-37.  The
+# float threshold that sample_paths compares with (float drop included) is
+# within 2^-37 of T_r, so by induction a payload at or above it with r
+# levels left is at least T_r' - 2^-37 > SATURATED before each remaining
+# step, r' >= 1 levels left: its class is saturated at every one, its mode
+# never changes, and each step is the affine update x * lead - c of the
+# (side, branch) table.  sample_paths moves such paths out of the grouped
+# _step for good.
 SATURATED = 128.0
+
+
+def _absorb_threshold(t, r: int) -> float:
+    """Payloads at or above this with r levels left stay saturated to the end
+    (see SATURATED)."""
+    return SATURATED + r * t.drop
 
 
 def _canonical_terms(row, ell):
@@ -171,20 +201,48 @@ def _canonical_terms(row, ell):
     return [(float(a), k, ell - k) for k, a in enumerate(row) if a], lead
 
 
-def _eval_terms(terms, x, y):
-    """sum coeff * x^kx * y^ky over the term triples, left to right.
+class _Group(dict):
+    """A slice x of one class's payloads with its bases, each taken once
+    however many branch updates read them.  Key (0, k) is u**k and (1, k)
+    is v**k for k >= 1, where u = x in the LINEAR class and 2^-x in the log
+    classes and v = 1 - u; the first powers are u and v themselves."""
+
+    def __init__(self, x, log: bool):
+        self.x = x
+        if not log:  # the LINEAR update reads both bases
+            self[0, 1], self[1, 1] = x, 1.0 - x
+
+    def __missing__(self, key):
+        base, k = key
+        if k > 1:
+            power = self[base, 1] ** k
+        elif base:
+            power = 1.0 - self[0, 1]
+        else:
+            power = np.exp2(-self.x)
+        self[key] = power
+        return power
+
+    def shares(self, a) -> bool:
+        """Whether ``a`` is one of the bases, which other updates may read."""
+        return any(a is b for b in self.values())
+
+
+def _eval_terms(terms, g: _Group, x: int = 0):
+    """sum coeff * x^kx * y^ky over the term triples, left to right, with
+    x the base ``x`` of the group (0 for u, 1 for v) and y the other.
 
     Factors that are exact identities are skipped (a 1.0 coefficient, a
     zeroth power) and a first power is the base itself, so every product
     and sum is the one the full triples give, bit for bit; a term with no
-    factor left is 1.0.
+    factor left is 1.0.  A single bare power is the group's own array.
     """
     acc = None
     for a, kx, ky in terms:
         t = None if a == 1.0 else a
-        for base, k in ((x, kx), (y, ky)):
-            if k:
-                f = base if k == 1 else base**k
+        for key in ((x, kx), (1 - x, ky)):
+            if key[1]:
+                f = g[key]
                 t = f if t is None else t * f
         t = 1.0 if t is None else t
         acc = t if acc is None else acc + t
@@ -201,24 +259,30 @@ def _side_tables(row, ell):
     """
     terms, lead = _canonical_terms(row, ell)
     bracket = [(a, kx - lead, ky) for a, kx, ky in terms]
-    c = np.log2(_eval_terms(bracket, np.zeros(1), np.ones(1))).item()
+    c = np.log2(_eval_terms(bracket, _Group(np.zeros(1), False))).item()
     return terms, lead, (None if bracket == [(1.0, 0, 0)] else bracket), c
 
 
 class _EvolveTables:
     """Per-branch term lists, brackets and saturated-step constants.
 
-    Each field is a pair indexed by side: side 0 holds the erasure
+    Each field is indexed by side first: side 0 holds the erasure
     polynomials p_j, which step NEGLOG payloads, and side 1 the complement
     polynomials q_j, which step COMPLOG payloads (mode = NEGLOG + side).
+    ``lead`` and ``c`` are (2, ell) float64 arrays, the saturated step
+    x * lead - c of every (side, branch); ``drop`` bounds how far one such
+    step lowers a payload (see SATURATED).
     """
 
     def __init__(self, polys: ErasurePolynomialSet):
-        ell = polys.ell
-        self.terms, self.lead, self.bracket, self.c = zip(*(
+        self.ell = ell = polys.ell
+        self.terms, lead, self.bracket, c = zip(*(
             zip(*(_side_tables(row, ell) for row in rows))
             for rows in (polys.counts, polys.comp_counts)
         ))
+        self.lead = np.array(lead, dtype=np.float64)
+        self.c = np.array(c, dtype=np.float64)
+        self.drop = float(self.c.max()) + 2.0**-20  # see SATURATED
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,54 +296,57 @@ def _tables(polys: ErasurePolynomialSet) -> _EvolveTables:
     return _EvolveTables(polys)
 
 
-def _step_linear(z, j, t: _EvolveTables):
+def _step_linear(g: _Group, j, t: _EvolveTables):
     """Branch j on LINEAR payloads z; returns canonical (mode, payload).
 
     Only the elements whose p (or else q) falls below 2^-SWITCH_BITS leave
-    the band, so only they take a log2; the rest keep p.  Like the
-    saturated step, the result may reuse the storage of ``z``: p is ``z``
-    itself for a single first-power branch.
+    the band, so only they take a log2; the rest keep p, which is copied
+    first only when it is one of the group's bases (a bare power of z).
     """
     thresh = 2.0**-SWITCH_BITS
-    zc = 1.0 - z
-    p = _eval_terms(t.terms[0][j], z, zc)
-    q = _eval_terms(t.terms[1][j], zc, z)
-    mode = np.full(len(p), LINEAR, dtype=np.int8)
+    p = _eval_terms(t.terms[0][j], g)
+    q = _eval_terms(t.terms[1][j], g, 1)
     neg = p < thresh
     comp = q < thresh
+    has_neg, has_comp = neg.any(), comp.any()
+    if not (has_neg or has_comp):
+        return LINEAR, p
+    if g.shares(p):
+        p = p.copy()
+    mode = np.full(len(p), LINEAR, dtype=np.int8)
     with np.errstate(divide="ignore"):
-        if neg.any():
+        if has_neg:
             comp &= ~neg
             mode[neg] = NEGLOG
             p[neg] = -np.log2(p[neg])
-        if comp.any():
+        if has_comp:
             mode[comp] = COMPLOG
             p[comp] = -np.log2(q[comp])
     return mode, p
 
 
-def _step_log(x, j, t: _EvolveTables, side: int):
+def _step_log(g: _Group, j, t: _EvolveTables, side: int):
     """Branch j on the log payloads x of one side: lam = -log2 z on side 0
     (NEGLOG), mu = -log2(1 - z) on side 1 (COMPLOG); returns canonical
     (mode, payload)."""
-    x2 = t.lead[side][j] * x
+    x2 = t.lead[side, j] * g.x
     bracket = t.bracket[side][j]
     if bracket is not None:  # else the bracket is exactly 1.0
-        y = np.exp2(-x)
-        x2 -= np.log2(_eval_terms(bracket, y, 1.0 - y))
+        x2 -= np.log2(_eval_terms(bracket, g))
     small = x2 <= SWITCH_BITS  # re-normalize toward LINEAR
-    if small.any():
-        d = np.exp2(-x2[small])
-        x2[small] = 1.0 - d if side else d
+    if not small.any():
+        return NEGLOG + side, x2
+    d = np.exp2(-x2[small])
+    x2[small] = 1.0 - d if side else d
     return np.where(small, LINEAR, NEGLOG + side), x2
 
 
-def _step_saturated(x, j, t: _EvolveTables, side: int):
-    """Branch j on the log payloads x >= SATURATED of one side, in place
-    (see SATURATED)."""
-    x *= t.lead[side][j]
-    x -= t.c[side][j]
-    return NEGLOG + side, x
+def _step_saturated(g: _Group, j, t: _EvolveTables, side: int):
+    """Branch j on the log payloads x >= SATURATED of one side: the affine
+    step x * lead - c of the (side, branch) table (see SATURATED)."""
+    x2 = g.x * t.lead[side, j]
+    x2 -= t.c[side, j]
+    return NEGLOG + side, x2
 
 
 # the only branch math: each class's update, indexed by class (see _classes)
@@ -297,6 +364,17 @@ def _classes(mode, payload):
     least SATURATED (LINEAR payloads are at most 1, so only log-domain
     payloads ever are)."""
     return mode + 2 * (payload >= SATURATED).view(np.int8)
+
+
+def _groups(key, sorted_p, classes: int):
+    """(k, slice, group) for every non-empty key k, in key order: the slice
+    of ``sorted_p`` (the payloads sorted by key) that holds key k, and its
+    payloads as a group of class k % classes."""
+    start = 0
+    for k, end in enumerate(np.cumsum(np.bincount(key)).tolist()):
+        if end > start:
+            yield k, slice(start, end), _Group(sorted_p[start:end], k % classes > 0)
+        start = end
 
 
 def _step(modes, payloads, digits, t: _EvolveTables):
@@ -317,16 +395,32 @@ def _step(modes, payloads, digits, t: _EvolveTables):
     perm = np.argsort(key, kind="stable")
     sorted_m = np.empty_like(modes)
     sorted_p = payloads[perm]
-    start = 0
-    for k, end in enumerate(np.cumsum(np.bincount(key)).tolist()):
-        if end > start:
-            j, c = divmod(k, classes)
-            sorted_m[start:end], sorted_p[start:end] = _CLASS_STEPS[c](
-                sorted_p[start:end], j, t
-            )
-        start = end
+    for k, s, g in _groups(key, sorted_p, classes):
+        j, c = divmod(k, classes)
+        sorted_m[s], sorted_p[s] = _CLASS_STEPS[c](g, j, t)
     modes[perm] = sorted_m
     payloads[perm] = sorted_p
+
+
+def _expand(modes, payloads, t: _EvolveTables):
+    """The next tree level: child j of entry v at v * ell + j.
+
+    One stable sort by class makes each class's parents one slice; its
+    bases are prepared once and every branch's update runs on that same
+    slice, its results scattered to the children.  The updates are the
+    ones ``_step`` runs, element-wise, so each child is bit-identical to
+    stepping its parent alone.
+    """
+    ell = t.ell
+    key = _classes(modes, payloads)
+    perm = np.argsort(key, kind="stable")
+    child_m = np.empty((len(modes), ell), dtype=np.int8)
+    child_p = np.empty((len(modes), ell), dtype=np.float64)
+    for c, s, g in _groups(key, payloads[perm], len(_CLASS_STEPS)):
+        parents = perm[s]
+        for j in range(ell):
+            child_m[parents, j], child_p[parents, j] = _CLASS_STEPS[c](g, j, t)
+    return child_m.reshape(-1), child_p.reshape(-1)
 
 
 def _neglog_array(mode, payload):
@@ -344,13 +438,16 @@ def _neglog_array(mode, payload):
     return out
 
 
-def _check_depth(ell: int, n: int):
-    if n < 0:
-        raise DomainError("level must be nonnegative")
+def _check_depth(ell: int, n) -> int:
+    """The depth n as an int; raises DomainError unless it is a nonnegative
+    integer (an integral float is accepted) within the float range."""
+    if not (integral(n) and n >= 0):
+        raise DomainError(f"level {n!r} is not a nonnegative integer")
     if n * math.log2(ell) > 900.0:
         raise DomainError(
             "requested depth would push -log2 Z beyond the valid float range"
         )
+    return int(n)
 
 
 def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
@@ -382,7 +479,7 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
         # one element needs no grouping: straight through its class's update,
         # the class (see _classes) read off Python scalars
         c = int(mode[0]) + 2 * (float(payload[0]) >= SATURATED)
-        mode[:], payload = _CLASS_STEPS[c](payload, int(b), t)
+        mode[:], payload = _CLASS_STEPS[c](_Group(payload, c > 0), int(b), t)
     return ExtendedUnitValue(int(mode[0]), float(payload[0]))
 
 
@@ -509,7 +606,7 @@ def _levels(g: BitMatrix, eps: float, n: int, budget: int, t=None):
     when the caller has them already."""
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
-    _check_depth(g.ell, n)
+    n = _check_depth(g.ell, n)
     if g.ell**n > budget:
         raise BudgetExceeded(f"{g.ell}^{n} exceeds the enumeration budget {budget}")
     if t is None:
@@ -518,12 +615,8 @@ def _levels(g: BitMatrix, eps: float, n: int, budget: int, t=None):
     modes = np.array([root.mode], dtype=np.int8)
     payloads = np.array([root.payload], dtype=np.float64)
     yield modes, payloads
-    branches = np.arange(g.ell, dtype=np.int8)
     for _ in range(n):
-        # child j of entry v at v * ell + j: each parent repeated ell times
-        digits = np.tile(branches, len(modes))
-        modes, payloads = np.repeat(modes, g.ell), np.repeat(payloads, g.ell)
-        _step(modes, payloads, digits, t)
+        modes, payloads = _expand(modes, payloads, t)
         yield modes, payloads
 
 
@@ -542,6 +635,7 @@ def enumerate_level(
     g: BitMatrix, eps: float, n: int, budget: int = DEFAULT_BUDGET
 ) -> LevelCdf:
     """Exact LevelCdf at depth n by full tree enumeration, two levels at a time."""
+    n = _check_depth(g.ell, n)
     for modes, payloads in _levels(g, eps, n, budget):
         pass
     lams = _neglog_array(modes, payloads)
@@ -579,15 +673,22 @@ def sample_paths(
     at most ell^k distinct states there.  Level k is enumerated once (see
     ``_levels``), each path folds its first k digits into its tree index
     (b_1 most significant, the ``LevelCdf`` order) and gathers that
-    entry's state; each later level is one ``_step`` call with the drawn
-    digits.  Every update is element-wise, so a tree entry is bit-identical
-    to stepping one path alone along its digits, and so is the output.
+    entry's state.  Before each later level, with r levels left, the paths
+    whose payload is at least ``SATURATED + r * drop`` join the absorbed
+    tail at the end of the arrays, for good (see ``SATURATED``): their
+    class is saturated at every remaining step, so the tail takes
+    x * lead - c from the (side, branch) table, and only the other paths
+    go through ``_step`` with the drawn digits.  Path ids, permuted along
+    with the states and stream seeds, put entry p back on path p at the
+    end.  Every update is element-wise, so the output is bit-identical to
+    stepping each path alone along its digits.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
-    if count < 0:
-        raise DomainError("path count must be nonnegative")
-    _check_depth(g.ell, n)
+    if not (integral(count) and count >= 0):
+        raise DomainError(f"path count {count!r} is not a nonnegative integer")
+    count = int(count)
+    n = _check_depth(g.ell, n)
     k = 0
     while k < n and g.ell ** (k + 1) <= count:
         k += 1
@@ -601,11 +702,45 @@ def sample_paths(
         idx += rng.path_digits(subs, d, g.ell)
     modes, payloads = modes[idx], payloads[idx]
     del idx
+    # entry i holds path ids[i] and draws from subs[i]; entries a.. are the
+    # absorbed tail, with their side * ell offsets into the flat
+    # (side, branch) tables in offset
+    ids = np.arange(count, dtype=np.int32)
+    offset = np.empty(count, dtype=np.int8)
+    lead, c = t.lead.reshape(-1), t.c.reshape(-1)
+    a = count
     for d in range(k, n):
-        _step(modes, payloads, rng.path_digits(subs, d, g.ell), t)
+        held = payloads[:a] >= _absorb_threshold(t, n - d)
+        a, end = _absorb(held, a, (modes, payloads, subs, ids)), a
+        del held
+        np.multiply(modes[a:end] - NEGLOG, g.ell, out=offset[a:end])
+        digits = rng.path_digits(subs, d, g.ell)
+        _step(modes[:a], payloads[:a], digits[:a], t)
+        key = digits[a:]
+        key += offset[a:]
+        tail = payloads[a:]
+        tail *= lead[key]
+        tail -= c[key]
+        del digits, key  # the next level's draw reuses the room
     out = np.empty(count, dtype=[("mode", np.int8), ("payload", np.float64)])
-    out["mode"], out["payload"] = modes, payloads
+    out["mode"][ids], out["payload"][ids] = modes, payloads
     return out
+
+
+def _absorb(held, a: int, arrays) -> int:
+    """Move the entries i < a with ``held[i]`` into the tail that starts at
+    a, in every one of ``arrays``; returns the tail's new start.  Only the
+    entries that must change places move: each held entry below the new
+    start swaps with a not-held entry at or above it."""
+    held = np.flatnonzero(held)
+    start = a - len(held)
+    active = np.ones(len(held), dtype=bool)
+    active[held[held >= start] - start] = False
+    src = start + np.flatnonzero(active)
+    dst = held[:len(src)]
+    for arr in arrays:
+        arr[dst], arr[src] = arr[src], arr[dst]
+    return start
 
 
 def level_from_samples(

@@ -424,33 +424,68 @@ class TestLinearStep:
             assert (ref_eval_terms(ref.terms[1], z, 1.0 - z) == 2.0**-SWITCH_BITS).any()
 
 
+def all_class_states(rng, cls):
+    """(mode, payload) arrays of the given step classes: LINEAR values
+    across (0, 1), log-domain payloads in their bands below SATURATED and
+    from SATURATED up."""
+    u = rng.random(len(cls))
+    payload = np.select(
+        [cls == 0, cls < 3],
+        [np.where(u < 0.5, 2.0 ** (-60 * u), 1.0 - 2.0 ** (-60 * u)),
+         SWITCH_BITS + (SATURATED - SWITCH_BITS) * u],
+        SATURATED * 2.0 ** (3 * u),
+    )
+    mode = np.where(cls < 3, cls, cls - 2).astype(np.int8)  # see _classes
+    assert np.all(becpolar._classes(mode, payload) == cls)
+    return mode, payload
+
+
+GROUPED_KERNELS = [
+    ARIKAN, L3, kron_power(3), kron_power(4), BitMatrix.from_literal("001;010;101"),
+]
+
+
 class TestGroupedStep:
-    @pytest.mark.parametrize("g", [
-        ARIKAN, L3, kron_power(3), kron_power(4), BitMatrix.from_literal("001;010;101"),
-    ])
+    @pytest.mark.parametrize("g", GROUPED_KERNELS)
     def test_matches_each_element_stepped_alone(self, g):
-        # every (branch, class) pair six times over, shuffled: LINEAR values
-        # across (0, 1), log-domain payloads in their bands below SATURATED
-        # and from SATURATED up
+        # every (branch, class) pair six times over, shuffled
         polys = split_erasure_polynomials(g)
         ref = RefTables(polys)
         t = becpolar._EvolveTables(polys)
         rng = np.random.default_rng(g.ell)
         digits, cls = np.divmod(rng.permutation(np.repeat(np.arange(5 * g.ell), 6)), 5)
-        u = rng.random(len(cls))
-        payload = np.select(
-            [cls == 0, cls < 3],
-            [np.where(u < 0.5, 2.0 ** (-60 * u), 1.0 - 2.0 ** (-60 * u)),
-             SWITCH_BITS + (SATURATED - SWITCH_BITS) * u],
-            SATURATED * 2.0 ** (3 * u),
-        )
-        mode = np.where(cls < 3, cls, cls - 2).astype(np.int8)  # see _classes
-        assert np.all(becpolar._classes(mode, payload) == cls)
+        mode, payload = all_class_states(rng, cls)
         want = [ref_step_arrays(mode[i:i + 1], payload[i:i + 1], b, ref)
                 for i, b in enumerate(digits.tolist())]
         becpolar._step(mode, payload, digits, t)
         assert mode.tobytes() == np.concatenate([m for m, _ in want]).tobytes()
         assert payload.tobytes() == np.concatenate([p for _, p in want]).tobytes()
+
+
+class TestExpand:
+    @pytest.mark.parametrize("g", [*GROUPED_KERNELS, random_polarizing(26, 5)])
+    def test_children_match_reference_steps(self, g):
+        # parents of all five classes, shuffled, and LINEAR parents at every
+        # branch's band edges (where a bare power of z, shared by the
+        # branches, leaves the band): child j of parent v at v * ell + j is
+        # branch j's reference step of v, element by element
+        polys = split_erasure_polynomials(g)
+        ref = RefTables(polys)
+        t = becpolar._EvolveTables(polys)
+        rng = np.random.default_rng(g.ell + 100)
+        mode, payload = all_class_states(rng, rng.permutation(np.repeat(np.arange(5), 40)))
+        edges = np.concatenate([z for j in range(g.ell) for z in linear_boundary_inputs(j, ref)])
+        order = rng.permutation(len(mode) + len(edges))
+        mode = np.concatenate((mode, np.full(len(edges), LINEAR, dtype=np.int8)))[order]
+        payload = np.concatenate((payload, edges))[order]
+        before = (mode.tobytes(), payload.tobytes())
+        got_m, got_p = becpolar._expand(mode, payload, t)
+        assert (mode.tobytes(), payload.tobytes()) == before  # parents untouched
+        assert got_m.dtype == np.int8 and got_p.dtype == np.float64
+        for j in range(g.ell):
+            want_m, want_p = ref_step_arrays(mode, payload, j, ref)
+            assert got_m[j::g.ell].tobytes() == want_m.astype(np.int8).tobytes()
+            assert got_p[j::g.ell].tobytes() == want_p.tobytes()
 
 
 class TestEnumerate:
@@ -552,6 +587,21 @@ class TestEnumerate:
             with pytest.raises(DomainError):
                 cdf.value_at(bad)
 
+    def test_depth_domain(self):
+        for bad in (-1, 2.5, 5.0000001, math.nan, math.inf, np.float64(0.5)):
+            with pytest.raises(DomainError):
+                enumerate_level(ARIKAN, 0.5, bad)
+            with pytest.raises(DomainError):
+                enumerate_levels(ARIKAN, 0.5, bad)
+        # an integral float (or a bool) is stored as its int
+        want = enumerate_level(ARIKAN, 0.5, 5)
+        for n, as_int in ((5.0, 5), (np.float64(5.0), 5), (True, 1)):
+            cdf = enumerate_level(ARIKAN, 0.5, n)
+            assert type(cdf.n) is int and cdf.n == as_int
+            assert len(enumerate_levels(ARIKAN, 0.5, n)) == as_int + 1
+        assert enumerate_level(ARIKAN, 0.5, 5.0).neglogs_by_index.tobytes() == (
+            want.neglogs_by_index.tobytes())
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_level(ARIKAN, 0.5, 23)
@@ -638,6 +688,12 @@ class TestSampling:
         (ARIKAN, 0.5, 5, 1000, 21),
         (kron_power(4), 0.5, 6, 300, 22),
         (random_polarizing(25, 5), 1e-13, 12, 700, 23),  # root in NEGLOG
+        # deep: most paths join the absorbed tail, on either side
+        (ARIKAN, 1e-3, 200, 2000, 24),
+        (ARIKAN, 0.999, 200, 2000, 25),
+        (L3, 0.5, 60, 2000, 26),
+        (kron_power(3), 0.5, 20, 1000, 27),
+        (random_polarizing(25, 5), 0.5, 40, 1000, 28),
     ])
     def test_matches_masked_oracle(self, g, eps, n, count, seed):
         got = sample_paths(g, eps, n, count, seed)
@@ -646,16 +702,23 @@ class TestSampling:
         assert got.tobytes() == want.tobytes()
 
     def test_prefix_tree_saves_steps_and_memory(self, monkeypatch):
-        # 100k Arikan paths share a 2^16-entry tree: the levels 1..16 step
-        # at most sum_{i<=16} 2^i entries, and only the 34 levels below it
-        # step every path; no count-sized scratch outlives the prefix
-        stepped = []
-        step = becpolar._step
+        # 100k Arikan paths share a 2^16-entry tree: _expand takes the
+        # sum_{i<16} 2^i parents of levels 0..15, and of the 34 levels below
+        # it, whose 3.4M element-steps are about 91% saturated, the grouped
+        # _step sees only the paths not yet absorbed; no count-sized scratch
+        # outlives the prefix
+        expanded, stepped = [], []
+        expand, step = becpolar._expand, becpolar._step
+
+        def counting_expand(modes, payloads, t):
+            expanded.append(len(modes))
+            return expand(modes, payloads, t)
 
         def counting_step(modes, payloads, digits, t):
             stepped.append(len(digits))
             step(modes, payloads, digits, t)
 
+        monkeypatch.setattr(becpolar, "_expand", counting_expand)
         monkeypatch.setattr(becpolar, "_step", counting_step)
         tracemalloc.start()
         try:
@@ -663,8 +726,26 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(stepped) <= sum(2**i for i in range(17)) + 34 * 100000
+        assert expanded == [2**i for i in range(16)]
+        assert len(stepped) == 34
+        assert sum(stepped) <= 500000
         assert peak <= 5.5 * 2**20
+
+    @pytest.mark.parametrize("name", SATURATED_KERNELS)
+    def test_absorbed_payloads_stay_saturated(self, name):
+        # the worst case of the absorption bound: lead 1 and the largest c.
+        # A payload at the threshold with r levels left, stepped r times,
+        # stays >= SATURATED; r up to the deepest level _check_depth admits
+        t = becpolar._EvolveTables(split_erasure_polynomials(SATURATED_KERNELS[name]))
+        c = t.c.max()
+        depth = int(900 / math.log2(t.ell))
+        r = np.arange(1, depth + 1)
+        x = np.array([becpolar._absorb_threshold(t, int(k)) for k in r])
+        for done in range(depth):
+            live = r > done
+            assert np.all(x[live] >= SATURATED)
+            x[live] = x[live] * 1.0 - c
+        assert np.all(x >= SATURATED)
 
     def test_oracle_cases_cross_every_band(self):
         # some level of the deep oracle cases steps all five classes at once:
@@ -755,3 +836,14 @@ class TestSampling:
             sample_paths(ARIKAN, 1.0, 4, 2, seed=0)
         with pytest.raises(DomainError):
             sample_paths(ARIKAN, 0.5, 4, -1, seed=0)
+        for bad in (2.5, math.nan, math.inf, np.float64(0.5)):
+            with pytest.raises(DomainError):
+                sample_paths(ARIKAN, 0.5, 4, bad, seed=0)
+            with pytest.raises(DomainError):
+                sample_paths(ARIKAN, 0.5, bad, 3, seed=0)
+        with pytest.raises(DomainError):
+            sample_paths(ARIKAN, 0.5, -1, 3, seed=0)
+        # an integral float is taken as its int
+        want = sample_paths(ARIKAN, 0.5, 5, 3, seed=0)
+        for n, count in ((5.0, 3), (5, 3.0), (np.float64(5.0), np.float64(3.0))):
+            assert sample_paths(ARIKAN, 0.5, n, count, seed=0).tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ref_cmp, ref_pow_int, ref_times_pow2
-from polarkit.becpolar import _eval_terms
+from polarkit.becpolar import _eval_terms, _Group
 from polarkit.errors import DomainError
 from polarkit.extval import (
     COMPLOG,
@@ -403,7 +403,7 @@ class TestPowArr:
             got = [_pow_arr(x, k).hex() for x in xs.tolist()]
             arr = np.power(xs, k).tolist()
             single = [float(np.power(np.array([x]), k)[0]) for x in xs.tolist()]
-            engine = np.broadcast_to(_eval_terms([(1.0, k, 0)], xs, np.ones_like(xs)), xs.shape)
+            engine = np.broadcast_to(_eval_terms([(1.0, k, 0)], _Group(xs, False)), xs.shape)
             assert got == [x.hex() for x in arr], k
             assert got == [x.hex() for x in single], k
             assert got == [x.hex() for x in engine.tolist()], k
