@@ -59,13 +59,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
 from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
-from .gf2kernel import (
-    BitMatrix,
-    determined_counts,
-    is_polarizing,
-    min_determining_weights,
-    undetermined_counts,
-)
+from .gf2kernel import BitMatrix, determined_counts, is_polarizing, undetermined_counts
 from .serialize import dumps_17g, fmt_real_lines
 
 _LN2 = math.log(2.0)
@@ -79,9 +73,10 @@ class ErasurePolynomialSet:
 
     ``counts[j][k]`` is the number of weight-k erasure patterns that leave
     branch j undetermined; ``comp_counts`` are the analogous counts of the
-    complement polynomials q_j(d) = 1 - p_j(1-d), whose leading degrees are
-    matched against the derived matrix's partial distances (see
-    ``KernelProfile.comp_branch_degrees``).
+    complement polynomials q_j(d) = 1 - p_j(1-d).  These are the erasure
+    counts of the derived matrix H in reverse branch order (the duality
+    proved above ``gf2kernel.kernel_profile``), so the leading degrees are
+    the partial distances of the kernel and of H reversed.
     """
 
     kernel: BitMatrix
@@ -134,15 +129,12 @@ def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:
     if not is_polarizing(m):
         raise NotPolarizing(f"kernel {m.to_literal()!r} does not polarize")
 
-    counts = undetermined_counts(m)
-    lead = [min(k for k, a in enumerate(row) if a) for row in counts]
-    return ErasurePolynomialSet(
-        kernel=m,
-        counts=counts,
-        leading_degree=tuple(lead),
-        comp_counts=determined_counts(m),
-        comp_leading_degree=min_determining_weights(m),
-    )
+    counts, comp = undetermined_counts(m), determined_counts(m)
+    # all outputs erased leave a branch undetermined, all known determine it
+    lead, comp_lead = (tuple(min(k for k, a in enumerate(row) if a) for row in rows)
+                       for rows in (counts, comp))
+    return ErasurePolynomialSet(kernel=m, counts=counts, leading_degree=lead,
+                                comp_counts=comp, comp_leading_degree=comp_lead)
 
 
 # ---------------------------------------------------------------------------

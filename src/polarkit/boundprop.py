@@ -6,12 +6,13 @@ each branch step still sandwiches the synthetic channel:
     Z^{D_i(G)}  <=  Z(W^i)  <=  2^(ell-i) Z^{D_i(G)}                (Z side)
     (1-Z)^{D_i(H)}  <=  1-Z(W^i)  <=  2^(2i+1) (1-Z)^{D_i(H)}       (comp side)
 
-The comp-side distances and constants are addressed through the empirically
-resolved branch mapping of the kernel profile (branch j uses degree
-comp_branch_degrees[j] and index comp_branch_indices[j]); the mapping orders
-degrees non-increasingly, which is exactly the assumption the comp-side
-constant needs, so the propagation refuses kernels where the mapping is
-inconsistent with the derived matrix.
+The comp-side distances and constants are addressed through the branch
+mapping of the kernel profile (branch j uses degree comp_branch_degrees[j]
+and index comp_branch_indices[j]).  The degrees are the derived matrix's
+partial distances reversed, D_(ell-1-j)(H), by the duality proved in
+``gf2kernel``; the mapping orders degrees non-increasingly, which is exactly
+the assumption the comp-side constant needs.  A hand-built profile whose
+mapping is marked inconsistent with the derived matrix is refused.
 
 Also here: the runtime audit of the abstract polarization-process conditions
 (drift to {0,1}; x^s lower bound; c*x^s upper bound) on recorded traces.
@@ -84,8 +85,9 @@ def propagate_comp_interval(
 ) -> IntervalState:
     """One branch step of the complement-side sandwich, on x = 1 - Z:
     d = d_j and k = 2 i_j + 1 in ``_sandwich``, with (d_j, i_j) from the
-    profile's comp branch mapping; requires the mapping to be consistent
-    with the derived matrix's partial distances.
+    profile's comp branch mapping.  Every profile ``kernel_profile`` builds
+    has d_j = D_(ell-1-j)(H), proven in ``gf2kernel``; a hand-built profile
+    with ``comp_map_consistent`` cleared raises AssumptionUnmet.
     """
     digit = _digit(digit, profile.ell)
     if not profile.comp_map_consistent:

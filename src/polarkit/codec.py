@@ -140,8 +140,9 @@ class PolarCode:
     frozen: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        if not (integral(self.n) and self.n >= 1):
+            raise DomainError("n must be an integer >= 1")
+        object.__setattr__(self, "n", int(self.n))
         size = self.profile.ell**self.n
         if size > MAX_BLOCK:
             raise DimensionTooLarge(f"block length {size} exceeds {MAX_BLOCK}")
@@ -362,8 +363,10 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
         raise DomainError("eps must lie in [0, 1]")
     if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
+    if not integral(seed):
+        raise DomainError(f"seed {seed!r} is not an integer")
     x = x.astype(np.int8)
-    erased = erasure_words([seed % 2**64], x.size, eps)[:, 0] & 1 == 1
+    erased = erasure_words([int(seed) % 2**64], x.size, eps)[:, 0] & 1 == 1
     return ErasureWord(np.where(erased, np.int8(ERASED), x))
 
 
@@ -666,10 +669,10 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
 
 def wilson_interval(errors: int, trials: int) -> tuple:
     """Two-sided 95% Wilson score interval (z = WILSON_Z) for a binomial proportion."""
-    if trials <= 0:
-        raise DomainError("trials must be positive")
-    if not 0 <= errors <= trials:
-        raise DomainError("errors must lie in 0..trials")
+    if not (integral(trials) and trials > 0):
+        raise DomainError("trials must be a positive integer")
+    if not (integral(errors) and 0 <= errors <= trials):
+        raise DomainError("errors must be an integer in 0..trials")
     p = errors / trials
     zz = WILSON_Z * WILSON_Z / trials
     center = (p + zz / 2.0) / (1.0 + zz)
@@ -749,8 +752,11 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     """
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    if not (integral(trials) and trials >= 1):
+        raise DomainError("trials must be an integer >= 1")
+    if not integral(seed):
+        raise DomainError(f"seed {seed!r} is not an integer")
+    trials, seed = int(trials), int(seed)
     size = code.block_length
     chunk = max(1, CELLS // size)
     sc_errors = 0

@@ -58,6 +58,10 @@ class SelectionSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (integral(self.n) and self.n >= 0 and integral(self.ell) and self.ell >= 1):
+            raise DomainError("n and ell must be integers, n >= 0 and ell >= 1")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "ell", int(self.ell))
         if not 0.0 <= self.rate <= 1.0:
             raise DomainError("rate must lie in [0, 1]")
         size = self.ell**self.n
@@ -123,6 +127,9 @@ def digit_reverse(i: int, ell: int, n: int) -> int:
     1-based on both sides: the digits of i-1 reversed give j-1.
     """
     # checked before the arithmetic, which would carry 1.5 through
+    if not (integral(ell) and ell >= 1 and integral(n) and n >= 0):
+        raise DomainError("ell and n must be integers, ell >= 1 and n >= 0")
+    ell, n = int(ell), int(n)
     if not integral(i):
         raise DomainError(f"index {i!r} is not an integer")
     if not 1 <= i <= ell**n:
@@ -184,6 +191,9 @@ def rm_selection(g: BitMatrix, n: int, rate: float) -> SelectionSet:
     Row weight of index i is the product over digits of the kernel row
     weights, ranked as exact integers.
     """
+    if not (integral(n) and n >= 0):
+        raise DomainError(f"level {n!r} is not a nonnegative integer")
+    n = int(n)
     k = _target_size(g.ell, n, rate)
     order = np.argsort(-_row_weight_table(g.row_weights(), n), kind="stable")
     chosen = np.sort(order[:k]) + 1
@@ -198,8 +208,9 @@ def default_prefix_depth(n: int, beta: float, profile: KernelProfile,
     c is the kernel's process-condition constant; the result is clamped to
     1..n (the schedule outgrows n at desk scale).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (integral(n) and n >= 1):
+        raise DomainError("n must be an integer >= 1")
+    n = int(n)
     if not 0.0 < beta < math.inf:
         raise DomainError("beta must be positive and finite")
     m = math.ceil((math.log2(n) + math.log2(math.log2(profile.c3_constant)))
@@ -235,7 +246,10 @@ def hybrid_selection_recursive(
     scores, recording the pad count as metadata["shortfall"].
     """
     ell = g.ell
-    schedule = [int(m) for m in schedule]
+    schedule = list(schedule)
+    if not all(integral(m) for m in (n, *schedule)):
+        raise DomainError("n and the breakpoints must be integers")
+    n, schedule = int(n), [int(m) for m in schedule]
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be a strictly increasing sequence")
     if schedule[0] < 0 or schedule[-1] > n:
@@ -395,7 +409,7 @@ def check_min_weight_row(sel: SelectionSet, profile: KernelProfile, n: int,
     if not 0.0 < rate < channel_I <= 1.0:
         raise DomainError("need 0 < rate < channel_I <= 1")
     logw_ell = np.log2(profile.row_weights) / math.log2(sel.ell)
-    score = _digit_table(logw_ell, n)[sel.indices - 1]
+    score = _digit_table(logw_ell, sel.n)[sel.indices - 1]
     threshold = (n * profile.weight_exponent
                  + math.sqrt(n * profile.weight_second_exponent)
                  * (q_inverse(rate / channel_I) + epsilon_slack))

@@ -326,12 +326,6 @@ def undetermined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
     return m._subset_tables[3]
 
 
-def min_determining_weights(m: BitMatrix) -> tuple[int, ...]:
-    """Per branch, the minimum number of known coordinates that determine it:
-    the lowest weight ``determined_counts`` holds (ell when none does)."""
-    return tuple(next((k for k, c in enumerate(row) if c), m.ell) for row in determined_counts(m))
-
-
 def minimal_determining_sets(m: BitMatrix) -> tuple:
     """Per branch j, the minimal known-output sets that determine it, as a
     frozenset of frozensets of output coordinates.
@@ -376,10 +370,13 @@ class KernelProfile:
     ``derived_h`` is the inverse of the matrix whose column k is row
     ell-1-k of the kernel, transposed; ``h_monotone`` is the literal
     D_i(H) <= D_{i-1}(H) check on its rows.  ``comp_branch_degrees`` are the
-    empirically resolved complement-side exponents per branch (the minimum
-    number of known coordinates determining the branch input), matched against
-    the multiset of D_i(H) in ``comp_map_consistent``; ``comp_branch_indices``
-    assigns each branch its constant index by descending-degree rank.
+    complement-side exponents per branch: entry j, the least number of known
+    coordinates that determine the branch-j input, is D_(ell-1-j)(H) by the
+    duality proved above ``kernel_profile``.  So ``comp_map_consistent``,
+    that these degrees are the D_i(H), holds for every profile
+    ``kernel_profile`` builds; only a hand-built profile can clear it.
+    ``comp_branch_indices`` assigns each branch its constant index by
+    descending-degree rank.
     """
 
     kernel: BitMatrix
@@ -404,6 +401,29 @@ class KernelProfile:
         return self.kernel.ell
 
 
+# Duality of G and its derived matrix H = J (G^-1)^T, J the row reversal.
+# For any b, the input v = b G^T J gives vH = b: H's local code {(v, vH)}
+# is {(b G^T J, b)}, the dual {(G b, b)} of G's local code {(u, uG)} with
+# the inputs reversed, H-input i being G-input j = ell-1-i.  Let r be the
+# rank function of G's local code on its 2 ell coordinates E (the dimension
+# of the code restricted to a set); a coordinate e is determined by the
+# known coordinates X iff r(X + e) = r(X).  The dual code's rank function
+# is r*(X) = |X| - r(E) + r(E - X) (matroid duality), so e is determined
+# by X in the dual iff r(E - X - e) + 1 = r(E - X): iff e is NOT
+# determined by E - X - e in G's code.  With the outputs S erased,
+# H-branch i (e = G-input j) knows X: the outputs outside S and H's
+# earlier inputs, which are G's inputs after j.  E - X - e is then S and
+# G's inputs before j.  Hence
+# H-branch i is undetermined under the erased set S iff G-branch j is
+# determined with exactly S known, and counted by |S|:
+# undetermined_counts(H)[i] = determined_counts(G)[ell-1-i], i.e.
+# p^H_i = q^G_(ell-1-i).  H-branch i is undetermined under S iff S holds
+# the support of some vH whose first nonzero input is v_i, so the lowest
+# weight on H's side is D_i(H), and the least known weight that determines
+# G-branch j is D_(ell-1-j)(H): the complement degrees are H's partial
+# distances reversed.
+
+
 def kernel_profile(m: BitMatrix) -> KernelProfile:
     """Full profile of a polarizing kernel; raises NotPolarizing otherwise."""
     if not is_polarizing(m):
@@ -422,12 +442,11 @@ def kernel_profile(m: BitMatrix) -> KernelProfile:
     exp_h, var_h = _mean_pop_var([math.log2(d) / log_ell for d in h_dists])
     h_mono = all(h_dists[i] <= h_dists[i - 1] for i in range(1, ell))
 
-    comp_deg = min_determining_weights(m)
+    comp_deg = h_dists[::-1]
     order = sorted(range(ell), key=lambda j: (-comp_deg[j], j))
     comp_idx = [0] * ell
     for rank, j in enumerate(order):
         comp_idx[j] = rank
-    consistent = sorted(comp_deg) == sorted(h_dists)
 
     return KernelProfile(
         kernel=m,
@@ -445,7 +464,7 @@ def kernel_profile(m: BitMatrix) -> KernelProfile:
         c3_constant=float(2**ell),
         comp_branch_degrees=comp_deg,
         comp_branch_indices=tuple(comp_idx),
-        comp_map_consistent=consistent,
+        comp_map_consistent=True,
     )
 
 

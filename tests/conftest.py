@@ -113,6 +113,28 @@ def kron_power(power: int) -> BitMatrix:
     return BitMatrix.from_rows(a.tolist())
 
 
+def equivalent_kernel(rng: np.random.Generator, m: BitMatrix, permute: bool = True,
+                      add_rows: bool = True) -> BitMatrix:
+    """A kernel other than m but equivalent to it by the two moves that keep
+    its erasure and complement counts: ell additions of a later row to an
+    earlier one at random pairs (when ``add_rows``), then a random column
+    permutation (when ``permute``).  Draws again while the moves give m
+    back; for an invertible m with ell >= 2 some draw differs, as its rows
+    are nonzero and its columns distinct."""
+    ell = m.ell
+    while True:
+        rows = list(m.rows)
+        if add_rows:
+            for _ in range(ell):
+                i, k = sorted(rng.choice(ell, 2, replace=False).tolist())
+                rows[i] ^= rows[k]
+        if permute:
+            perm = rng.permutation(ell).tolist()
+            rows = [sum((r >> c & 1) << perm[c] for c in range(ell)) for r in rows]
+        if tuple(rows) != m.rows:
+            return BitMatrix(ell, tuple(rows))
+
+
 def ref_branch_rule(g: BitMatrix, j: int, kmask: int, pmask: int):
     """``_branch_rule`` by Gaussian elimination: (det, alpha, beta).
 

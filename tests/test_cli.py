@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polarkit import becpolar, codec, construct
@@ -23,7 +24,7 @@ from polarkit.cli import (
 )
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 
-from conftest import ARIKAN, kron_power
+from conftest import ARIKAN, equivalent_kernel, kron_power, random_polarizing
 
 
 def run(argv, capsys):
@@ -335,6 +336,38 @@ class TestMapBound:
             assert math.isclose(rhs, want_rhs, rel_tol=1e-13)
             dmins.append(dmin)
         assert dmins[0] >= dmins[1]  # higher rate cannot raise dmin
+
+
+class TestEquivalentKernels:
+    """Kernels related by column permutations and by adding a later row to
+    an earlier one share every erasure count, so the channel-side commands
+    print the same bytes.  Row additions change row weights, so the RM rule
+    and dmin columns of selection-compare only survive column permutations."""
+
+    @staticmethod
+    def pairs(permute, add_rows):
+        rng = np.random.default_rng(97)
+        for ell in range(3, 7):
+            m = random_polarizing(rng, ell).kernel
+            yield m.to_literal(), equivalent_kernel(rng, m, permute, add_rows).to_literal()
+
+    def outputs(self, argv, literal, capsys):
+        rc, out, err = run([argv[0], "--kernel", literal, *argv[1:]], capsys)
+        assert rc == EXIT_OK and err == ""
+        return out
+
+    @pytest.mark.parametrize("permute, add_rows", [(True, False), (False, True), (True, True)])
+    def test_channel_commands(self, permute, add_rows, capsys):
+        for lit, twin in self.pairs(permute, add_rows):
+            assert lit != twin
+            for argv in (["polarize", "--n", "3", "--eps", "0.3"],
+                         ["exponent-verify", "--n", "2,3"]):
+                assert self.outputs(argv, twin, capsys) == self.outputs(argv, lit, capsys)
+
+    def test_selection_compare_under_column_permutations(self, capsys):
+        argv = ["selection-compare", "--n", "3", "--eps", "0.4", "--rate", "0.3,0.6"]
+        for lit, twin in self.pairs(True, False):
+            assert self.outputs(argv, twin, capsys) == self.outputs(argv, lit, capsys)
 
 
 class TestOutputFile:

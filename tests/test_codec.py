@@ -146,6 +146,14 @@ class TestPolarCode:
                 PolarCode(profile=arikan, n=1, frozen=frozenset([1.0, math.inf]))
             with pytest.raises(DomainError):
                 PolarCode(profile=arikan, n=1, frozen=frozenset([math.nan]))
+        # a fractional depth would give a fractional block length
+        for n in (2.5, math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                PolarCode(profile=arikan, n=n, frozen=frozenset())
+        for n in (2.0, np.float64(2.0), np.int64(2)):
+            code = PolarCode(profile=arikan, n=n, frozen=frozenset())
+            assert type(code.n) is int and code.block_length == 4
+            assert type(code.block_length) is int
         code = PolarCode(profile=arikan, n=2, frozen=frozenset({2.0, np.int64(3)}))
         assert code.frozen == {2, 3}
         assert code._info_mask.tolist() == [True, False, False, True]
@@ -295,6 +303,14 @@ class TestTransmit:
             transmit_bec(np.array([256, 1, 0]), 0.0, seed=1)
         with pytest.raises(DomainError):
             transmit_bec(np.array([1.7, 0.0]), 0.0, seed=1)
+        # a fractional seed is refused, not truncated to 1
+        x = np.zeros(64, dtype=np.int8)
+        for seed in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                transmit_bec(x, 0.5, seed=seed)
+        for seed in (1.0, np.float64(1.0), np.int64(1)):
+            assert np.array_equal(transmit_bec(x, 0.5, seed=seed).symbols,
+                                  transmit_bec(x, 0.5, seed=1).symbols)
 
 
 class TestBranchRule:
@@ -855,6 +871,10 @@ class TestWilson:
             wilson_interval(1, 0)
         with pytest.raises(DomainError):
             wilson_interval(5, 4)
+        for errors, trials in ((1.5, 3), (1, 3.5), (math.nan, 3), (1, math.inf)):
+            with pytest.raises(DomainError):
+                wilson_interval(errors, trials)
+        assert wilson_interval(1.0, np.float64(3.0)) == wilson_interval(1, 3)
 
 
 class TestSimulate:
@@ -941,6 +961,15 @@ class TestSimulate:
             simulate(code, 1.5, 10, seed=1)
         with pytest.raises(DomainError):
             simulate(code, 0.5, 0, seed=1)
+        for trials, seed in ((3.5, 1), (math.nan, 1), (3, 1.5), (3, math.inf)):
+            with pytest.raises(DomainError):
+                simulate(code, 0.5, trials, seed=seed)
+        # integral floats and bools are stored as the ints they equal
+        want = simulate(code, 0.5, 3, seed=1)
+        for trials, seed in ((3.0, 1), (np.float64(3.0), np.float64(1.0)), (3, True)):
+            rep = simulate(code, 0.5, trials, seed=seed)
+            assert rep == want and type(rep.trials) is type(rep.seed) is int
+        assert simulate(code, 0.5, True, seed=1).trials == 1
 
     @pytest.mark.parametrize("kernel,n", [
         (ARIKAN, 4), (ARIKAN, 7), (ARIKAN, 10), (L3, 3), (L3, 5), ("random4", 3),

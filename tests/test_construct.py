@@ -121,6 +121,12 @@ class TestDigitReverse:
         for i in (1.5, 8.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 digit_reverse(i, 2, 3)
+        # so are the base and the width
+        for ell, n in ((2.5, 3), (2, 2.5), (0, 3), (2, -1), (2, math.inf)):
+            with pytest.raises(DomainError):
+                digit_reverse(2, ell, n)
+        assert digit_reverse(2, 2.0, np.float64(3.0)) == 5
+        assert type(digit_reverse(2, 2.0, 3.0)) is int
 
     def test_numpy_non_finite_index_is_a_domain_error(self):
         # numpy warns on inf % 1, so the check must not take the remainder
@@ -177,6 +183,12 @@ class TestSelectionSet:
         # integral floats are indices like any other
         ok = SelectionSet(n=2, ell=2, rate=0.5, indices=[1.0, 4.0], rule="x")
         assert ok.indices.dtype == np.int64 and ok.indices.tolist() == [1, 4]
+        # and levels: 2^2.5 channels would admit a fractional level
+        for n, ell in ((2.5, 2), (-1, 2), (2, 2.5), (2, 0), (math.nan, 2)):
+            with pytest.raises(DomainError):
+                SelectionSet(n=n, ell=ell, rate=0.5, indices=[1, 2], rule="x")
+        ok = SelectionSet(n=2.0, ell=np.float64(2.0), rate=0.5, indices=[1, 4], rule="x")
+        assert type(ok.n) is type(ok.ell) is int
 
     def test_frozen_storage(self):
         s = SelectionSet(n=2, ell=2, rate=0.5, indices=np.array([1, 4]),
@@ -259,6 +271,15 @@ class TestRmSelection:
         assert wts[2389] == wts[2740] == 200
         assert 2390 in sel.indices and 2741 not in sel.indices
 
+    def test_depth_domain(self):
+        g = BitMatrix.from_literal(ARIKAN)
+        for n in (2.5, -1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                rm_selection(g, n, 0.5)
+        sel = rm_selection(g, 3.0, 0.5)
+        assert type(sel.n) is int
+        assert np.array_equal(sel.indices, rm_selection(g, 3, 0.5).indices)
+
     def test_row_weight_table_built_once_per_depth(self, capsys):
         # selection-compare ranks RM twice and bounds three rules per depth
         _row_weight_table.cache_clear()
@@ -285,9 +306,12 @@ class TestDefaultPrefixDepth:
     def test_domain(self, arikan):
         with pytest.raises(DomainError):
             default_prefix_depth(16, 0.0, arikan)
-        for n, beta in ((0, 0.5), (16, math.nan), (16, math.inf)):
+        for n, beta in ((0, 0.5), (16, math.nan), (16, math.inf), (2.5, 0.5),
+                        (math.inf, 0.5), (math.nan, 0.5)):
             with pytest.raises(DomainError):
                 default_prefix_depth(n, beta, arikan)
+        got = default_prefix_depth(16.0, 0.5, arikan)
+        assert type(got) is int and got == default_prefix_depth(16, 0.5, arikan)
 
 
 class TestHybridSelection:
@@ -387,6 +411,14 @@ class TestHybridSelection:
         with pytest.raises(MismatchedLevel):
             hybrid_selection_recursive(g, 8, 0.3, [0], 0.3, 0.0, 0.0,
                                        cdf_prefix=cdf4)
+        # fractional breakpoints and depths are refused, not truncated
+        for n, schedule in ((8, [1.7]), (8, [0, 4.5]), (8, [math.nan]), (8.5, [0])):
+            with pytest.raises(DomainError):
+                hybrid_selection_recursive(g, n, 0.3, schedule, 0.3, 0.0, 0.0)
+        got = hybrid_selection_recursive(g, 8.0, 0.3, iter([0.0, 4.0]), 0.3, 0.0, 0.0)
+        want = hybrid_selection_recursive(g, 8, 0.3, [0, 4], 0.3, 0.0, 0.0)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.metadata == want.metadata and type(got.n) is int
 
     def test_parameter_domain(self, cdf_cache):
         g = BitMatrix.from_literal(ARIKAN)
@@ -578,6 +610,9 @@ class TestMinWeightRow:
         sel = polar_selection(cdf, 0.1)
         assert check_min_weight_row(sel, arikan, 10, 0.1, 0.5, 100.0)
         assert not check_min_weight_row(sel, arikan, 10, 0.1, 0.5, -50.0)
+        # an integral float depth reads the selection's own level
+        assert check_min_weight_row(sel, arikan, 10.0, 0.1, 0.5, 100.0)
+        assert not check_min_weight_row(sel, arikan, 10.0, 0.1, 0.5, -50.0)
 
     def test_domain(self, arikan, l3prof, cdf_cache):
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 10), 0.3)

@@ -3,11 +3,13 @@ import itertools
 import json
 import math
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    equivalent_kernel,
     gf2_rank,
     kron_power,
     np_gf2_rank,
@@ -35,7 +37,6 @@ from polarkit.gf2kernel import (
     gf2_invert,
     is_polarizing,
     kernel_profile,
-    min_determining_weights,
     minimal_determining_sets,
     partial_distances,
     profile_to_json,
@@ -78,6 +79,18 @@ def determined_by_rank(rows, j, known):
     ``known``, by direct rank counts."""
     restricted = [r & known for r in rows]
     return gf2_rank(restricted[j:]) == gf2_rank(restricted[j + 1:]) + 1
+
+
+def complement_degrees(m):
+    """Per branch, the least known weight that determines it: the lowest
+    nonzero weight of ``determined_counts`` (ell when there is none).  For
+    a polarizing kernel it must also be the profile's
+    ``comp_branch_degrees`` and the splitting's ``comp_leading_degree``."""
+    got = tuple(next((k for k, c in enumerate(row) if c), m.ell) for row in determined_counts(m))
+    if is_polarizing(m):
+        assert kernel_profile(m).comp_branch_degrees == got, m
+        assert split_erasure_polynomials(m).comp_leading_degree == got, m
+    return got
 
 
 def all_invertible(ell):
@@ -288,7 +301,7 @@ class TestDeterminedMasks:
                         assert table[j, K | (1 << c)]
 
     def test_min_weights(self):
-        assert min_determining_weights(BitMatrix.from_literal("10;11")) == (2, 1)
+        assert complement_degrees(BitMatrix.from_literal("10;11")) == (2, 1)
         for m in self.kernels():
             table = determined_masks(m)
             ell = m.ell
@@ -300,8 +313,7 @@ class TestDeterminedMasks:
                 )
                 for j in range(ell)
             )
-            assert min_determining_weights(m) == want
-
+            assert complement_degrees(m) == want
 
     def test_read_only_and_built_once(self):
         m = BitMatrix.from_literal("100;110;101")
@@ -351,7 +363,7 @@ class TestRandomKernelOracles:
                 )
                 for j in range(ell)
             )
-            assert min_determining_weights(m) == want
+            assert complement_degrees(m) == want
 
 
 class TestPackedSubsetTables:
@@ -389,7 +401,7 @@ class TestPackedSubsetTables:
             known = np.bitwise_count(np.arange(1 << m.ell, dtype=MASK_DTYPE))
             assert determined_counts(m) == tuple(
                 tuple(np.bincount(known[row], minlength=m.ell + 1).tolist()) for row in want), m
-            assert min_determining_weights(m) == tuple(
+            assert complement_degrees(m) == tuple(
                 int(known[row].min()) if row.any() else m.ell for row in want), m
             # the kept words: read-only, the table packed, never rebuilt
             words = m._subset_tables[0]
@@ -436,7 +448,7 @@ class TestPackedSubsetTables:
         profiles = [random_polarizing(rng, ell) for ell in range(2, 13)]
         for p in profiles + [kernel_profile(kron_power(4))]:
             m = p.kernel
-            weights = min_determining_weights(m)
+            weights = complement_degrees(m)
             assert weights == split_erasure_polynomials(m).comp_leading_degree
             assert weights == p.comp_branch_degrees
 
@@ -487,6 +499,7 @@ class TestSixteen:
         p = kernel_profile(kron_power(4))
         assert p.comp_map_consistent
         assert sorted(p.comp_branch_degrees) == sorted(p.h_partial_distances)
+        assert p.comp_branch_degrees == p.h_partial_distances[::-1]
 
 
 class TestKernelProfile:
@@ -499,7 +512,8 @@ class TestKernelProfile:
         assert math.isclose(arikan.weight_second_exponent, 0.25, abs_tol=1e-15)
         assert math.isclose(arikan.h_exponent, 0.5, abs_tol=1e-15)
         assert math.isclose(arikan.h_second_exponent, 0.25, abs_tol=1e-15)
-        assert sorted(arikan.h_partial_distances) == [1, 2]
+        # H's distances unreversed would give each branch the other's degree
+        assert arikan.h_partial_distances == (1, 2)
         assert arikan.comp_branch_degrees == (2, 1)
         assert arikan.comp_branch_indices == (0, 1)
         assert arikan.comp_map_consistent
@@ -515,6 +529,7 @@ class TestKernelProfile:
         assert sorted(l3prof.comp_branch_degrees) == sorted(
             l3prof.h_partial_distances
         )
+        assert l3prof.comp_branch_degrees == l3prof.h_partial_distances[::-1]
 
     def test_derived_h_is_invertible_and_profiled(self, arikan, l3prof):
         for p in (arikan, l3prof):
@@ -541,3 +556,89 @@ class TestKernelProfile:
         assert doc["partial_distances"] == [1, 2]
         assert doc["exponent"] == 0.5
         assert doc["comp_map_consistent"] is True
+
+
+class TestDuality:
+    """H's erasure counts are G's complement counts in reverse branch order
+    (the proof is next to ``kernel_profile``), so the complement degrees are
+    H's partial distances reversed."""
+
+    @staticmethod
+    def kernels():
+        for ell in (2, 3):
+            yield from (m for m in all_invertible(ell) if is_polarizing(m))
+        rng = np.random.default_rng(79)
+        for ell in range(4, 17):
+            for _ in range(3 if ell <= 10 else 1):
+                yield random_polarizing(rng, ell).kernel
+        yield kron_power(3)
+        yield kron_power(4)
+        golden = Path(__file__).parent / "golden" / "kernel_analyze_rand16.json"
+        yield BitMatrix.from_literal(json.loads(golden.read_text())["kernel"])
+
+    def test_counts_identity(self):
+        seen = 0
+        for m in self.kernels():
+            h = kernel_profile(m).derived_h
+            assert undetermined_counts(h) == determined_counts(m)[::-1], m
+            # H's own derived matrix is G again, so the identity runs both ways
+            assert kernel_profile(h).derived_h == m
+            assert determined_counts(h) == undetermined_counts(m)[::-1], m
+            seen += 1
+        # every polarizing ell = 2, 3 kernel, 27 random ones, G8, G16, rand16
+        assert seen == 2 + 120 + 27 + 3
+
+    def test_comp_degrees_against_reference(self):
+        # the elimination reference reads neither H nor the lattice
+        for m in self.kernels():
+            p = kernel_profile(m)
+            known = np.bitwise_count(np.arange(1 << m.ell, dtype=MASK_DTYPE))
+            want = tuple(int(known[row].min()) for row in ref_determined(m))
+            assert p.comp_branch_degrees == want, m
+            assert p.comp_branch_degrees == p.h_partial_distances[::-1]
+            assert split_erasure_polynomials(m).comp_leading_degree == want
+
+    def test_profile_builds_no_subset_table(self):
+        for m in (BitMatrix.from_literal("100;110;101"), kron_power(4),
+                  random_invertible(np.random.default_rng(83), 16)):
+            p = kernel_profile(m)
+            assert "_subset_tables" not in vars(m)
+            assert "_subset_tables" not in vars(p.derived_h)
+            # the lattice is still there for the rules that need it
+            assert determined_counts(m) and "_subset_tables" in vars(m)
+
+
+class TestEquivalence:
+    """Column permutations and adding a later row to an earlier one keep
+    every erasure count, so every channel-side profile field."""
+
+    @staticmethod
+    def profiles():
+        rng = np.random.default_rng(89)
+        for ell in range(3, 7):
+            for _ in range(4):
+                yield rng, random_polarizing(rng, ell)
+
+    def test_counts_and_profile_invariant(self):
+        changed = 0
+        for rng, p in self.profiles():
+            m = p.kernel
+            for permute, add_rows in ((True, False), (False, True), (True, True)):
+                e = equivalent_kernel(rng, m, permute, add_rows)
+                assert e.rows != m.rows
+                q = kernel_profile(e)
+                assert undetermined_counts(e) == undetermined_counts(m), (m, e)
+                assert determined_counts(e) == determined_counts(m), (m, e)
+                assert q.partial_distances == p.partial_distances
+                assert q.exponent == p.exponent
+                assert q.second_exponent == p.second_exponent
+                assert q.comp_branch_degrees == p.comp_branch_degrees
+                assert q.h_partial_distances == p.h_partial_distances
+                if not add_rows:
+                    assert q.row_weights == p.row_weights
+            # adding an earlier row to a later one is no such move
+            rows = list(m.rows)
+            rows[-1] ^= rows[0]
+            other = BitMatrix(p.ell, tuple(rows))
+            changed += undetermined_counts(other) != undetermined_counts(m)
+        assert changed > 0
