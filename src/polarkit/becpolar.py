@@ -27,6 +27,8 @@ per branch, and three loops drive them:
 - ``_expand`` builds an exact tree level: it sorts the parents once by
   class, prepares each class's shared bases (z, 1 - z, 2^-lam and their
   powers) once, and runs every branch's update on that same slice.
+  ``LevelWalk`` drives it down the tree and builds every exact LevelCdf,
+  so a depth sweep in ascending order expands each level once.
 - ``_step`` advances elements along drawn digits: it sorts them once by
   (branch, class) and sends each group through its class's update.
 - ``sample_paths`` shares an exact prefix tree among its paths: ``count``
@@ -592,24 +594,68 @@ class LevelCdf:
         return "".join(parts)
 
 
-def _levels(g: BitMatrix, eps: float, n: int, budget: int, t=None):
-    """Yield ``enumerate_levels``' levels one at a time, holding no level
-    beyond the one being expanded; ``t`` is the kernel's _EvolveTables
-    when the caller has them already."""
-    if not 0.0 < eps < 1.0:
-        raise DomainError("erasure probability must lie strictly inside (0,1)")
-    n = _check_depth(g.ell, n)
-    if g.ell**n > budget:
-        raise BudgetExceeded(f"{g.ell}^{n} exceeds the enumeration budget {budget}")
-    if t is None:
-        t = _EvolveTables(split_erasure_polynomials(g))
-    root = ExtendedUnitValue.from_float(eps)
-    modes = np.array([root.mode], dtype=np.int8)
-    payloads = np.array([root.payload], dtype=np.float64)
-    yield modes, payloads
-    for _ in range(n):
-        modes, payloads = _expand(modes, payloads, t)
-        yield modes, payloads
+class LevelWalk:
+    """One walk down the exact level tree of BEC(eps) under the kernel g.
+
+    ``cdf(n)`` returns the exact level-n LevelCdf.  It runs the depth, eps
+    and budget checks of ``check(n)`` when it is asked, so a sweep raises
+    the first error one ``enumerate_level`` call per depth would.  A depth
+    at or past the level the walk stands on continues from there; one
+    behind it restarts from the root.  So an ascending sweep expands each
+    level once, and every request order gives the levels that one
+    ``enumerate_level`` call per depth gives, bit for bit.  The walk holds
+    only the level it stands on, which the LevelCdf returned there already
+    references.  ``t`` is the kernel's _EvolveTables when the caller has
+    them already.
+    """
+
+    def __init__(self, g: BitMatrix, eps: float, budget: int = DEFAULT_BUDGET,
+                 t: _EvolveTables | None = None):
+        self.g, self.eps, self.budget = g, eps, budget
+        self._t = t
+        self.depth = None  # the level the walk stands on; None before the first
+        self._level = None
+
+    def check(self, n) -> int:
+        """n as an int; raises DomainError for a bad depth or eps and
+        BudgetExceeded when ell^n exceeds the budget."""
+        n = _check_depth(self.g.ell, n)
+        if not 0.0 < self.eps < 1.0:
+            raise DomainError("erasure probability must lie strictly inside (0,1)")
+        if self.g.ell**n > self.budget:
+            raise BudgetExceeded(
+                f"{self.g.ell}^{n} exceeds the enumeration budget {self.budget}")
+        return n
+
+    def _advance(self, n: int):
+        """(mode, payload) arrays of level n, in tree order; n is checked."""
+        if self._t is None:
+            self._t = _EvolveTables(split_erasure_polynomials(self.g))
+        if self.depth is None or n < self.depth:
+            root = ExtendedUnitValue.from_float(self.eps)
+            self.depth = 0
+            self._level = (np.array([root.mode], dtype=np.int8),
+                           np.array([root.payload], dtype=np.float64))
+        while self.depth < n:
+            self._level = _expand(*self._level, self._t)
+            self.depth += 1
+        return self._level
+
+    def cdf(self, n) -> LevelCdf:
+        """The exact level-n LevelCdf."""
+        n = self.check(n)
+        modes, payloads = self._advance(n)
+        lams = _neglog_array(modes, payloads)
+        return LevelCdf(
+            n=n,
+            ell=self.g.ell,
+            eps=self.eps,
+            source="exact",
+            neglogs_by_index=lams,
+            sorted_neglogs=np.sort(lams),
+            _modes=modes,
+            _payloads=payloads,
+        )
 
 
 def enumerate_levels(
@@ -620,27 +666,16 @@ def enumerate_levels(
     Level d holds ell^d entries; entry v's children sit at v*ell + j in level
     d+1.  Raises BudgetExceeded when ell^n exceeds the node budget.
     """
-    return list(_levels(g, eps, n, budget))
+    walk = LevelWalk(g, eps, budget)
+    return [walk._advance(d) for d in range(walk.check(n) + 1)]
 
 
 def enumerate_level(
     g: BitMatrix, eps: float, n: int, budget: int = DEFAULT_BUDGET
 ) -> LevelCdf:
-    """Exact LevelCdf at depth n by full tree enumeration, two levels at a time."""
-    n = _check_depth(g.ell, n)
-    for modes, payloads in _levels(g, eps, n, budget):
-        pass
-    lams = _neglog_array(modes, payloads)
-    return LevelCdf(
-        n=n,
-        ell=g.ell,
-        eps=eps,
-        source="exact",
-        neglogs_by_index=lams,
-        sorted_neglogs=np.sort(lams),
-        _modes=modes,
-        _payloads=payloads,
-    )
+    """Exact LevelCdf at depth n by full tree enumeration, one level at a
+    time: a one-depth LevelWalk."""
+    return LevelWalk(g, eps, budget).cdf(n)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +698,7 @@ def sample_paths(
     The first k levels come from a shared exact prefix tree: k is the
     largest depth with k <= n and ell^k <= count, so the count paths hold
     at most ell^k distinct states there.  Level k is enumerated once (see
-    ``_levels``), each path folds its first k digits into its tree index
+    ``LevelWalk``), each path folds its first k digits into its tree index
     (b_1 most significant, the ``LevelCdf`` order) and gathers that
     entry's state.  Before each later level, with r levels left, the paths
     whose payload is at least ``SATURATED + r * drop`` join the absorbed
@@ -685,8 +720,7 @@ def sample_paths(
     while k < n and g.ell ** (k + 1) <= count:
         k += 1
     t = _EvolveTables(split_erasure_polynomials(g))
-    for modes, payloads in _levels(g, eps, k, g.ell**k, t):
-        pass
+    modes, payloads = LevelWalk(g, eps, t=t)._advance(k)
     subs = rng.subseeds(seed, count)
     idx = np.zeros(count, dtype=np.int64)
     for d in range(k):

@@ -54,9 +54,6 @@ class IntervalState:
     def contains(self, z: ExtendedUnitValue) -> bool:
         return self.lo <= z <= self.hi
 
-    def as_pairs(self):
-        return {"lo": self.lo.as_pair(), "hi": self.hi.as_pair()}
-
 
 def _digit(digit, ell: int) -> int:
     """digit as an int; raises DomainError unless it names a branch."""

@@ -145,8 +145,9 @@ def _check_positive_depths(cfg: ExperimentConfig) -> None:
         raise ConfigError("n must list positive depths")
 
 
-def _exact_cdf(g, cfg, depth):
-    return becpolar.enumerate_level(g, cfg.eps, depth, budget=cfg.budget)
+def _walk(g, cfg: ExperimentConfig) -> becpolar.LevelWalk:
+    """The one walk of the exact level tree that serves a command's depths."""
+    return becpolar.LevelWalk(g, cfg.eps, cfg.budget)
 
 
 def cmd_kernel_analyze(cfg: ExperimentConfig) -> str:
@@ -160,7 +161,7 @@ def cmd_polarize(cfg: ExperimentConfig) -> str:
     # ell >= 2, so ell^depth > budget once depth passes the budget's bit
     # length: a huge depth never builds its giant power
     if depth <= cfg.budget.bit_length() and g.ell**depth <= cfg.budget:
-        cdf = _exact_cdf(g, cfg, depth)
+        cdf = becpolar.enumerate_level(g, cfg.eps, depth, budget=cfg.budget)
     else:
         samples = becpolar.sample_paths(g, cfg.eps, depth, cfg.paths, cfg.seed)
         cdf = becpolar.level_from_samples(samples, g, cfg.eps, depth, cfg.seed)
@@ -172,9 +173,10 @@ def cmd_scaling_verify(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps
+    walk = _walk(g, cfg)
     rows = []
     for depth in cfg.n:
-        cdf = _exact_cdf(g, cfg, depth)
+        cdf = walk.cdf(depth)
         for tval in cfg.t:
             thr = polar_threshold(depth, tval, prof, side="good")
             exact = float(cdf.cdf_at_neglog(thr.neglog2()))
@@ -185,9 +187,10 @@ def cmd_scaling_verify(cfg: ExperimentConfig) -> str:
 
 def cmd_exponent_verify(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
+    walk = _walk(g, cfg)
     rows = []
     for depth in cfg.n:
-        cdf = _exact_cdf(g, cfg, depth)
+        cdf = walk.cdf(depth)
         for beta in cfg.beta:
             lam = math.pow(g.ell, beta * depth)
             rows.append((depth, beta, float(cdf.cdf_at_neglog(lam))))
@@ -195,7 +198,13 @@ def cmd_exponent_verify(cfg: ExperimentConfig) -> str:
 
 
 def cmd_selection_compare(cfg: ExperimentConfig) -> str:
-    """polar / rm / hybrid selections at rate[0], overlap against RM rate[-1]."""
+    """polar / rm / hybrid selections at rate[0], overlap against RM rate[-1].
+
+    The hybrid rule takes beta = beta[0] and requires it inside (0, E'),
+    E' = E * log2(ell).  The default beta 0.4 lies outside for every kernel
+    with E' <= 0.4 (E' = 0.25 for 1001;1111;1101;0101), so there the default
+    config exits 4: pass a lower --beta.
+    """
     _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
@@ -203,18 +212,24 @@ def cmd_selection_compare(cfg: ExperimentConfig) -> str:
     r_rm = cfg.rate[-1]
     beta = cfg.beta[0]
     tval = cfg.t[0]
+    walk = _walk(g, cfg)
     rows = []
     for depth in cfg.n:
-        cdf = _exact_cdf(g, cfg, depth)
+        # the depth's checks and then the rate tests raise first, as when
+        # the depth's level was built first; the walk then stops at the
+        # prefix depth m <= depth on its way to the depth
+        walk.check(depth)
         rm = construct.rm_selection(g, depth, r_rm)
+        rm_r = construct.rm_selection(g, depth, r)
+        m = construct.default_prefix_depth(depth, beta, prof, budget=cfg.budget)
+        prefix = walk.cdf(m)
+        cdf = walk.cdf(depth) if m < depth else prefix
         selections = [
             ("polar", construct.polar_selection(cdf, r)),
-            ("rm", construct.rm_selection(g, depth, r)),
+            ("rm", rm_r),
+            ("hybrid", construct.hybrid_selection(
+                prefix, g, depth, r, beta, tval, pad_cdf=cdf)),
         ]
-        m = construct.default_prefix_depth(depth, beta, prof, budget=cfg.budget)
-        prefix = _exact_cdf(g, cfg, m) if m < depth else cdf
-        selections.append(("hybrid", construct.hybrid_selection(
-            prefix, g, depth, r, beta, tval, pad_cdf=cdf)))
         for rule, sel in selections:
             bounds = construct.selection_bounds(sel, cdf, prof, cfg.eps)
             rows.append((
@@ -233,9 +248,10 @@ def cmd_codec_sim(cfg: ExperimentConfig) -> str:
     _check_positive_depths(cfg)
     g = _kernel(cfg)
     prof = kernel_profile(g)
+    walk = _walk(g, cfg)
     rows = []
     for depth in cfg.n:
-        cdf = _exact_cdf(g, cfg, depth)
+        cdf = walk.cdf(depth)
         for r in cfg.rate:
             sel = construct.polar_selection(cdf, r)
             code = codec.PolarCode.from_selection(prof, sel)
@@ -255,9 +271,10 @@ def cmd_map_bound(cfg: ExperimentConfig) -> str:
     g = _kernel(cfg)
     prof = kernel_profile(g)
     channel_i = 1.0 - cfg.eps
+    walk = _walk(g, cfg)
     rows = []
     for depth in cfg.n:
-        cdf = _exact_cdf(g, cfg, depth)
+        cdf = walk.cdf(depth)
         for r in cfg.rate:
             if not 0.0 < r < channel_i:
                 raise ConfigError(

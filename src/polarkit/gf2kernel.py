@@ -96,9 +96,6 @@ class BitMatrix:
     def as_lists(self) -> list[list[int]]:
         return [[(r >> c) & 1 for c in range(self.ell)] for r in self.rows]
 
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def row_weights(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 

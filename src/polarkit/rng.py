@@ -60,15 +60,6 @@ def _mix64_inplace(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Outputs start..start+count-1 of the splitmix64 stream for ``seed``."""
-    with np.errstate(over="ignore"):
-        ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        ctr *= np.uint64(GAMMA)
-        ctr += np.uint64(seed & _MASK)
-    return _mix64_np(ctr)
-
-
 def subseed(seed: int, index: int) -> int:
     """Seed of the derived stream for a path / trial index."""
     return mix64((seed & _MASK) ^ (((index + 1) * GAMMA) & _MASK))

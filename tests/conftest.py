@@ -113,6 +113,25 @@ def kron_power(power: int) -> BitMatrix:
     return BitMatrix.from_rows(a.tolist())
 
 
+def raw_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs start..start+count-1 of the splitmix64 stream for ``seed``."""
+    with np.errstate(over="ignore"):
+        ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        ctr *= np.uint64(rng.GAMMA)
+        ctr += np.uint64(seed & rng._MASK)
+    return rng._mix64_np(ctr)
+
+
+def row_weight(m: BitMatrix, i: int) -> int:
+    """Weight of row i of m."""
+    return m.rows[i].bit_count()
+
+
+def as_pairs(state) -> dict:
+    """An IntervalState's bounds as (mode, payload) pairs."""
+    return {"lo": state.lo.as_pair(), "hi": state.hi.as_pair()}
+
+
 def equivalent_kernel(rng: np.random.Generator, m: BitMatrix, permute: bool = True,
                       add_rows: bool = True) -> BitMatrix:
     """A kernel other than m but equivalent to it by the two moves that keep

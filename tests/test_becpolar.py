@@ -25,6 +25,7 @@ from polarkit.becpolar import (
     DEFAULT_BUDGET,
     SATURATED,
     LevelCdf,
+    LevelWalk,
     enumerate_level,
     enumerate_levels,
     evolve_exact,
@@ -638,6 +639,82 @@ class TestEnumerate:
         for cdf in cdfs:
             want = "".join(f"{fmt_real(v)}\n" for v in cdf.sorted_neglogs)
             assert cdf.to_csv() == "lambda\n" + want
+
+
+def walked(depths) -> int:
+    """Levels a LevelWalk expands to serve ``depths`` in order: a depth at or
+    past the walk's level continues from it, one behind restarts at the root."""
+    count, at = 0, None
+    for n in depths:
+        count += n if at is None or n < at else n - at
+        at = n
+    return count
+
+
+def assert_same_level(got: LevelCdf, want: LevelCdf):
+    assert (got.n, got.ell, got.eps, got.source) == (want.n, want.ell, want.eps, want.source)
+    for name in ("neglogs_by_index", "sorted_neglogs", "_modes", "_payloads"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+R5 = random_polarizing(5, 5)
+
+
+class TestLevelWalk:
+    """One walk serves a depth sweep: every request gives enumerate_level's
+    level bit for bit, and its checks run when the request is made."""
+
+    @pytest.mark.parametrize("g, depths", [
+        (ARIKAN, (12, 14)), (ARIKAN, (14, 12)), (ARIKAN, (10, 14, 10)),
+        (ARIKAN, (0, 3, 3, 2, 0, 5)),
+        (L3, (8, 10)), (L3, (10, 8)), (L3, (9, 10, 9)),
+        (R5, (4, 6)), (R5, (6, 4)), (R5, (5, 6, 5)),
+    ])
+    def test_requests_match_enumerate_level(self, g, depths, monkeypatch):
+        wants = [enumerate_level(g, 0.3, n) for n in depths]
+        expanded = []
+        expand = becpolar._expand
+
+        def counting_expand(modes, payloads, t):
+            expanded.append(len(modes))
+            return expand(modes, payloads, t)
+
+        monkeypatch.setattr(becpolar, "_expand", counting_expand)
+        walk = LevelWalk(g, 0.3)
+        for n, want in zip(depths, wants):
+            got = walk.cdf(n)
+            assert_same_level(got, want)
+            # the walk holds the level it stands on and nothing else
+            assert walk.depth == n
+            assert walk._level[0] is got._modes and walk._level[1] is got._payloads
+        assert len(expanded) == walked(depths)
+
+    def test_checks_run_when_asked(self):
+        def message(call, n):
+            with pytest.raises((DomainError, BudgetExceeded)) as exc:
+                call(n)
+            return type(exc.value), str(exc.value)
+
+        walk = LevelWalk(ARIKAN, 0.5, budget=2**10)
+        assert_same_level(walk.cdf(4), enumerate_level(ARIKAN, 0.5, 4))
+        one_depth = lambda n: enumerate_level(ARIKAN, 0.5, n, budget=2**10)
+        for bad in (11, 30, -1, 2.5, math.nan, 1000):
+            assert message(walk.cdf, bad) == message(one_depth, bad)
+            assert message(walk.check, bad) == message(one_depth, bad)
+            assert walk.depth == 4  # a refused request walks nothing
+        assert message(walk.cdf, 11) == (
+            BudgetExceeded, "2^11 exceeds the enumeration budget 1024")
+        assert walk.check(10.0) == 10 and type(walk.check(10.0)) is int
+        assert_same_level(walk.cdf(6), enumerate_level(ARIKAN, 0.5, 6))
+        # depth before eps before budget before the kernel, as enumerate_level
+        bad_eps = LevelWalk(ARIKAN, 0.0, budget=4)
+        assert message(bad_eps.cdf, 1000)[1].startswith("requested depth")
+        assert message(bad_eps.cdf, 8)[1].startswith("erasure probability")
+        walk = LevelWalk(BitMatrix.from_literal("10;01"), 0.5, budget=4)
+        assert message(walk.cdf, 3)[0] is BudgetExceeded
+        with pytest.raises(NotPolarizing):
+            walk.cdf(2)
 
 
 def assert_paths_match_evolve(g, eps, n, count, seed):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    as_pairs,
     kron_power,
     random_polarizing,
     ref_check_process_conditions,
@@ -123,7 +124,7 @@ class TestZInterval:
         for _ in range(8):
             s = propagate_z_interval(s, 0, arikan)
         assert s.hi.is_top
-        assert s.as_pairs()["hi"] == ("complog", math.inf)
+        assert as_pairs(s)["hi"] == ("complog", math.inf)
 
     def test_comp_requires_consistent_mapping(self, arikan):
         broken = dataclasses.replace(arikan, comp_map_consistent=False)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarkit import becpolar, codec, construct
+from polarkit import becpolar, cli, codec, construct
 from polarkit.asymptotics import polar_threshold, q_function, q_inverse
 from polarkit.cli import (
     EXIT_BAD_CONFIG,
@@ -24,7 +24,10 @@ from polarkit.cli import (
 )
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 
-from conftest import ARIKAN, equivalent_kernel, kron_power, random_polarizing
+from conftest import ARIKAN, L3, equivalent_kernel, kron_power, random_polarizing
+
+SWEEP_COMMANDS = ["scaling-verify", "exponent-verify", "selection-compare", "codec-sim",
+                  "map-bound"]
 
 
 def run(argv, capsys):
@@ -370,6 +373,117 @@ class TestEquivalentKernels:
             assert self.outputs(argv, twin, capsys) == self.outputs(argv, lit, capsys)
 
 
+R5 = random_polarizing(np.random.default_rng(5), 5).kernel.to_literal()
+
+
+class PerDepthWalk:
+    """The sweeps' reference: one enumerate_level per requested depth, each
+    from the root, as the commands ran before one walk served them."""
+
+    def __init__(self, g, eps, budget):
+        self.g, self.eps, self.budget = g, eps, budget
+
+    def cdf(self, n):
+        return becpolar.enumerate_level(self.g, self.eps, n, budget=self.budget)
+
+    def check(self, n):
+        # a command checked a depth by enumerating its level
+        self.cdf(n)
+
+
+FIRST_ERRORS = [
+    (["scaling-verify", "--n", "12,30"], EXIT_BUDGET,
+     "budget exceeded: 2^30 exceeds the enumeration budget 4194304"),
+    (["scaling-verify", "--n", "30,12"], EXIT_BUDGET,
+     "budget exceeded: 2^30 exceeds the enumeration budget 4194304"),
+    # the rate test at depth 4 comes before depth 30's budget check
+    (["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4,30"], EXIT_BAD_CONFIG,
+     "bad config: rate 0.59999999999999998 must lie inside (0, I=0.5)"),
+    # the default beta 0.4 is past E' = 0.25 of this kernel
+    (["selection-compare", "--kernel", "1001;1111;1101;0101", "--n", "3,30"],
+     EXIT_BAD_CONFIG, "bad config: beta must lie in (0, 0.25) for this kernel"),
+    (["selection-compare", "--kernel", "1001;1111;1101;0101", "--n", "30,3"],
+     EXIT_BUDGET, "budget exceeded: 4^30 exceeds the enumeration budget 4194304"),
+    # selection-compare: depth checks, then rates, then the prefix depth
+    (["selection-compare", "--n", "30,4", "--beta", "-1"], EXIT_BUDGET,
+     "budget exceeded: 2^30 exceeds the enumeration budget 4194304"),
+    (["selection-compare", "--n", "4", "--beta", "-1", "--eps", "0"], EXIT_BAD_CONFIG,
+     "bad config: erasure probability must lie strictly inside (0,1)"),
+    (["selection-compare", "--n", "4", "--beta", "-1", "--rate", "2"], EXIT_BAD_CONFIG,
+     "bad config: rate must lie in (0, 1]"),
+    (["selection-compare", "--n", "4,30", "--beta", "-1"], EXIT_BAD_CONFIG,
+     "bad config: beta must be positive and finite"),
+    (["selection-compare", "--n", "6,12", "--budget", "100"], EXIT_BUDGET,
+     "budget exceeded: 2^12 exceeds the enumeration budget 100"),
+    (["codec-sim", "--n", "4,30", "--rate", "2", "--trials", "10"], EXIT_BAD_CONFIG,
+     "bad config: rate must lie in (0, 1]"),
+    (["exponent-verify", "--n", "2000", "--eps", "0"], EXIT_BAD_CONFIG,
+     "bad config: requested depth would push -log2 Z beyond the valid float range"),
+]
+
+
+class TestSweeps:
+    """Every sweep command takes its depths from one walk of the level tree:
+    the bytes and the first error are those of one enumerate_level per
+    depth, and an ascending sweep expands each level once."""
+
+    DEPTHS = {ARIKAN: ("12,14", "14,12", "10,14,10"),
+              L3: ("8,10", "10,8", "9,10,9"),
+              R5: ("4,6", "6,4", "5,6,5")}
+    # betas that put the hybrid prefix depth below most sweep depths
+    BETA = {ARIKAN: "0.45", L3: "0.6", R5: "0.4"}
+
+    @staticmethod
+    def per_depth(monkeypatch):
+        monkeypatch.setattr(cli, "_walk", lambda g, cfg: PerDepthWalk(g, cfg.eps, cfg.budget))
+
+    @staticmethod
+    def argv(command, literal, depths):
+        extra = {
+            "scaling-verify": ["--t=-1,0,1"],
+            "exponent-verify": [],
+            "selection-compare": ["--beta", TestSweeps.BETA[literal], "--rate", "0.3,0.5"],
+            "codec-sim": ["--rate", "0.25", "--trials", "20", "--seed", "4"],
+            "map-bound": ["--rate", "0.25,0.4"],
+        }[command]
+        return [command, "--kernel", literal, "--eps", "0.3", "--n", depths, *extra]
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    @pytest.mark.parametrize("literal, depths", [
+        (lit, ns) for lit, lists in DEPTHS.items() for ns in lists])
+    def test_matches_per_depth_reference(self, command, literal, depths, capsys,
+                                         monkeypatch):
+        argv = self.argv(command, literal, depths)
+        got = run(argv, capsys)
+        self.per_depth(monkeypatch)
+        want = run(argv, capsys)
+        assert got == want
+        assert got[0] == EXIT_OK and got[2] == ""
+        assert len(got[1].splitlines()) > len(depths.split(","))
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    @pytest.mark.parametrize("depths, levels", [("12,14", 14), ("14,12", 26), ("10,14,10", 24)])
+    def test_levels_expanded(self, command, depths, levels, capsys, monkeypatch):
+        # one enumerate_level per depth expands 26 levels for 12,14; the
+        # walk expands 14, and restarts only for a depth behind it
+        expanded = []
+        expand = becpolar._expand
+        monkeypatch.setattr(becpolar, "_expand",
+                            lambda m, p, t: expanded.append(len(m)) or expand(m, p, t))
+        extra = {"codec-sim": ["--rate", "0.25", "--trials", "5"],
+                 "map-bound": ["--rate", "0.25"]}.get(command, [])
+        rc, out, err = run([command, "--n", depths, *extra], capsys)
+        assert rc == EXIT_OK and err == ""
+        assert len(expanded) == levels
+
+    @pytest.mark.parametrize("argv, code, message", FIRST_ERRORS,
+                             ids=[" ".join(argv) for argv, _, _ in FIRST_ERRORS])
+    def test_first_error(self, argv, code, message, capsys, monkeypatch):
+        assert run(argv, capsys) == (code, "", f"polarkit: {message}\n")
+        self.per_depth(monkeypatch)
+        assert run(argv, capsys) == (code, "", f"polarkit: {message}\n")
+
+
 class TestOutputFile:
     def test_out_flag_writes_identical_bytes(self, tmp_path, capsys):
         rc, out, _ = run(["kernel-analyze"], capsys)
@@ -384,9 +498,6 @@ class TestOutputFile:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
-
-
-L3 = "100;110;101"
 
 
 class TestGoldenBytes:

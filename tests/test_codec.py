@@ -652,6 +652,48 @@ class TestBeliefPropagation:
         assert bp_gap > 0 or literal == L3
 
 
+class TestColumnPermutation:
+    """A column permutation sigma of the kernel keeps every synthetic
+    channel and moves code position p to the position whose base-ell digits
+    are sigma of p's digits: on the words moved that way, the SC count, BP
+    and the MAP rank test fail on the same trials."""
+
+    @staticmethod
+    def moved(sigma, n):
+        """Entry p: the position whose base-ell digits are sigma of p's."""
+        pos = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            pos = (pos[:, None] * len(sigma) + sigma[None, :]).ravel()
+        return pos
+
+    @staticmethod
+    def failures(erased, code):
+        return sc_fails(erased, code), bp_fails(erased, code), map_fails(erased, code)
+
+    @pytest.mark.parametrize("ell, n, seed", [(3, 4, 1), (4, 3, 2), (5, 2, 3), (6, 2, 4)])
+    def test_decoders_fail_on_the_same_trials(self, ell, n, seed):
+        rng = np.random.default_rng(seed)
+        prof = random_polarizing(rng, ell)
+        while True:  # a sigma that is not its own inverse
+            sigma = rng.permutation(ell)
+            if (sigma[sigma] != np.arange(ell)).any():
+                break
+        twin = kernel_profile(BitMatrix(ell, tuple(
+            sum((r >> c & 1) << int(sigma[c]) for c in range(ell)) for r in prof.kernel.rows)))
+        sel = polar_selection(enumerate_level(prof.kernel, 0.5, n), 0.4)
+        code = PolarCode.from_selection(prof, sel)
+        twin_code = PolarCode.from_selection(twin, sel)
+        erased = rng.random((2000, ell**n)) < rng.uniform(0.2, 0.6, (2000, 1))
+        want = self.failures(erased, code)
+        for fail in want:
+            assert 0 < fail.sum() < len(fail)
+        for perm, same in ((sigma, True), (np.argsort(sigma), False)):
+            moved = np.empty_like(erased)
+            moved[:, self.moved(perm, n)] = erased
+            got = self.failures(moved, twin_code)
+            assert [np.array_equal(a, b) for a, b in zip(got, want)] == [same] * 3
+
+
 class TestPackedFailures:
     """The bit-packed SC count and BP against the table-lookup and strided
     references in conftest, and the factored SC program against

@@ -18,6 +18,7 @@ from conftest import (
     ref_determined,
     ref_minimal_sets,
     ref_undetermined_counts,
+    row_weight,
 )
 from polarkit.becpolar import split_erasure_polynomials
 from polarkit.errors import (
@@ -128,7 +129,7 @@ class TestBitMatrix:
     def test_row_weights(self):
         m = BitMatrix.from_literal("100;110;101")
         assert m.row_weights() == (1, 2, 2)
-        assert m.row_weight(1) == 2
+        assert row_weight(m, 1) == 2
 
     def test_transpose_involution(self):
         rng = np.random.default_rng(7)

@@ -12,7 +12,6 @@ from polarkit.rng import (
     mix64,
     path_digit_matrix,
     path_digits,
-    raw_stream,
     reduce_digits,
     subseed,
     subseeds,
@@ -20,6 +19,8 @@ from polarkit.rng import (
     uniform_matrix,
 )
 from polarkit.serialize import csv_text, dumps_17g, fmt_real
+
+from conftest import raw_stream
 
 
 class TestMix64:
