@@ -487,29 +487,36 @@ class LevelCdf:
     """All ell^n level-n erasure probabilities of a polarized BEC.
 
     Index i (1-based) corresponds to the branch digits (b_1..b_n) of i-1 with
-    b_1 most significant; ``neglogs_by_index`` keeps that order and
-    ``sorted_neglogs`` is its ascending copy.  ``source`` is "exact" for a full
-    enumeration and "montecarlo" for an empirical level built from sampled
-    paths.
+    b_1 most significant.  A level is its (mode, payload) arrays in that
+    order; ``neglogs_by_index`` (lambda = -log2 Z per index) and its
+    ascending copy ``sorted_neglogs`` are derived from them on first read
+    and kept.  ``source`` is "exact" for a full enumeration and
+    "montecarlo" for an empirical level built from sampled paths.
     """
 
     n: int
     ell: int
     eps: float
     source: str
-    neglogs_by_index: np.ndarray
-    sorted_neglogs: np.ndarray
+    _modes: np.ndarray = field(repr=False)
+    _payloads: np.ndarray = field(repr=False)
     sample_seed: int | None = None
-    _modes: np.ndarray | None = field(default=None, repr=False)
-    _payloads: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.neglogs_by_index)
+        return len(self._modes)
 
     @property
     def is_exact(self) -> bool:
         return self.source == "exact"
+
+    @functools.cached_property
+    def neglogs_by_index(self) -> np.ndarray:
+        return _neglog_array(self._modes, self._payloads)
+
+    @functools.cached_property
+    def sorted_neglogs(self) -> np.ndarray:
+        return np.sort(self.neglogs_by_index)
 
     def cdf_at(self, z) -> Fraction:
         """F(n, z) = (number of indices with Z_i <= z) / count, exact rational."""
@@ -531,7 +538,7 @@ class LevelCdf:
 
     def value_at(self, index: int) -> ExtendedUnitValue:
         """Exact Z of channel ``index`` (1-based); exact enumerations only."""
-        if not self.is_exact or self._modes is None:
+        if not self.is_exact:
             raise RequiresExactCdf("per-index values need an exact enumeration")
         if not (integral(index) and 1 <= index <= self.size):
             raise DomainError(f"index {index!r} outside 1..{self.size}")
@@ -553,8 +560,8 @@ class LevelCdf:
 
     @functools.cached_property
     def _z_order(self) -> np.ndarray:
-        if self._modes is None:
-            raise RequiresExactCdf("ordering needs per-index values")
+        if not self.is_exact:
+            raise RequiresExactCdf("ordering needs an exact enumeration")
         # ascending z: NEGLOG (payload descending) < LINEAR < COMPLOG
         key0 = np.array([1, 0, 2], dtype=np.int8)[self._modes]
         key1 = np.where(self._modes == NEGLOG, -self._payloads, self._payloads)
@@ -645,17 +652,8 @@ class LevelWalk:
         """The exact level-n LevelCdf."""
         n = self.check(n)
         modes, payloads = self._advance(n)
-        lams = _neglog_array(modes, payloads)
-        return LevelCdf(
-            n=n,
-            ell=self.g.ell,
-            eps=self.eps,
-            source="exact",
-            neglogs_by_index=lams,
-            sorted_neglogs=np.sort(lams),
-            _modes=modes,
-            _payloads=payloads,
-        )
+        return LevelCdf(n=n, ell=self.g.ell, eps=self.eps, source="exact",
+                        _modes=modes, _payloads=payloads)
 
 
 def enumerate_levels(
@@ -774,18 +772,12 @@ def level_from_samples(
 ) -> LevelCdf:
     """Empirical LevelCdf (source 'montecarlo') from ``sample_paths``' array.
 
-    lambda = -log2 Z comes from ``_neglog_array``, the convention of the exact
-    levels.  An empty sample array has no distribution and is rejected.
+    The level holds copies of the array's mode and payload fields, and
+    lambda = -log2 Z comes from ``_neglog_array`` on first read, as for the
+    exact levels.  An empty sample array has no distribution and is rejected.
     """
     if len(samples) == 0:
         raise DomainError("an empirical level needs at least one sampled path")
-    lams = _neglog_array(samples["mode"], samples["payload"])
-    return LevelCdf(
-        n=n,
-        ell=g.ell,
-        eps=eps,
-        source="montecarlo",
-        neglogs_by_index=lams,
-        sorted_neglogs=np.sort(lams),
-        sample_seed=seed,
-    )
+    return LevelCdf(n=n, ell=g.ell, eps=eps, source="montecarlo",
+                    _modes=samples["mode"].copy(), _payloads=samples["payload"].copy(),
+                    sample_seed=seed)

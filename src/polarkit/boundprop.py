@@ -14,6 +14,10 @@ partial distances reversed, D_(ell-1-j)(H), by the duality proved in
 the assumption the comp-side constant needs.  A hand-built profile whose
 mapping is marked inconsistent with the derived matrix is refused.
 
+The bounds are not rounded outward, so off eps 0.5 the comp-side lower
+bound can lie just above the engine's 1 - Z, which is rounded in the
+LINEAR band.
+
 Also here: the runtime audit of the abstract polarization-process conditions
 (drift to {0,1}; x^s lower bound; c*x^s upper bound) on recorded traces.
 """

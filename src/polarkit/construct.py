@@ -37,7 +37,6 @@ from .errors import (
 )
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
 from .gf2kernel import BitMatrix, KernelProfile, kernel_profile
-from .asymptotics import q_inverse
 from .serialize import csv_text, dumps_17g
 
 
@@ -397,36 +396,3 @@ def overlap_fraction(a: SelectionSet, b: SelectionSet) -> float:
         raise MismatchedLevel("selections live at different levels")
     common = np.intersect1d(a.indices, b.indices, assume_unique=True)
     return len(common) / a.ell**a.n
-
-
-def check_min_weight_row(sel: SelectionSet, profile: KernelProfile, n: int,
-                         rate: float, channel_I: float,
-                         epsilon_slack: float) -> bool:
-    """True iff some selected row has log_ell weight sum below the
-    E_w / V_w threshold at quantile Q^{-1}(rate/I) + slack."""
-    if n != sel.n or profile.ell != sel.ell:
-        raise MismatchedLevel("selection and profile disagree on n/ell")
-    if not 0.0 < rate < channel_I <= 1.0:
-        raise DomainError("need 0 < rate < channel_I <= 1")
-    logw_ell = np.log2(profile.row_weights) / math.log2(sel.ell)
-    score = _digit_table(logw_ell, sel.n)[sel.indices - 1]
-    threshold = (n * profile.weight_exponent
-                 + math.sqrt(n * profile.weight_second_exponent)
-                 * (q_inverse(rate / channel_I) + epsilon_slack))
-    return bool(score.min() <= threshold)
-
-
-def selection_report_json(sel: SelectionSet,
-                          bounds: SelectionBounds | None = None) -> str:
-    """JSON metadata block: rule, parameters, optional bounds."""
-    doc = {
-        "n": sel.n,
-        "ell": sel.ell,
-        "rate": sel.rate,
-        "count": sel.size,
-        "rule": sel.rule,
-        "metadata": dict(sorted(sel.metadata.items())),
-    }
-    if bounds is not None:
-        doc["bounds"] = bounds.to_dict()
-    return dumps_17g(doc, indent=2)

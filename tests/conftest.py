@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from polarkit import rng
-from polarkit.asymptotics import _phi, q_function
+from polarkit.asymptotics import _phi, q_function, q_inverse
 from polarkit.becpolar import enumerate_level, split_erasure_polynomials
 from polarkit.codec import BP_MAX_ELL, ERASED
-from polarkit.errors import AssumptionUnmet, DomainError, NotPolarizing
+from polarkit.construct import _digit_table
+from polarkit.errors import AssumptionUnmet, DomainError, MismatchedLevel, NotPolarizing
 from polarkit.extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
 from polarkit.gf2kernel import (
     MASK_DTYPE,
@@ -20,6 +21,7 @@ from polarkit.gf2kernel import (
     determined_masks,
     kernel_profile,
 )
+from polarkit.serialize import dumps_17g
 
 # one precision for every mp-based oracle; the deep-recursion comparisons
 # need the most, and extra digits never hurt the rest
@@ -130,6 +132,37 @@ def row_weight(m: BitMatrix, i: int) -> int:
 def as_pairs(state) -> dict:
     """An IntervalState's bounds as (mode, payload) pairs."""
     return {"lo": state.lo.as_pair(), "hi": state.hi.as_pair()}
+
+
+def check_min_weight_row(sel, profile: KernelProfile, n: int, rate: float,
+                         channel_I: float, epsilon_slack: float) -> bool:
+    """True iff some selected row has log_ell weight sum below the
+    E_w / V_w threshold at quantile Q^{-1}(rate/I) + slack."""
+    if n != sel.n or profile.ell != sel.ell:
+        raise MismatchedLevel("selection and profile disagree on n/ell")
+    if not 0.0 < rate < channel_I <= 1.0:
+        raise DomainError("need 0 < rate < channel_I <= 1")
+    logw_ell = np.log2(profile.row_weights) / math.log2(sel.ell)
+    score = _digit_table(logw_ell, sel.n)[sel.indices - 1]
+    threshold = (n * profile.weight_exponent
+                 + math.sqrt(n * profile.weight_second_exponent)
+                 * (q_inverse(rate / channel_I) + epsilon_slack))
+    return bool(score.min() <= threshold)
+
+
+def selection_report_json(sel, bounds=None) -> str:
+    """A selection's JSON metadata block: rule, parameters, optional bounds."""
+    doc = {
+        "n": sel.n,
+        "ell": sel.ell,
+        "rate": sel.rate,
+        "count": sel.size,
+        "rule": sel.rule,
+        "metadata": dict(sorted(sel.metadata.items())),
+    }
+    if bounds is not None:
+        doc["bounds"] = bounds.to_dict()
+    return dumps_17g(doc, indent=2)
 
 
 def equivalent_kernel(rng: np.random.Generator, m: BitMatrix, permute: bool = True,

@@ -624,11 +624,13 @@ class TestEnumerate:
         # repeated values print once per entry; -0 and 0 compare equal but
         # print differently, so they are separate runs
         monkeypatch.setattr(becpolar, "_CSV_BLOCK", block)
+        # (the odd level is NEGLOG payloads, which are lambda unchanged)
         lams = np.array([-0.0, -0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1 / 3, math.inf,
                          math.inf, math.nan])
-        cdfs = [LevelCdf(n=1, ell=11, eps=0.5, source="montecarlo",
-                         neglogs_by_index=lams, sorted_neglogs=lams),
-                cdf_cache("10;11", 0.5, 10)]
+        odd = LevelCdf(n=1, ell=11, eps=0.5, source="montecarlo",
+                       _modes=np.full(len(lams), NEGLOG, dtype=np.int8), _payloads=lams)
+        assert odd.neglogs_by_index.tobytes() == lams.tobytes()
+        cdfs = [odd, cdf_cache("10;11", 0.5, 10)]
         # sampled levels: most values distinct, so some blocks have no run
         for g, n, seed in ((ARIKAN, 50, 42), (L3, 30, 43)):
             level = level_from_samples(sample_paths(g, 0.5, n, 10000, seed), g, 0.5, n, seed)
@@ -875,6 +877,8 @@ class TestSampling:
         assert set(np.unique(samples["mode"])) == {LINEAR, NEGLOG, COMPLOG}
         emp = level_from_samples(samples, L3, 0.5, 30, seed=43)
         want = [ExtendedUnitValue(int(m), float(p)).neglog2 for m, p in samples]
+        # the level keeps its own copy: a later edit of the samples is not seen
+        samples["payload"] = 0.0
         np.testing.assert_array_max_ulp(emp.neglogs_by_index, np.array(want), maxulp=2)
 
     def test_monte_carlo_matches_exact_cdf(self, cdf_cache):

@@ -92,6 +92,17 @@ class TestZInterval:
             assert sz.contains(z)
             assert sc.contains(z.complement())
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the engine keeps Z in the LINEAR band and rounds 1 - Z there; the "
+        "bounds are not rounded outward (see boundprop)"))
+    def test_comp_lower_bound_holds_off_eps_half(self, arikan):
+        # path 0...0 squares 1 - Z at every step, so (1 - Z)^2 is tight below
+        n, eps = 8, 0.4
+        sc = IntervalState.degenerate(1 - eps)
+        for b in digits_of(1, 2, n):
+            sc = propagate_comp_interval(sc, b, arikan)
+        assert sc.contains(enumerate_level(arikan.kernel, eps, n).value_at(1).complement())
+
     def test_random_paths_inclusion_l3(self, l3prof):
         n = 8
         polys = split_erasure_polynomials(l3prof.kernel)

@@ -476,6 +476,31 @@ class TestSweeps:
         assert rc == EXIT_OK and err == ""
         assert len(expanded) == levels
 
+    @pytest.mark.parametrize("argv, depths", [
+        (["codec-sim", "--n", "12,14", "--rate", "0.25,0.5", "--trials", "5"], 0),
+        (["scaling-verify", "--n", "12,14", "--t=-1,0,0.5,1"], 2),
+    ])
+    def test_lambda_is_derived_on_first_read(self, argv, depths, capsys, monkeypatch):
+        # codec-sim reads only the Z order, so no level derives lambda or
+        # sorts it; scaling-verify sorts each depth once for all its t
+        lams, sorts = [], []
+        neglog, sort = becpolar._neglog_array, np.sort
+
+        def counting_neglog(mode, payload):
+            lams.append(neglog(mode, payload))
+            return lams[-1]
+
+        def counting_sort(a, *args, **kwargs):
+            sorts.extend(i for i, lam in enumerate(lams) if a is lam)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(becpolar, "_neglog_array", counting_neglog)
+        monkeypatch.setattr(np, "sort", counting_sort)
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_OK and err == ""
+        assert len(lams) == depths
+        assert sorts == list(range(depths))
+
     @pytest.mark.parametrize("argv, code, message", FIRST_ERRORS,
                              ids=[" ".join(argv) for argv, _, _ in FIRST_ERRORS])
     def test_first_error(self, argv, code, message, capsys, monkeypatch):

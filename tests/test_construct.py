@@ -14,7 +14,6 @@ from polarkit.construct import (
     SelectionSet,
     _digit_table,
     _row_weight_table,
-    check_min_weight_row,
     default_prefix_depth,
     digit_reverse,
     hybrid_selection,
@@ -23,7 +22,6 @@ from polarkit.construct import (
     polar_selection,
     rm_selection,
     selection_bounds,
-    selection_report_json,
 )
 from polarkit.errors import (
     DomainError,
@@ -36,7 +34,13 @@ from polarkit.extval import LINEAR, NEGLOG
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 from polarkit.asymptotics import q_inverse
 
-from conftest import ARIKAN, L3, random_polarizing
+from conftest import (
+    ARIKAN,
+    L3,
+    check_min_weight_row,
+    random_polarizing,
+    selection_report_json,
+)
 
 # row weights 1, 2, 2, 4, 5: many indices share a weight, and float log2
 # sums of the same product taken in different digit orders differ by ulps
