@@ -578,27 +578,12 @@ class LevelCdf:
         return rank
 
     def to_csv(self) -> str:
-        """The sorted lambda column.
-
-        The column goes in blocks of ``_CSV_BLOCK`` values, so every
-        transient is bounded by the block.  Each block's distinct values
-        are formatted in one ``fmt_real_lines`` call, and each run of equal
-        values repeats its line; a run cut by a block edge is just
-        formatted once per block.
-        """
-        parts = ["lambda\n"]
-        for lo in range(0, self.size, _CSV_BLOCK):
-            lams = self.sorted_neglogs[lo:lo + _CSV_BLOCK]
-            bits = lams.view(np.uint64)  # equal bits print alike; 0.0 != -0.0
-            first = np.ones(len(lams), dtype=bool)
-            first[1:] = bits[1:] != bits[:-1]
-            starts = np.flatnonzero(first)
-            text = fmt_real_lines(lams[starts].tolist())
-            if len(starts) < len(lams):
-                runs = np.diff(starts, append=len(lams)).tolist()
-                text = "".join(map(str.__mul__, text.splitlines(keepends=True), runs))
-            parts.append(text)
-        return "".join(parts)
+        """The sorted lambda column, in blocks of ``_CSV_BLOCK`` values so
+        every transient of ``fmt_real_lines`` is bounded by the block."""
+        col = self.sorted_neglogs
+        return "lambda\n" + "".join(
+            fmt_real_lines(col[lo:lo + _CSV_BLOCK]) for lo in range(0, self.size, _CSV_BLOCK)
+        )
 
 
 class LevelWalk:

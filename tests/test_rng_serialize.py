@@ -1,5 +1,7 @@
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from polarkit.rng import (
     uniform01,
     uniform_matrix,
 )
-from polarkit.serialize import csv_text, dumps_17g, fmt_real
+from polarkit.serialize import csv_text, dumps_17g, fmt_real, fmt_real_lines
 
 from conftest import raw_stream
 
@@ -177,6 +179,67 @@ class TestReduceDigits:
         assert got.tolist() == [(int(w) * ell) >> 64 for w in words]
 
 
+def assert_lines(values, want=None):
+    """``fmt_real_lines`` prints exactly ``fmt_real`` + newline per value
+    (``want``, if given, is that list of ``fmt_real`` strings)."""
+    got = fmt_real_lines(values).split("\n")
+    if want is None:
+        want = [fmt_real(v) for v in values.tolist()]
+    want = want + [""]
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        raise AssertionError(f"{values[bad]!r}: {got[bad]!r} != {want[bad]!r}")
+
+
+def decade_edges():
+    """Every power of ten from 1e-323 to 1e308 with both float neighbours."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+
+
+def ties_at_digit_18():
+    """Doubles x whose q = x 10^(16-K) ends in exactly 1/2, so that the 17th
+    digit rounds half-even.  Such a q is M 5^(16-K) / 2 for an odd M, and x =
+    M / 2^(17-K) is a double for M < 2^53, which leaves -8 <= K <= 15; the
+    scan takes the smallest, middle and largest M of each decade."""
+    ties = []
+    for k in range(-8, 16):
+        five = 5 ** (16 - k)
+        lo, hi = -(-2 * 10**16 // five), min(2 * 10**17 // five, 2**53)
+        for m in {lo | 1, (lo + hi) // 2 | 1, (hi - 2) | 1}:
+            x = m / 2 ** (17 - k)
+            q = Fraction(x) * Fraction(10) ** (16 - k)
+            if 10**16 <= q < 10**17 and q - math.floor(q) == Fraction(1, 2):
+                ties.append(x)
+    return np.array(ties)
+
+
+def near_ties():
+    """Doubles whose q = x 10^(16-K) lies within 2^-44 of a half-integer
+    without being one, closer than the double-double's error bound.  With
+    x = M 2^s, q = M a / b for the reduced fraction a / b = 2^s 10^(16-K),
+    so M = (b // 2 +- 1) a^-1 mod b, lifted into [2^52, 2^53), puts q's
+    fraction 1 / (2b) or 1 / b from 1/2; b passes 2^43 only for K near -5
+    (b a power of two) and near 36 (b a power of five)."""
+    found = []
+    for k in [*range(-8, -2), *range(34, 39)]:
+        s0 = math.floor(k * math.log2(10)) - 52
+        for s in range(s0 - 1, s0 + 4):
+            c = Fraction(2) ** s * Fraction(10) ** (16 - k)
+            a, b = c.numerator, c.denominator
+            if b < 2**43:
+                continue
+            for target in (b // 2 - 1 + b % 2, b // 2 + 1):
+                r = target * pow(a, -1, b) % b
+                for m in range(r + max(0, -(-(2**52 - r) // b)) * b, 2**53, b):
+                    x = math.ldexp(m, s)
+                    q = Fraction(x) * Fraction(10) ** (16 - k)
+                    off = q - math.floor(q) - Fraction(1, 2)
+                    if 10**16 <= q < 10**17 and 0 < abs(off) < Fraction(1, 2**44):
+                        found.append(x)
+    return np.array(found)
+
+
 class TestSerialize:
     def test_fmt_real_roundtrip(self):
         for x in (0.1, 1 / 3, 2.0**-45, 1e300, -0.0, 5.0):
@@ -219,3 +282,90 @@ class TestSerialize:
     def test_deterministic(self):
         obj = {"v": [0.1 * k for k in range(20)]}
         assert dumps_17g(obj, indent=2) == dumps_17g(obj, indent=2)
+
+    def test_lines_random_bit_patterns(self):
+        # 1M positive patterns span the kernel's domain, subnormals included;
+        # 64k full patterns add the nan, inf and negatives that go to fmt_real
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**63, 1 << 20, dtype=np.uint64)
+        bits = np.concatenate([bits, rng.integers(0, 2**64, 1 << 16, dtype=np.uint64)])
+        values = bits.view(np.float64)
+        want = [fmt_real(v) for v in values.tolist()]
+        assert_lines(values, want)
+        order = np.argsort(values, kind="stable")
+        assert_lines(values[order], [want[i] for i in order.tolist()])
+
+    def test_lines_runs(self):
+        # sorted draws from a small pool: runs of equal values print each line
+        rng = np.random.default_rng(21)
+        pool = rng.integers(0, 2**64, 500, dtype=np.uint64).view(np.float64)
+        assert_lines(np.sort(rng.choice(pool, 20000)))
+
+    def test_lines_decade_edges(self):
+        values = decade_edges()
+        assert_lines(values)
+        # the docstring's exactness argument: below each power of ten, the
+        # nearest double's q = x 10^(16-K) stays more than 2^-30 under 10^16
+        for k, x in zip([*range(-323, 309)] * 3, values.tolist()):
+            q = Fraction(x) * Fraction(10) ** (16 - k)
+            assert q >= 10**16 or 10**16 - q > Fraction(1, 2**30)
+
+    def test_lines_integers_near_digit_edges(self):
+        # 2^53, where float spacing becomes 2; 10^16 and 10^17, where the
+        # 17 digits become integral and where %g turns to exponents
+        values = []
+        for c in (2.0**53, 1e16, 1e17):
+            lo = hi = c
+            for _ in range(40):
+                lo, hi = np.nextafter(lo, 0), np.nextafter(hi, np.inf)
+                values += [lo, hi]
+            values += [c + i for i in range(-64, 65)]
+        assert_lines(np.array(values))
+
+    def test_lines_layout_switches(self):
+        # %g switches between fixed and exponent form at 1e-5 / 1e-4 and at
+        # 1e16 / 1e17
+        tens = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+        assert fmt_real_lines(values) == (
+            "9.9999999999999991e-06\n9.9999999999999991e-05\n9999999999999998\n"
+            "99999999999999984\n1.0000000000000001e-05\n0.0001\n10000000000000000\n"
+            "1e+17\n1.0000000000000003e-05\n0.00010000000000000002\n10000000000000002\n"
+            "1.0000000000000002e+17\n"
+        )
+        assert_lines(values)
+
+    def test_lines_exact_ties_round_half_even(self):
+        ties = ties_at_digit_18()
+        assert len(ties) >= 40
+        assert_lines(ties)
+        assert_lines(np.concatenate([np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+
+    def test_lines_near_ties_take_fmt_real(self):
+        # inside the 2^-30 band, so fmt_real decides the side of 1/2
+        values = near_ties()
+        assert len(values) >= 1000
+        assert_lines(values)
+
+    def test_lines_signed_zero(self):
+        values = np.array([0.0, -0.0, -0.0, 0.0, 0.0, 1.5, -0.0])
+        assert fmt_real_lines(values) == "0\n-0\n-0\n0\n0\n1.5\n-0\n"
+        assert fmt_real_lines(np.array([])) == ""
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in (Path(__file__).parent / "golden").glob("polarize_*.csv")))
+    def test_lines_golden_columns(self, name):
+        text = (Path(__file__).parent / "golden" / name).read_text()
+        header, body = text.split("\n", 1)
+        assert header == "lambda"
+        assert fmt_real_lines(np.array(body.split(), dtype=np.float64)) == body
+
+    def test_numpy_bools_raise(self):
+        # a numpy bool is a bool, as Python's True is: no cell prints it as 1
+        for flag in (True, np.True_, np.False_):
+            with pytest.raises(TypeError):
+                fmt_real(flag)
+            with pytest.raises(TypeError):
+                csv_text("flag", [(flag,)])
+        with pytest.raises(TypeError):
+            fmt_real_lines(np.array([True, False]))
