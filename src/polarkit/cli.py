@@ -15,7 +15,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import becpolar, codec, construct
-from .asymptotics import loglog_exponent, polar_threshold, q_function, q_inverse
+from .asymptotics import (DoubleExponent, loglog_exponent, polar_threshold,
+                          q_function, q_inverse)
 from .becpolar import DEFAULT_BUDGET
 from .errors import (
     BudgetExceeded,
@@ -23,7 +24,6 @@ from .errors import (
     DomainError,
     NotPolarizing,
     PolarkitError,
-    PrefixTooDeep,
     SingularMatrix,
 )
 from .gf2kernel import BitMatrix, kernel_profile, profile_to_json
@@ -158,11 +158,9 @@ def cmd_polarize(cfg: ExperimentConfig) -> str:
     """Level CDF at depth n[0]: exact within budget, sampled beyond it."""
     g = _kernel(cfg)
     depth = cfg.n[0]
-    # ell >= 2, so ell^depth > budget once depth passes the budget's bit
-    # length: a huge depth never builds its giant power
-    if depth <= cfg.budget.bit_length() and g.ell**depth <= cfg.budget:
+    try:
         cdf = becpolar.enumerate_level(g, cfg.eps, depth, budget=cfg.budget)
-    else:
+    except BudgetExceeded:
         samples = becpolar.sample_paths(g, cfg.eps, depth, cfg.paths, cfg.seed)
         cdf = becpolar.level_from_samples(samples, g, cfg.eps, depth, cfg.seed)
     return cdf.to_csv()
@@ -192,7 +190,7 @@ def cmd_exponent_verify(cfg: ExperimentConfig) -> str:
     for depth in cfg.n:
         cdf = walk.cdf(depth)
         for beta in cfg.beta:
-            lam = math.pow(g.ell, beta * depth)
+            lam = DoubleExponent(beta * depth, g.ell).neglog2()
             rows.append((depth, beta, float(cdf.cdf_at_neglog(lam))))
     return csv_text("n,beta,fraction", rows)
 
@@ -221,7 +219,7 @@ def cmd_selection_compare(cfg: ExperimentConfig) -> str:
         walk.check(depth)
         rm = construct.rm_selection(g, depth, r_rm)
         rm_r = construct.rm_selection(g, depth, r)
-        m = construct.default_prefix_depth(depth, beta, prof, budget=cfg.budget)
+        m = construct.default_prefix_depth(depth, beta, prof)
         prefix = walk.cdf(m)
         cdf = walk.cdf(depth) if m < depth else prefix
         selections = [
@@ -338,7 +336,7 @@ def main(argv=None) -> int:
     except (NotPolarizing, SingularMatrix) as exc:
         print(f"polarkit: invalid kernel: {exc}", file=sys.stderr)
         return EXIT_BAD_KERNEL
-    except (BudgetExceeded, PrefixTooDeep, DimensionTooLarge) as exc:
+    except (BudgetExceeded, DimensionTooLarge) as exc:
         print(f"polarkit: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ConfigError, PolarkitError) as exc:

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .becpolar import DEFAULT_BUDGET, LevelCdf
+from .becpolar import LevelCdf
 from .errors import (
     DomainError,
     IndexOutOfRange,
     MismatchedLevel,
-    PrefixTooDeep,
     RequiresExactCdf,
     integral,
     integral_array,
@@ -200,25 +199,21 @@ def rm_selection(g: BitMatrix, n: int, rate: float) -> SelectionSet:
                         metadata={})
 
 
-def default_prefix_depth(n: int, beta: float, profile: KernelProfile,
-                         budget: int = DEFAULT_BUDGET) -> int:
+def default_prefix_depth(n: int, beta: float, profile: KernelProfile) -> int:
     """Channel-dependent prefix length ceil((log2 n + log2 log2 c)/beta).
 
     c is the kernel's process-condition constant; the result is clamped to
-    1..n (the schedule outgrows n at desk scale).
+    1..n (the schedule outgrows n at desk scale).  Whether ell^m fits the
+    enumeration budget is checked by the level walk that builds the prefix.
     """
     if not (integral(n) and n >= 1):
         raise DomainError("n must be an integer >= 1")
     n = int(n)
     if not 0.0 < beta < math.inf:
         raise DomainError("beta must be positive and finite")
-    m = math.ceil((math.log2(n) + math.log2(math.log2(profile.c3_constant)))
-                  / beta)
-    m = max(1, min(m, n))
-    if profile.ell**m > budget:
-        raise PrefixTooDeep(
-            f"prefix depth {m} needs {profile.ell}^{m} nodes > budget {budget}")
-    return m
+    ratio = (math.log2(n) + math.log2(math.log2(profile.c3_constant))) / beta
+    # compared before the ceil, which a subnormal beta's inf would overflow
+    return n if ratio >= n else max(1, math.ceil(ratio))
 
 
 def hybrid_selection_recursive(
@@ -254,8 +249,6 @@ def hybrid_selection_recursive(
     if schedule[0] < 0 or schedule[-1] > n:
         raise DomainError("breakpoints must lie in 0..n")
     m0 = schedule[0]
-    if ell**m0 > DEFAULT_BUDGET:
-        raise PrefixTooDeep(f"{ell}^{m0} prefix nodes exceed the budget")
     if m0 == 0:
         if cdf_prefix is not None:
             raise MismatchedLevel("m = 0 takes no prefix enumeration")

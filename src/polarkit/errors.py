@@ -59,10 +59,6 @@ class RequiresExactCdf(PolarkitError):
     """Operation needs an exactly enumerated level, not a Monte Carlo estimate."""
 
 
-class PrefixTooDeep(PolarkitError):
-    """Hybrid prefix depth is incompatible with the requested block length."""
-
-
 class MismatchedLevel(PolarkitError):
     """Two objects built for different (n, ell) levels were combined."""
 

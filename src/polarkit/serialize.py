@@ -173,13 +173,18 @@ def fmt_real_lines(values: np.ndarray) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _integer(v) -> bool:
+    """A Python or numpy integer; a bool is a flag (np.bool_ is no np.integer)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def fmt_cell(v) -> str:
-    """One CSV cell: a str as given, an int by ``str``, anything else by
+    """One CSV cell: a str as given, an integer exactly, anything else by
     ``fmt_real`` (so a bool raises)."""
     if isinstance(v, str):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
+    if _integer(v):
+        return str(int(v))
     return fmt_real(v)
 
 
@@ -203,8 +208,8 @@ def dumps_17g(obj, indent: int = 0) -> str:
             if s in ("nan", "inf", "-inf"):  # not valid JSON numbers
                 return json.dumps(s)
             return s
-        if isinstance(v, int):
-            return str(v)
+        if _integer(v):
+            return str(int(v))
         if isinstance(v, str):
             return json.dumps(v)
         if v is None:

@@ -159,6 +159,27 @@ class TestExitCodes:
             assert rc == EXIT_BAD_CONFIG and out == ""
             assert err == "polarkit: bad config: n must list positive depths\n"
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    @pytest.mark.parametrize("flag", [
+        *(f"--t={v}" for v in ("1e308", "-1e308", "inf", "-inf", "1e-320")),
+        *(f"--beta={v}" for v in ("1e308", "-1e308", "inf", "300", "-300", "1e-320",
+                                  "5e-324")),
+        *(f"--rate={v}" for v in ("1e-320", "0", "1", "inf", "-inf")),
+        *(f"--eps={v}" for v in ("1e-320", "5e-324", repr(1 - 2**-53)))])
+    def test_extreme_value_sweep(self, command, flag, capsys):
+        # values at and past the float range (a threshold ell^(beta n) that
+        # overflows, a subnormal beta whose prefix-depth ratio is inf) end in
+        # a documented exit code
+        rc, out, err = run([command, "--n", "4", "--trials", "20", "--paths", "20", flag],
+                           capsys)
+        assert rc in (EXIT_OK, EXIT_BAD_KERNEL, EXIT_BUDGET, EXIT_BAD_CONFIG)
+        if rc != EXIT_OK:
+            assert out == "" and err.startswith("polarkit: ") and err.count("\n") == 1
+
+    def test_threshold_past_float_range_admits_no_index(self, capsys):
+        rc, out, _ = run(["exponent-verify", "--n", "4", "--beta", "300"], capsys)
+        assert rc == EXIT_OK and out == "n,beta,fraction\n4,300,0\n"
+
     def test_usage_errors_exit_bad_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -27,7 +27,6 @@ from polarkit.errors import (
     DomainError,
     IndexOutOfRange,
     MismatchedLevel,
-    PrefixTooDeep,
     RequiresExactCdf,
 )
 from polarkit.extval import LINEAR, NEGLOG
@@ -303,10 +302,6 @@ class TestDefaultPrefixDepth:
         assert default_prefix_depth(2, 5.0, arikan) == 1  # clamped up
         assert default_prefix_depth(9, 0.4, l3prof) == 9
 
-    def test_budget(self, arikan):
-        with pytest.raises(PrefixTooDeep):
-            default_prefix_depth(16, 0.5, arikan, budget=500)
-
     def test_domain(self, arikan):
         with pytest.raises(DomainError):
             default_prefix_depth(16, 0.0, arikan)
@@ -316,6 +311,11 @@ class TestDefaultPrefixDepth:
                 default_prefix_depth(n, beta, arikan)
         got = default_prefix_depth(16.0, 0.5, arikan)
         assert type(got) is int and got == default_prefix_depth(16, 0.5, arikan)
+
+    def test_subnormal_beta(self, arikan):
+        # (log2 n + log2 log2 c)/beta overflows to inf: the depth is n
+        for beta in (1e-320, 5e-324):
+            assert default_prefix_depth(5, beta, arikan) == 5
 
 
 class TestHybridSelection:
@@ -444,9 +444,19 @@ class TestHybridSelection:
             hybrid_selection(None, g, 8, 0.3, 0.3, 1000.0,
                              pad_cdf=cdf_cache(ARIKAN, 0.5, 6))
 
+    def test_prefix_past_the_default_budget(self):
+        # the enumeration budget is the caller's: a prefix enumerated under a
+        # budget above the default 2^22 is taken as it is
+        g = BitMatrix.from_literal(L3)
+        assert 3**14 > 2**22
+        cdf = enumerate_level(g, 0.5, 14, budget=3**14)
+        hyb = hybrid_selection(cdf, g, 14, 0.01, 0.6, 0.0)
+        assert hyb.metadata["schedule"] == (14,)
+        assert np.array_equal(hyb.indices, polar_selection(cdf, 0.01).indices)
+
     def test_prefix_budget(self):
         g = BitMatrix.from_literal(ARIKAN)
-        with pytest.raises(PrefixTooDeep):
+        with pytest.raises(DomainError, match="needs the exact depth-m enumeration"):
             hybrid_selection_recursive(g, 25, 0.3, [25], 0.3, 0.0, 0.0)
 
 

@@ -276,6 +276,17 @@ class TestSerialize:
         with pytest.raises(TypeError):
             csv_text("flag", [(True,)])
 
+    def test_numpy_integers_print_as_int(self):
+        big = 2**60
+        assert csv_text("a,b", [(big, np.int64(big))]) == f"a,b\n{big},{big}\n"
+        assert csv_text("u", [(np.uint64(2**64 - 1),)]) == f"u\n{2**64 - 1}\n"
+        assert dumps_17g({"a": np.int64(3), "b": [np.int8(-4)]}) == '{"a": 3, "b": [-4]}'
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(TypeError):
+                csv_text("flag", [(flag,)])
+        with pytest.raises(TypeError):
+            dumps_17g({"flag": np.bool_(True)})
+
     def test_dumps_17g_specials_as_strings(self):
         assert json.loads(dumps_17g({"x": math.inf}))["x"] == "inf"
 
