@@ -22,7 +22,8 @@ NEGLOG and COMPLOG payloads at or above ``SATURATED`` = 128.  There z (or
 count a_d exactly in float64, and the step is the affine update
 lam' = d * lam - log2(a_d), bit for bit what the full polynomial gives (the
 argument is next to ``SATURATED``).  Each class has one element-wise update
-per branch, and three loops drive them:
+per branch, written for arrays and, in ``_step_point``, for one element on
+Python floats; four loops run them:
 
 - ``_expand`` builds an exact tree level: it sorts the parents once by
   class, prepares each class's shared bases (z, 1 - z, 2^-lam and their
@@ -40,6 +41,14 @@ per branch, and three loops drive them:
   straight from a (side, branch) table; only the rest go through ``_step``.
   Most deep element-steps are saturated (91% for 50-level Arikan paths and
   77% for 30-level L3 paths at eps 0.5), so few are left for the sort.
+- ``evolve_exact`` steps one path on Python floats: ``_step_point`` is the
+  class update of its single element, on the same tables, bases and
+  ``_eval_terms``.  +, - and * on floats are the IEEE operations the arrays
+  run, powers follow ``extval._pow_arr`` (u**2 is u*u, as ``np.square``
+  is one correctly rounded product; higher powers go through numpy's
+  power loop on one element), and exp2 and log2 go through numpy on a
+  one-element array, so each digit gives the bits the array loops give,
+  without their per-call array overhead.
 
 Every update is element-wise, so each loop's output is bit-identical to
 stepping every element alone from the root.
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -60,7 +70,15 @@ import numpy as np
 
 from . import rng
 from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
-from .extval import COMPLOG, LINEAR, NEGLOG, SWITCH_BITS, ExtendedUnitValue
+from .extval import (
+    COMPLOG,
+    LINEAR,
+    NEGLOG,
+    SWITCH_BITS,
+    _BAND_EDGE,
+    ExtendedUnitValue,
+    _pow_arr,
+)
 from .gf2kernel import BitMatrix, determined_counts, is_polarizing, undetermined_counts
 from .serialize import dumps_17g, fmt_real_lines
 
@@ -201,6 +219,9 @@ class _Group(dict):
     is v**k for k >= 1, where u = x in the LINEAR class and 2^-x in the log
     classes and v = 1 - u; the first powers are u and v themselves."""
 
+    _pow = staticmethod(operator.pow)  # ndarray ** 2 is np.square
+    _exp2 = staticmethod(np.exp2)
+
     def __init__(self, x, log: bool):
         self.x = x
         if not log:  # the LINEAR update reads both bases
@@ -209,17 +230,33 @@ class _Group(dict):
     def __missing__(self, key):
         base, k = key
         if k > 1:
-            power = self[base, 1] ** k
+            power = self._pow(self[base, 1], k)
         elif base:
             power = 1.0 - self[0, 1]
         else:
-            power = np.exp2(-self.x)
+            power = self._exp2(-self.x)
         self[key] = power
         return power
 
     def shares(self, a) -> bool:
         """Whether ``a`` is one of the bases, which other updates may read."""
         return any(a is b for b in self.values())
+
+
+def _on_one(f, x: float) -> float:
+    """f(x) for a Python float, taken by numpy's loop on a one-element array
+    as the array engine takes it, so the bits are the engine's."""
+    return float(f(np.array([x]))[0])
+
+
+class _Point(_Group):
+    """One Python float payload x with the bases a _Group of the array [x]
+    holds, bit for bit: u**2 is u*u (np.square is one correctly rounded
+    product), and higher powers and 2^-x go through numpy on one element
+    (``extval._pow_arr``, ``_on_one``)."""
+
+    _pow = staticmethod(_pow_arr)
+    _exp2 = staticmethod(functools.partial(_on_one, np.exp2))
 
 
 def _eval_terms(terms, g: _Group, x: int = 0):
@@ -232,12 +269,13 @@ def _eval_terms(terms, g: _Group, x: int = 0):
     factor left is 1.0.  A single bare power is the group's own array.
     """
     acc = None
+    y = 1 - x
     for a, kx, ky in terms:
         t = None if a == 1.0 else a
-        for key in ((x, kx), (1 - x, ky)):
-            if key[1]:
-                f = g[key]
-                t = f if t is None else t * f
+        if kx:
+            t = g[x, kx] if t is None else t * g[x, kx]
+        if ky:
+            t = g[y, ky] if t is None else t * g[y, ky]
         t = 1.0 if t is None else t
         acc = t if acc is None else acc + t
     return acc
@@ -253,7 +291,7 @@ def _side_tables(row, ell):
     """
     terms, lead = _canonical_terms(row, ell)
     bracket = [(a, kx - lead, ky) for a, kx, ky in terms]
-    c = np.log2(_eval_terms(bracket, _Group(np.zeros(1), False))).item()
+    c = _on_one(np.log2, _eval_terms(bracket, _Point(0.0, False)))
     return terms, lead, (None if bracket == [(1.0, 0, 0)] else bracket), c
 
 
@@ -283,9 +321,10 @@ class _EvolveTables:
 def _tables(polys: ErasurePolynomialSet) -> _EvolveTables:
     """The _EvolveTables of ``polys``, built once per polynomial set.
 
-    For ``evolve_exact``, which steps one path per call.  The level loops
-    build their own: kept alive in the cache, an ell = 16 kernel's tables
-    raised the peak RSS of the large levels that follow by about 1 MiB.
+    For ``evolve_exact``, whose scalar step ``_step_point`` reads them for
+    one path per call.  The level loops build their own: kept alive in the
+    cache, an ell = 16 kernel's tables raised the peak RSS of the large
+    levels that follow by about 1 MiB.
     """
     return _EvolveTables(polys)
 
@@ -297,11 +336,10 @@ def _step_linear(g: _Group, j, t: _EvolveTables):
     the band, so only they take a log2; the rest keep p, which is copied
     first only when it is one of the group's bases (a bare power of z).
     """
-    thresh = 2.0**-SWITCH_BITS
     p = _eval_terms(t.terms[0][j], g)
     q = _eval_terms(t.terms[1][j], g, 1)
-    neg = p < thresh
-    comp = q < thresh
+    neg = p < _BAND_EDGE
+    comp = q < _BAND_EDGE
     has_neg, has_comp = neg.any(), comp.any()
     if not (has_neg or has_comp):
         return LINEAR, p
@@ -343,7 +381,8 @@ def _step_saturated(g: _Group, j, t: _EvolveTables, side: int):
     return NEGLOG + side, x2
 
 
-# the only branch math: each class's update, indexed by class (see _classes)
+# each class's update on arrays, indexed by class (see _classes); the one
+# other rendering of the branch math is _step_point, one element on floats
 _CLASS_STEPS = (
     _step_linear,
     functools.partial(_step_log, side=0),
@@ -358,6 +397,46 @@ def _classes(mode, payload):
     least SATURATED (LINEAR payloads are at most 1, so only log-domain
     payloads ever are)."""
     return mode + 2 * (payload >= SATURATED).view(np.int8)
+
+
+def _log_payload(x: float) -> float:
+    """The log payload -log2(x) of a LINEAR step leaving its band, as the
+    engine's np.log2 takes it (inf at 0, without the divide warning)."""
+    return -_on_one(np.log2, x) if x else math.inf
+
+
+def _step_point(mode: int, x: float, j: int, t: _EvolveTables):
+    """Branch j on one (mode, payload) of Python scalars; returns canonical
+    (mode, payload).
+
+    This is the class update that ``_step`` would send the element through
+    (see _classes), written for one element.  It takes the same bases (a
+    ``_Point``), the same ``_eval_terms`` and the same +, - and * in the
+    same order; on Python floats these are the IEEE operations the arrays
+    run, and log2 and exp2 go through numpy on one element, so the bits are
+    the engine's.  LINEAR takes q only when p stays in the band, as the
+    engine's masks put NEGLOG first.
+    """
+    if mode == LINEAR:
+        g = _Point(x, False)
+        p = _eval_terms(t.terms[0][j], g)
+        if p < _BAND_EDGE:
+            return NEGLOG, _log_payload(p)
+        q = _eval_terms(t.terms[1][j], g, 1)
+        if q < _BAND_EDGE:
+            return COMPLOG, _log_payload(q)
+        return LINEAR, p
+    side = mode - NEGLOG
+    if x >= SATURATED:
+        return mode, x * t.lead.item(side, j) - t.c.item(side, j)
+    x2 = t.lead.item(side, j) * x
+    bracket = t.bracket[side][j]
+    if bracket is not None:  # else the bracket is exactly 1.0
+        x2 -= _on_one(np.log2, _eval_terms(bracket, _Point(x, True)))
+    if x2 <= SWITCH_BITS:  # re-normalize toward LINEAR
+        d = _on_one(np.exp2, -x2)
+        return LINEAR, (1.0 - d if side else d)
+    return mode, x2
 
 
 def _groups(key, sorted_p, classes: int):
@@ -467,14 +546,10 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
         if not (integral(b) and 0 <= b < polys.ell):
             raise DomainError(f"digit {b!r} is not an integer in 0..{polys.ell - 1}")
     t = _tables(polys)
-    mode = np.array([z0.mode], dtype=np.int8)
-    payload = np.array([z0.payload], dtype=np.float64)
+    mode, x = int(z0.mode), float(z0.payload)
     for b in digits:
-        # one element needs no grouping: straight through its class's update,
-        # the class (see _classes) read off Python scalars
-        c = int(mode[0]) + 2 * (float(payload[0]) >= SATURATED)
-        mode[:], payload = _CLASS_STEPS[c](_Group(payload, c > 0), int(b), t)
-    return ExtendedUnitValue(int(mode[0]), float(payload[0]))
+        mode, x = _step_point(mode, x, int(b), t)
+    return ExtendedUnitValue(mode, x)
 
 
 # ---------------------------------------------------------------------------

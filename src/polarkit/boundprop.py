@@ -28,7 +28,14 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import AssumptionUnmet, DomainError, integral
-from .extval import ExtendedUnitValue, _exp2
+from .extval import (
+    ExtendedUnitValue,
+    _exp2,
+    _neglog2,
+    _order,
+    _power,
+    _scaled,
+)
 from .gf2kernel import KernelProfile
 from .serialize import dumps_17g
 
@@ -45,7 +52,8 @@ class IntervalState:
     hi: ExtendedUnitValue
 
     def __post_init__(self):
-        if self.lo is not self.hi and self.lo > self.hi:
+        lo, hi = self.lo, self.hi
+        if lo is not hi and _order(lo.mode, lo.payload, hi.mode, hi.payload) > 0:
             raise DomainError("interval bounds out of order")
 
     @staticmethod
@@ -68,8 +76,10 @@ def _digit(digit, ell: int) -> int:
 
 def _sandwich(state: IntervalState, d: int, k: int) -> IntervalState:
     """[lo^d, 2^k * hi^d], saturating at the top of the unit interval
-    (where the upper bound is vacuous)."""
-    return IntervalState(lo=state.lo.pow_int(d), hi=state.hi.pow_int(d).times_pow2(k))
+    (where the upper bound is vacuous).  A point interval takes one power."""
+    lo = state.lo.pow_int(d)
+    hi = lo if state.hi is state.lo else state.hi.pow_int(d)
+    return IntervalState(lo, hi.times_pow2(k))
 
 
 def propagate_z_interval(
@@ -77,8 +87,9 @@ def propagate_z_interval(
 ) -> IntervalState:
     """One branch step of the Z-side sandwich: d = D_digit(G) and
     k = ell - digit in ``_sandwich``."""
-    digit = _digit(digit, profile.ell)
-    return _sandwich(state, profile.partial_distances[digit], profile.ell - digit)
+    ell = profile.ell
+    digit = _digit(digit, ell)
+    return _sandwich(state, profile.partial_distances[digit], ell - digit)
 
 
 def propagate_comp_interval(
@@ -152,22 +163,29 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     if not 0.0 < c < math.inf:
         raise DomainError("constant c must be positive and finite")
     log2c = math.log2(c)
+    k_c = int(log2c)
     # times_pow2 scales by 2^k for integers k >= 0 only
-    exact_c = log2c >= 0.0 and log2c == int(log2c)
-    lams = [x.neglog2 for x in xs]
+    exact_c = log2c >= 0.0 and log2c == k_c
+    # The steps run on (mode, payload) pairs: the arithmetic of pow_int,
+    # times_pow2 and the ordering without their argument checks, which the
+    # exponents int(s) >= 1 and k_c >= 0 used here pass.
+    modes = [x.mode for x in xs]
+    pays = [x.payload for x in xs]
+    lams = list(map(_neglog2, modes, pays))
 
     c2 = 0
     c3 = 0
     max_ratio_log = -math.inf
     for k in range(len(xs) - 1):
-        x, s, x_next, lam_next = xs[k], ss[k], xs[k + 1], lams[k + 1]
+        s, m_next, x_next, lam_next = ss[k], modes[k + 1], pays[k + 1], lams[k + 1]
         if s == int(s):
-            ref = x.pow_int(int(s))
-            ref_lam = ref.neglog2
-            if x_next < ref:
+            m, x = _power(modes[k], pays[k], int(s))
+            ref_lam = _neglog2(m, x)
+            if _order(m_next, x_next, m, x) < 0:
                 c2 += 1
             if exact_c:
-                if x_next > ref.times_pow2(int(log2c)):
+                m, x = _scaled(m, x, k_c)
+                if _order(m_next, x_next, m, x) > 0:
                     c3 += 1
             elif lam_next < ref_lam - log2c:
                 c3 += 1

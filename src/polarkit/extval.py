@@ -51,7 +51,10 @@ MODE_NAMES = {LINEAR: "linear", NEGLOG: "neglog", COMPLOG: "complog"}
 # Mode-switch boundary, in bits.
 SWITCH_BITS = 40.0
 
+_BAND_EDGE = 2.0**-SWITCH_BITS  # LINEAR holds z and 1 - z at or above it
 _LN2 = math.log(2.0)
+_TINY = sys.float_info.min  # the least normal float
+_FLOAT_MAX = sys.float_info.max
 
 
 def _exp2(x: float) -> float:
@@ -93,6 +96,121 @@ def _neglog2(mode: int, payload: float) -> float:
     return -math.log1p(-d) / _LN2
 
 
+# The arithmetic below runs on (mode, payload) pairs, so that a chain of
+# steps builds no ExtendedUnitValue until its result; the methods of the
+# class check their arguments and wrap these.
+
+_TOP = (COMPLOG, math.inf)  # the saturated top element
+
+
+def _float_pair(z: float) -> tuple[int, float]:
+    """The canonical pair of the float z in (0,1)."""
+    if not 0.0 < z < 1.0:  # nan included
+        raise DomainError(f"value {z!r} outside the open unit interval")
+    if z < _BAND_EDGE:
+        return NEGLOG, -math.log2(z)
+    d = 1.0 - z
+    if d < _BAND_EDGE:
+        return COMPLOG, -math.log2(d)
+    return LINEAR, z
+
+
+def _neglog_pair(lam: float) -> tuple[int, float]:
+    """The canonical pair of the value 2^-lam, lam > 0."""
+    if not lam > 0.0:  # nan included
+        raise DomainError(f"neglog payload {lam!r} must be positive")
+    if lam > SWITCH_BITS:
+        return NEGLOG, lam
+    d = -math.expm1(-lam * _LN2)
+    if d < _BAND_EDGE:
+        return COMPLOG, -math.log2(d)
+    return LINEAR, _exp2(-lam)
+
+
+def _complement(mode: int, payload: float) -> tuple[int, float]:
+    """The pair of 1 - z.  NEGLOG and COMPLOG swap with the payload intact."""
+    if mode == LINEAR:
+        return LINEAR, 1.0 - payload
+    return (COMPLOG if mode == NEGLOG else NEGLOG), payload
+
+
+def _complog_pair(mu: float) -> tuple[int, float]:
+    """The canonical pair of the value 1 - 2^-mu: the mirror of
+    ``_neglog_pair`` (mu = inf gives the saturated top)."""
+    if not mu > 0.0:  # nan included
+        raise DomainError(f"complog payload {mu!r} must be positive")
+    return _complement(*_neglog_pair(mu))
+
+
+def _order(ma: int, a: float, mb: int, b: float) -> int:
+    """-1, 0 or 1 as the value (ma, a) is below, at or above (mb, b)."""
+    if ma == mb:
+        if a == b:
+            return 0
+        if ma == NEGLOG:  # larger lam = smaller value
+            return -1 if a > b else 1
+        return -1 if a < b else 1
+    # Cross-mode: compare -log2 z (strictly decreasing in z).  Canonical
+    # modes occupy disjoint value bands, so equal lams only occur right at
+    # a band boundary, where the represented values coincide.
+    la = _neglog2(ma, a)
+    lb = _neglog2(mb, b)
+    if la == lb:
+        return 0
+    return -1 if la > lb else 1
+
+
+def _power(mode: int, x: float, d: int) -> tuple[int, float]:
+    """The pair of z**d for an int d >= 1 (see ``pow_int``)."""
+    if d == 1 or (mode == COMPLOG and math.isinf(x)):  # the top
+        return mode, x
+    if mode == NEGLOG:
+        return _neglog_pair(d * x)
+    if mode == LINEAR:
+        r = _pow_arr(x, d)
+        if r < _TINY:
+            # subnormal or zero: too few significant bits left, so take
+            # the power in the log domain instead
+            return _neglog_pair(d * -math.log2(x))
+        if r < _BAND_EDGE:
+            return NEGLOG, -math.log2(r)
+        return LINEAR, r
+    # COMPLOG: 1 - (1-d)^... work on the complement side.
+    delta = _exp2(-x)
+    if d <= 64:
+        # Binomial bracket, same shape as the exact-evolution step.
+        zc = 1.0 - delta
+        bracket = 0.0
+        for m in range(1, d + 1):
+            bracket += math.comb(d, m) * _pow_arr(delta, m - 1) * _pow_arr(zc, d - m)
+        return _complog_pair(x - math.log2(bracket))
+    dd = -math.expm1(d * math.log1p(-delta))
+    if dd >= 1.0:
+        return _neglog_pair(d * _neglog2(COMPLOG, x))
+    return _complog_pair(-math.log2(dd))
+
+
+def _scaled(mode: int, x: float, k: int) -> tuple[int, float]:
+    """The pair of min(top, z * 2^k) for an int k >= 0 (see ``times_pow2``)."""
+    if k == 0 or (mode == COMPLOG and math.isinf(x)):  # the top
+        return mode, x
+    if mode == LINEAR:
+        # z * 2^k >= 1 iff z >= 2^-k, and every positive float is at least
+        # 2^-1074.  Tested before any scaling: 2.0**k overflows from
+        # k = 1024 on.  Below 1 the scaling is exact.
+        if x >= 2.0 ** -min(k, 1074):
+            return _TOP
+        return _float_pair(math.ldexp(x, k))
+    if mode == NEGLOG:
+        # an int compares with a float exactly, while x - k converts k,
+        # which overflows from k = 2^1024 on
+        if k >= x:
+            return _TOP
+        lam = x - k
+        return _TOP if lam <= 0.0 else _neglog_pair(lam)
+    return _TOP  # COMPLOG: already within 2^-40 of 1
+
+
 @dataclass(frozen=True)
 class ExtendedUnitValue:
     """A probability in (0,1) stored as (mode, payload); see module docstring."""
@@ -104,42 +222,22 @@ class ExtendedUnitValue:
 
     @classmethod
     def from_float(cls, z) -> "ExtendedUnitValue":
-        z = float(z)
-        if not (0.0 < z < 1.0) or math.isnan(z):
-            raise DomainError(f"value {z!r} outside the open unit interval")
-        if z < 2.0**-SWITCH_BITS:
-            return cls(NEGLOG, -math.log2(z))
-        d = 1.0 - z
-        if d < 2.0**-SWITCH_BITS:
-            return cls(COMPLOG, -math.log2(d))
-        return cls(LINEAR, z)
+        return cls(*_float_pair(float(z)))
 
     @classmethod
     def from_neglog2(cls, lam: float) -> "ExtendedUnitValue":
-        lam = float(lam)
-        if not lam > 0.0:  # nan included
-            raise DomainError(f"neglog payload {lam!r} must be positive")
-        if lam > SWITCH_BITS:
-            return cls(NEGLOG, lam)
-        z = _exp2(-lam)
-        d = -math.expm1(-lam * _LN2)
-        if d < 2.0**-SWITCH_BITS:
-            return cls(COMPLOG, -math.log2(d))
-        return cls(LINEAR, z)
+        return cls(*_neglog_pair(float(lam)))
 
     @classmethod
     def from_complog2(cls, mu: float) -> "ExtendedUnitValue":
         """The value with 1 - z = 2^-mu: the mirror of ``from_neglog2``
         (mu = inf gives the saturated top)."""
-        mu = float(mu)
-        if not mu > 0.0:  # nan included
-            raise DomainError(f"complog payload {mu!r} must be positive")
-        return cls.from_neglog2(mu).complement()
+        return cls(*_complog_pair(float(mu)))
 
     @classmethod
     def top(cls) -> "ExtendedUnitValue":
         """Saturated upper bound: the supremum of the representable range."""
-        return cls(COMPLOG, math.inf)
+        return cls(*_TOP)
 
     # -- views ----------------------------------------------------------
 
@@ -160,7 +258,7 @@ class ExtendedUnitValue:
     @property
     def complog2(self) -> float:
         """mu = -log2(1-z) as a float, accurate in every mode."""
-        return self.complement().neglog2
+        return _neglog2(*_complement(self.mode, self.payload))
 
     @property
     def is_top(self) -> bool:
@@ -168,30 +266,12 @@ class ExtendedUnitValue:
 
     def complement(self) -> "ExtendedUnitValue":
         """The value 1 - z.  NEGLOG and COMPLOG swap with the payload intact."""
-        if self.mode == LINEAR:
-            return ExtendedUnitValue(LINEAR, 1.0 - self.payload)
-        if self.mode == NEGLOG:
-            return ExtendedUnitValue(COMPLOG, self.payload)
-        return ExtendedUnitValue(NEGLOG, self.payload)
+        return ExtendedUnitValue(*_complement(self.mode, self.payload))
 
     # -- ordering on the represented value -------------------------------
 
     def _cmp(self, other: "ExtendedUnitValue") -> int:
-        if self.mode == other.mode:
-            a, b = self.payload, other.payload
-            if a == b:
-                return 0
-            if self.mode == NEGLOG:  # larger lam = smaller value
-                return -1 if a > b else 1
-            return -1 if a < b else 1
-        # Cross-mode: compare -log2 z (strictly decreasing in z).  Canonical
-        # modes occupy disjoint value bands, so equal lams only occur right at
-        # a band boundary, where the represented values coincide.
-        la = _neglog2(self.mode, self.payload)
-        lb = _neglog2(other.mode, other.payload)
-        if la == lb:
-            return 0
-        return -1 if la > lb else 1
+        return _order(self.mode, self.payload, other.mode, other.payload)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -216,53 +296,21 @@ class ExtendedUnitValue:
         """
         if not (integral(d) and d >= 1):
             raise DomainError(f"exponent {d!r} must be a positive integer")
-        d = int(d)
-        if d == 1 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
+        mode, x = self.mode, self.payload
+        if d == 1 or (mode == COMPLOG and math.isinf(x)):  # the top
             return self
-        if self.mode == NEGLOG:
-            return ExtendedUnitValue.from_neglog2(float(d) * self.payload)
-        if self.mode == LINEAR:
-            r = _pow_arr(self.payload, d)
-            if r < sys.float_info.min:
-                # subnormal or zero: too few significant bits left, so take
-                # the power in the log domain instead
-                return ExtendedUnitValue.from_neglog2(d * -math.log2(self.payload))
-            if r < 2.0**-SWITCH_BITS:
-                return ExtendedUnitValue(NEGLOG, -math.log2(r))
-            return ExtendedUnitValue(LINEAR, r)
-        # COMPLOG: 1 - (1-d)^... work on the complement side.
-        mu = self.payload
-        if d <= 64:
-            # Binomial bracket, same shape as the exact-evolution step.
-            delta = _exp2(-mu)
-            zc = 1.0 - delta
-            bracket = 0.0
-            for m in range(1, d + 1):
-                bracket += math.comb(d, m) * _pow_arr(delta, m - 1) * _pow_arr(zc, d - m)
-            return ExtendedUnitValue.from_complog2(mu - math.log2(bracket))
-        delta = _exp2(-mu)
-        dd = -math.expm1(d * math.log1p(-delta))
-        if dd >= 1.0:
-            return ExtendedUnitValue.from_neglog2(d * _neglog2(COMPLOG, mu))
-        return ExtendedUnitValue.from_complog2(-math.log2(dd))
+        if d > _FLOAT_MAX:
+            raise DomainError(f"exponent {d!r} beyond the float range")
+        return ExtendedUnitValue(*_power(mode, x, int(d)))
 
     def times_pow2(self, k: int) -> "ExtendedUnitValue":
         """min(top, z * 2^k) for an integer k >= 0; saturates above the interval."""
         if not (integral(k) and k >= 0):
             raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
-        if k == 0 or (self.mode == COMPLOG and math.isinf(self.payload)):  # is_top
+        mode, x = self.mode, self.payload
+        if k == 0 or (mode == COMPLOG and math.isinf(x)):  # the top
             return self
-        if self.mode == LINEAR:
-            r = self.payload * 2.0**k  # exact: power-of-two scaling
-            if r >= 1.0:
-                return ExtendedUnitValue.top()
-            return ExtendedUnitValue.from_float(r)
-        if self.mode == NEGLOG:
-            lam = self.payload - k
-            if lam <= 0.0:
-                return ExtendedUnitValue.top()
-            return ExtendedUnitValue.from_neglog2(lam)
-        return ExtendedUnitValue.top()  # COMPLOG: already within 2^-40 of 1
+        return ExtendedUnitValue(*_scaled(mode, x, int(k)))
 
     # -- misc -------------------------------------------------------------
 

@@ -524,10 +524,11 @@ def ref_step_arrays(mode, payload, j, t):
     return out_m, out_p
 
 
-def ref_evolve(z0: float, digits, polys) -> tuple[int, float]:
-    """(mode, payload) after stepping z0 through ``digits`` one at a time."""
+def ref_evolve(z0, digits, polys) -> tuple[int, float]:
+    """(mode, payload) after stepping z0 through ``digits`` one at a time;
+    z0 is a float or an ExtendedUnitValue, taken as it is."""
     t = RefTables(polys)
-    root = ExtendedUnitValue.from_float(z0)
+    root = z0 if isinstance(z0, ExtendedUnitValue) else ExtendedUnitValue.from_float(z0)
     mode = np.array([root.mode], dtype=np.int8)
     payload = np.array([root.payload])
     for b in digits:

@@ -322,6 +322,35 @@ class TestEvolveExact:
                 got = evolve_exact(eps, row, polys)
                 assert (got.mode, got.payload) == ref_evolve(eps, row, polys)
 
+    @pytest.mark.parametrize("g", [
+        ARIKAN, L3, kron_power(4), *(random_polarizing(60 + ell, ell) for ell in range(3, 9)),
+    ], ids=["arikan", "l3", "g16", *(f"random{ell}" for ell in range(3, 9))])
+    def test_every_start_matches_reference_steps(self, g):
+        # hand-built values outside their band, payloads next to, at and
+        # above SATURATED, and the top, each stepped from where it is
+        polys = split_erasure_polynomials(g)
+        starts = [
+            ExtendedUnitValue(NEGLOG, 12.0),
+            ExtendedUnitValue(COMPLOG, 3.0),
+            ExtendedUnitValue(NEGLOG, 20.0),  # Arikan's squaring lands on SWITCH_BITS
+            ExtendedUnitValue(COMPLOG, 20.0),
+            ExtendedUnitValue(LINEAR, 2.0**-45),
+            ExtendedUnitValue(LINEAR, 1 - 2.0**-45),
+            ExtendedUnitValue(NEGLOG, math.nextafter(SATURATED, 0.0)),
+            ExtendedUnitValue(NEGLOG, SATURATED),
+            ExtendedUnitValue(NEGLOG, 300.0),
+            ExtendedUnitValue(COMPLOG, SATURATED),
+            ExtendedUnitValue(COMPLOG, 1e4),
+            ExtendedUnitValue.top(),
+        ]
+        rows = np.random.default_rng(g.ell).integers(0, g.ell, (8, 12)).tolist()
+        for z0 in starts:
+            for row in rows:
+                for depth in (1, 3, 12):
+                    got = evolve_exact(z0, row[:depth], polys)
+                    want = ref_evolve(z0, row[:depth], polys)
+                    assert (got.mode, got.payload.hex()) == (want[0], want[1].hex()), (z0, row)
+
 
 SATURATED_KERNELS = {
     "arikan": ARIKAN,
@@ -461,6 +490,32 @@ class TestGroupedStep:
         becpolar._step(mode, payload, digits, t)
         assert mode.tobytes() == np.concatenate([m for m, _ in want]).tobytes()
         assert payload.tobytes() == np.concatenate([p for _, p in want]).tobytes()
+
+
+class TestPointStep:
+    @pytest.mark.parametrize("g", [*GROUPED_KERNELS, random_polarizing(26, 5)])
+    def test_matches_the_array_step(self, g):
+        # _step_point against the array engine's _step, element by element,
+        # bit for bit: every class, log payloads below their band as well
+        # (where 2^-x is far from 0 and its last bit reaches the bracket),
+        # and LINEAR values at every branch's band edges, stepped by it
+        polys = split_erasure_polynomials(g)
+        t = becpolar._EvolveTables(polys)
+        rng = np.random.default_rng(g.ell + 200)
+        mode, payload = all_class_states(rng, rng.permutation(np.repeat(np.arange(5), 300)))
+        digits = rng.integers(0, g.ell, len(mode))
+        edges = [linear_boundary_inputs(j, RefTables(polys)) for j in range(g.ell)]
+        edge_digits = [np.full(sum(map(len, z)), j) for j, z in enumerate(edges)]
+        mode = np.concatenate((mode, np.repeat(np.int8([NEGLOG, COMPLOG]), 600),
+                               np.full(sum(map(len, edge_digits)), LINEAR, dtype=np.int8)))
+        payload = np.concatenate((payload, rng.uniform(0.5, SWITCH_BITS, 1200),
+                                  *(x for z in edges for x in z)))
+        digits = np.concatenate((digits, rng.integers(0, g.ell, 1200), *edge_digits))
+        got = [becpolar._step_point(m, x, b, t)
+               for m, x, b in zip(mode.tolist(), payload.tolist(), digits.tolist())]
+        becpolar._step(mode, payload, digits, t)
+        assert [m for m, _ in got] == mode.tolist()
+        assert np.array([x for _, x in got]).tobytes() == payload.tobytes()
 
 
 class TestExpand:

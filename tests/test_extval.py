@@ -267,6 +267,14 @@ class TestPowInt:
             with pytest.raises(DomainError):
                 v.pow_int(bad)
 
+    def test_exponent_beyond_the_float_range(self):
+        # float(d) overflows there, in every mode; the top stays the top
+        for v in (ExtendedUnitValue.from_float(0.3), ExtendedUnitValue(NEGLOG, 50.0),
+                  ExtendedUnitValue(COMPLOG, 50.0), ExtendedUnitValue(COMPLOG, 200.0)):
+            for d in (2**1024, 2**1100):
+                with pytest.raises(DomainError, match="beyond the float range"):
+                    v.pow_int(d)
+
     def test_numpy_non_finite_exponent_is_a_domain_error(self):
         v = ExtendedUnitValue.from_float(0.25)
         with warnings.catch_warnings():
@@ -291,6 +299,18 @@ class TestTimesPow2:
         assert ExtendedUnitValue.from_float(0.5).times_pow2(2).is_top
         assert ExtendedUnitValue(NEGLOG, 41.0).times_pow2(41).is_top
         assert ExtendedUnitValue(COMPLOG, 50.0).times_pow2(1).is_top
+
+    def test_saturation_past_the_float_range(self):
+        # 2.0**k overflows from k = 1024 on and float(k) from k = 2^1024 on
+        for v in (ExtendedUnitValue(LINEAR, 0.5), ExtendedUnitValue(NEGLOG, 50.0),
+                  ExtendedUnitValue(COMPLOG, 50.0)):
+            for k in (1023, 1024, 1075, 2**64, 2**1100):
+                assert v.times_pow2(k).is_top, (v, k)
+        # a subnormal payload (hand-built) scales exactly up to 1 and saturates there
+        tiny = ExtendedUnitValue(LINEAR, 2.0**-1074)
+        assert tiny.times_pow2(1073) == ExtendedUnitValue(LINEAR, 0.5)
+        assert tiny.times_pow2(1074).is_top
+        assert ExtendedUnitValue(NEGLOG, 50.0).times_pow2(49) == ExtendedUnitValue(LINEAR, 0.5)
 
     def test_identity_and_domain(self):
         v = ExtendedUnitValue.from_float(0.5)
@@ -361,7 +381,8 @@ class TestScalarReference:
     of tests/conftest.py: equal modes, payload bits and raised errors."""
 
     def test_pow_int(self):
-        ds = [*range(1, 21), 31, 63, 64, 65, 100, 1000, 5000, 2**20, 0, -1, 1.5, math.nan, math.inf]
+        ds = [*range(1, 21), 31, 63, 64, 65, 100, 1000, 5000, 2**20, 2**63, 2**64,
+              0, -1, 1.5, math.nan, math.inf]
         for v in scalar_values():
             for d in ds:
                 assert outcome(v.pow_int, d) == outcome(ref_pow_int, v, d), (v, d)
