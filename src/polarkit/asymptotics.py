@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, DomainError
+from .errors import DegenerateVariance, DomainError, whole
 from .extval import ExtendedUnitValue
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -90,15 +90,13 @@ def q_inverse(p: float) -> float:
 def loglog_exponent(z, ell: int) -> float:
     """log_ell(-log2 z): the nu for which z = 2^(-ell^nu).
 
-    -inf when z = 1 (or the pinned ceiling).  Exact for extreme z because it
+    z is a float in (0,1) or an ExtendedUnitValue; -inf at the saturated
+    top, the one value whose -log2 z is 0.  Exact for extreme z because it
     reads the neglog payload directly instead of round-tripping through a
     float value.
     """
-    if ell < 2:
-        raise DomainError("ell must be at least 2")
-    if not isinstance(z, ExtendedUnitValue):
-        z = ExtendedUnitValue.from_float(z)
-    lam = z.neglog2
+    ell = whole(ell, "ell", 2)
+    lam = ExtendedUnitValue.of(z).neglog2
     if lam <= 0.0:
         return -math.inf
     return math.log(lam) / math.log(ell)
@@ -148,8 +146,7 @@ def polar_threshold(n: int, t: float, profile, side: str = "good",
     Good side uses (E, V) of the kernel, bad side the derived-H pair.  f(n)
     is any o(sqrt(n)) correction; 0 is the canonical choice.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = whole(n, "n", 1)
     e, v = _side_moments(profile, side)
     if v == 0.0:
         if t != 0.0:
@@ -167,8 +164,7 @@ def predicted_cdf(n: int, nu: float, channel_I: float, profile,
     Inverts the threshold construction: t = (nu - n*E)/sqrt(n*V), and the
     limiting fraction is I*Q(t) on the good side, (1-I)*Q(t) on the bad.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = whole(n, "n", 1)
     if not 0.0 <= channel_I <= 1.0:
         raise DomainError("channel_I must lie in [0,1]")
     e, v = _side_moments(profile, side)

@@ -69,7 +69,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, integral
+from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, whole
 from .extval import (
     COMPLOG,
     LINEAR,
@@ -77,6 +77,8 @@ from .extval import (
     SWITCH_BITS,
     _BAND_EDGE,
     ExtendedUnitValue,
+    _complog_pair,
+    _neglog_pair,
     _pow_arr,
 )
 from .gf2kernel import BitMatrix, determined_counts, is_polarizing, undetermined_counts
@@ -109,15 +111,9 @@ class ErasurePolynomialSet:
     def ell(self) -> int:
         return self.kernel.ell
 
-    def _branch(self, j) -> int:
-        """Branch j as an int; raises DomainError unless it names a branch."""
-        if not (integral(j) and 0 <= j < self.ell):
-            raise DomainError(f"branch {j!r} outside 0..{self.ell - 1}")
-        return int(j)
-
     def _eval(self, side: int, j, x: float) -> float:
         """p_j(x) on side 0 or q_j(x) on side 1, in float arithmetic."""
-        row = (self.counts, self.comp_counts)[side][self._branch(j)]
+        row = (self.counts, self.comp_counts)[side][whole(j, "branch", 0, self.ell - 1)]
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"{('erasure probability', 'argument')[side]} outside [0,1]")
         ell = self.ell
@@ -513,25 +509,25 @@ def _neglog_array(mode, payload):
 
 def _check_depth(ell: int, n) -> int:
     """The depth n as an int; raises DomainError unless it is a nonnegative
-    integer (an integral float is accepted) within the float range."""
-    if not (integral(n) and n >= 0):
-        raise DomainError(f"level {n!r} is not a nonnegative integer")
+    integer within the float range."""
+    n = whole(n, "level", 0)
     if n * math.log2(ell) > 900.0:
         raise DomainError(
             "requested depth would push -log2 Z beyond the valid float range"
         )
-    return int(n)
+    return n
 
 
 def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     """Exact Z after applying the branch sequence ``digits`` (first digit first).
 
     ``z0`` may be a float in (0,1) or an ExtendedUnitValue of a value there
-    (or the saturated top); each digit must be an integer (an integral
-    float is accepted) in 0..ell-1.
+    (or the saturated top); each digit must be an integer in 0..ell-1.  A
+    log-mode start with a payload below 1 holds a value on the other side
+    of 1/2, which the log step could carry out of (0,1); it starts from its
+    canonical pair instead.
     """
-    if not isinstance(z0, ExtendedUnitValue):
-        z0 = ExtendedUnitValue.from_float(z0)
+    z0 = ExtendedUnitValue.of(z0)
     # the step classes take every payload >= SATURATED for a log-domain one
     if z0.mode == LINEAR:
         valid = 0.0 < z0.payload < 1.0
@@ -541,14 +537,13 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
         raise DomainError(f"start state {(z0.mode, z0.payload)} is not a value in (0,1)")
     digits = list(digits)
     _check_depth(polys.ell, len(digits))
-    for b in digits:
-        # checked before the int cast, which would truncate 1.7 to 1
-        if not (integral(b) and 0 <= b < polys.ell):
-            raise DomainError(f"digit {b!r} is not an integer in 0..{polys.ell - 1}")
-    t = _tables(polys)
+    digits = [whole(b, "digit", 0, polys.ell - 1) for b in digits]
     mode, x = int(z0.mode), float(z0.payload)
+    if mode != LINEAR and x < 1.0:
+        mode, x = (_neglog_pair if mode == NEGLOG else _complog_pair)(x)
+    t = _tables(polys)
     for b in digits:
-        mode, x = _step_point(mode, x, int(b), t)
+        mode, x = _step_point(mode, x, b, t)
     return ExtendedUnitValue(mode, x)
 
 
@@ -615,9 +610,7 @@ class LevelCdf:
         """Exact Z of channel ``index`` (1-based); exact enumerations only."""
         if not self.is_exact:
             raise RequiresExactCdf("per-index values need an exact enumeration")
-        if not (integral(index) and 1 <= index <= self.size):
-            raise DomainError(f"index {index!r} outside 1..{self.size}")
-        i = int(index) - 1
+        i = whole(index, "index", 1, self.size) - 1
         return ExtendedUnitValue(int(self._modes[i]), float(self._payloads[i]))
 
     def mean_z(self) -> float:
@@ -672,14 +665,12 @@ class LevelWalk:
     level once, and every request order gives the levels that one
     ``enumerate_level`` call per depth gives, bit for bit.  The walk holds
     only the level it stands on, which the LevelCdf returned there already
-    references.  ``t`` is the kernel's _EvolveTables when the caller has
-    them already.
+    references, and the kernel's _EvolveTables once it has stepped.
     """
 
-    def __init__(self, g: BitMatrix, eps: float, budget: int = DEFAULT_BUDGET,
-                 t: _EvolveTables | None = None):
+    def __init__(self, g: BitMatrix, eps: float, budget: int = DEFAULT_BUDGET):
         self.g, self.eps, self.budget = g, eps, budget
-        self._t = t
+        self._t = None
         self.depth = None  # the level the walk stands on; None before the first
         self._level = None
 
@@ -770,15 +761,15 @@ def sample_paths(
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("erasure probability must lie strictly inside (0,1)")
-    if not (integral(count) and count >= 0):
-        raise DomainError(f"path count {count!r} is not a nonnegative integer")
-    count = int(count)
+    count = whole(count, "path count", 0)
     n = _check_depth(g.ell, n)
+    seed = whole(seed, "seed")
     k = 0
     while k < n and g.ell ** (k + 1) <= count:
         k += 1
-    t = _EvolveTables(split_erasure_polynomials(g))
-    modes, payloads = LevelWalk(g, eps, t=t)._advance(k)
+    walk = LevelWalk(g, eps)
+    modes, payloads = walk._advance(k)
+    t = walk._t
     subs = rng.subseeds(seed, count)
     idx = np.zeros(count, dtype=np.int64)
     for d in range(k):

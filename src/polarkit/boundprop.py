@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import AssumptionUnmet, DomainError, integral
+from .errors import AssumptionUnmet, DomainError, whole
 from .extval import (
     ExtendedUnitValue,
     _exp2,
@@ -59,19 +59,11 @@ class IntervalState:
     @staticmethod
     def degenerate(z) -> "IntervalState":
         """Point interval [z, z] for a known root value."""
-        if not isinstance(z, ExtendedUnitValue):
-            z = ExtendedUnitValue.from_float(z)
+        z = ExtendedUnitValue.of(z)
         return IntervalState(lo=z, hi=z)
 
     def contains(self, z: ExtendedUnitValue) -> bool:
         return self.lo <= z <= self.hi
-
-
-def _digit(digit, ell: int) -> int:
-    """digit as an int; raises DomainError unless it names a branch."""
-    if not (integral(digit) and 0 <= digit < ell):
-        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
-    return int(digit)
 
 
 def _sandwich(state: IntervalState, d: int, k: int) -> IntervalState:
@@ -88,7 +80,7 @@ def propagate_z_interval(
     """One branch step of the Z-side sandwich: d = D_digit(G) and
     k = ell - digit in ``_sandwich``."""
     ell = profile.ell
-    digit = _digit(digit, ell)
+    digit = whole(digit, "digit", 0, ell - 1)
     return _sandwich(state, profile.partial_distances[digit], ell - digit)
 
 
@@ -101,7 +93,7 @@ def propagate_comp_interval(
     has d_j = D_(ell-1-j)(H), proven in ``gf2kernel``; a hand-built profile
     with ``comp_map_consistent`` cleared raises AssumptionUnmet.
     """
-    digit = _digit(digit, profile.ell)
+    digit = whole(digit, "digit", 0, profile.ell - 1)
     if not profile.comp_map_consistent:
         raise AssumptionUnmet(
             "comp branch degrees do not match the derived matrix's partial "
@@ -133,15 +125,6 @@ _C5_NOTE = (
 )
 
 
-def _as_extval(x) -> ExtendedUnitValue:
-    if isinstance(x, ExtendedUnitValue):
-        return x
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise DomainError("trace values must lie strictly inside (0,1)")
-    return ExtendedUnitValue.from_float(x)
-
-
 def check_process_conditions(trace, c: float) -> ConditionReport:
     """Count violations of x' >= x^s and x' <= c*x^s along a trace.
 
@@ -155,7 +138,7 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     """
     if not trace:
         raise DomainError("empty trace")
-    xs = [_as_extval(x) for x, _ in trace]
+    xs = [ExtendedUnitValue.of(x) for x, _ in trace]
     ss = [float(s) for _, s in trace]
     for s in ss[:-1]:
         if not 1.0 <= s < math.inf:

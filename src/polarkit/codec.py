@@ -96,8 +96,8 @@ from .errors import (
     FrozenBitNonzero,
     IndexOutOfRange,
     MismatchedLevel,
-    integral,
     integral_array,
+    whole,
 )
 from .gf2kernel import (
     BitMatrix,
@@ -140,9 +140,7 @@ class PolarCode:
     frozen: frozenset
 
     def __post_init__(self):
-        if not (integral(self.n) and self.n >= 1):
-            raise DomainError("n must be an integer >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", whole(self.n, "n", 1))
         size = self.profile.ell**self.n
         if size > MAX_BLOCK:
             raise DimensionTooLarge(f"block length {size} exceeds {MAX_BLOCK}")
@@ -228,12 +226,10 @@ class PolarCode:
         Row selection digit-reverses i-1: the innermost kernel factor takes
         the most significant channel digit.
         """
-        # checked before the arithmetic, which would carry 1.5 through
-        if not integral(i):
-            raise DomainError(f"index {i!r} is not an integer")
+        i = whole(i, "index")
         if not 1 <= i <= self.block_length:
             raise IndexOutOfRange(f"index {i} outside 1..{self.block_length}")
-        return self._generator_rows(np.array([int(i) - 1]))[0]
+        return self._generator_rows(np.array([i - 1]))[0]
 
     @cached_property
     def _sc_program(self) -> tuple:
@@ -363,10 +359,9 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
         raise DomainError("eps must lie in [0, 1]")
     if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
-    if not integral(seed):
-        raise DomainError(f"seed {seed!r} is not an integer")
+    seed = whole(seed, "seed")
     x = x.astype(np.int8)
-    erased = erasure_words([int(seed) % 2**64], x.size, eps)[:, 0] & 1 == 1
+    erased = erasure_words([seed % 2**64], x.size, eps)[:, 0] & 1 == 1
     return ErasureWord(np.where(erased, np.int8(ERASED), x))
 
 
@@ -669,10 +664,8 @@ def map_decode_bec(word: ErasureWord, code: PolarCode) -> str:
 
 def wilson_interval(errors: int, trials: int) -> tuple:
     """Two-sided 95% Wilson score interval (z = WILSON_Z) for a binomial proportion."""
-    if not (integral(trials) and trials > 0):
-        raise DomainError("trials must be a positive integer")
-    if not (integral(errors) and 0 <= errors <= trials):
-        raise DomainError("errors must be an integer in 0..trials")
+    trials = whole(trials, "trials", 1)
+    errors = whole(errors, "errors", 0, trials)
     p = errors / trials
     zz = WILSON_Z * WILSON_Z / trials
     center = (p + zz / 2.0) / (1.0 + zz)
@@ -752,11 +745,8 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     """
     if not (0.0 <= eps <= 1.0) or math.isnan(eps):
         raise DomainError("eps must lie in [0, 1]")
-    if not (integral(trials) and trials >= 1):
-        raise DomainError("trials must be an integer >= 1")
-    if not integral(seed):
-        raise DomainError(f"seed {seed!r} is not an integer")
-    trials, seed = int(trials), int(seed)
+    trials = whole(trials, "trials", 1)
+    seed = whole(seed, "seed")
     size = code.block_length
     chunk = max(1, CELLS // size)
     sc_errors = 0

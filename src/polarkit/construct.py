@@ -31,8 +31,8 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
     RequiresExactCdf,
-    integral,
     integral_array,
+    whole,
 )
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
 from .gf2kernel import BitMatrix, KernelProfile, kernel_profile
@@ -56,10 +56,8 @@ class SelectionSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (integral(self.n) and self.n >= 0 and integral(self.ell) and self.ell >= 1):
-            raise DomainError("n and ell must be integers, n >= 0 and ell >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "ell", int(self.ell))
+        object.__setattr__(self, "n", whole(self.n, "n", 0))
+        object.__setattr__(self, "ell", whole(self.ell, "ell", 1))
         if not 0.0 <= self.rate <= 1.0:
             raise DomainError("rate must lie in [0, 1]")
         size = self.ell**self.n
@@ -124,15 +122,10 @@ def digit_reverse(i: int, ell: int, n: int) -> int:
 
     1-based on both sides: the digits of i-1 reversed give j-1.
     """
-    # checked before the arithmetic, which would carry 1.5 through
-    if not (integral(ell) and ell >= 1 and integral(n) and n >= 0):
-        raise DomainError("ell and n must be integers, ell >= 1 and n >= 0")
-    ell, n = int(ell), int(n)
-    if not integral(i):
-        raise DomainError(f"index {i!r} is not an integer")
+    ell, n, i = whole(ell, "ell", 1), whole(n, "n", 0), whole(i, "index")
     if not 1 <= i <= ell**n:
         raise IndexOutOfRange(f"index {i} outside 1..{ell}^{n}")
-    x = int(i) - 1
+    x = i - 1
     r = 0
     for _ in range(n):
         r = r * ell + x % ell
@@ -189,9 +182,7 @@ def rm_selection(g: BitMatrix, n: int, rate: float) -> SelectionSet:
     Row weight of index i is the product over digits of the kernel row
     weights, ranked as exact integers.
     """
-    if not (integral(n) and n >= 0):
-        raise DomainError(f"level {n!r} is not a nonnegative integer")
-    n = int(n)
+    n = whole(n, "level", 0)
     k = _target_size(g.ell, n, rate)
     order = np.argsort(-_row_weight_table(g.row_weights(), n), kind="stable")
     chosen = np.sort(order[:k]) + 1
@@ -206,9 +197,7 @@ def default_prefix_depth(n: int, beta: float, profile: KernelProfile) -> int:
     1..n (the schedule outgrows n at desk scale).  Whether ell^m fits the
     enumeration budget is checked by the level walk that builds the prefix.
     """
-    if not (integral(n) and n >= 1):
-        raise DomainError("n must be an integer >= 1")
-    n = int(n)
+    n = whole(n, "n", 1)
     if not 0.0 < beta < math.inf:
         raise DomainError("beta must be positive and finite")
     ratio = (math.log2(n) + math.log2(math.log2(profile.c3_constant))) / beta
@@ -240,10 +229,8 @@ def hybrid_selection_recursive(
     scores, recording the pad count as metadata["shortfall"].
     """
     ell = g.ell
-    schedule = list(schedule)
-    if not all(integral(m) for m in (n, *schedule)):
-        raise DomainError("n and the breakpoints must be integers")
-    n, schedule = int(n), [int(m) for m in schedule]
+    n = whole(n, "n")
+    schedule = [whole(m, "breakpoint") for m in schedule]
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be a strictly increasing sequence")
     if schedule[0] < 0 or schedule[-1] > n:

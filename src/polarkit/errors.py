@@ -1,25 +1,39 @@
-"""Exception types shared across the package, and the integrality tests
-that guard the index and exponent arguments raising them."""
+"""Exception types shared across the package, and the one rule for the
+integer arguments raising them: ``whole`` for a scalar, ``integral_array``
+for an array."""
 
 import math
 
 import numpy as np
 
 
-def integral(x) -> bool:
-    """True iff the real scalar x is a finite whole number.
+def whole(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """x as an int; raises DomainError unless x is a finite whole number
+    in lo..hi (a bound of None is open).
 
-    A Python int of any size passes without a float conversion.  Any
-    other value must be finite before ``x % 1`` is taken, since numpy
-    warns on the remainder of an infinity or a nan.
+    A value counts as the int it equals, so integral floats, numpy scalars
+    and bools pass.  Integrality is checked before the int cast, which
+    would truncate 1.7 to 1, and a non-int must be finite before ``x % 1``
+    is taken, since numpy warns on the remainder of an infinity or a nan.
+    A Python int of any size takes no float conversion.
     """
-    return isinstance(x, int) or (math.isfinite(x) and x % 1 == 0)
+    if type(x) is int:
+        n = x
+    elif isinstance(x, int) or (math.isfinite(x) and x % 1 == 0):
+        n = int(x)
+    else:
+        raise DomainError(f"{what} {x!r} is not an integer")
+    if (lo is None or n >= lo) and (hi is None or n <= hi):
+        return n
+    if hi is None:
+        raise DomainError(f"{what} {x!r} is not an integer >= {lo}")
+    raise DomainError(f"{what} {x!r} is not an integer in {lo}..{hi}")
 
 
 def integral_array(values, what: str) -> np.ndarray:
-    """``values`` as a numpy array, checked before any int cast (which would
-    truncate 1.7 to 1): raises DomainError unless every entry is a finite
-    whole number of a numeric dtype."""
+    """``values`` as a numpy array, checked as ``whole`` checks a scalar:
+    raises DomainError unless every entry is a finite whole number of a
+    numeric dtype."""
     arr = np.asarray(values)
     with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
         if arr.size and (arr.dtype.kind not in "iuf" or (arr % 1 != 0).any()):

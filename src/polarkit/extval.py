@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, integral
+from .errors import DomainError, whole
 
 LINEAR = 0
 NEGLOG = 1
@@ -225,6 +225,11 @@ class ExtendedUnitValue:
         return cls(*_float_pair(float(z)))
 
     @classmethod
+    def of(cls, z) -> "ExtendedUnitValue":
+        """z itself if it is an ExtendedUnitValue, else ``from_float(z)``."""
+        return z if isinstance(z, cls) else cls.from_float(z)
+
+    @classmethod
     def from_neglog2(cls, lam: float) -> "ExtendedUnitValue":
         return cls(*_neglog_pair(float(lam)))
 
@@ -294,23 +299,21 @@ class ExtendedUnitValue:
         bit in the degenerate cases (pure-power branches), so that propagated
         bounds meet the exact values with equality rather than off by an ulp.
         """
-        if not (integral(d) and d >= 1):
-            raise DomainError(f"exponent {d!r} must be a positive integer")
+        d = whole(d, "exponent", 1)
         mode, x = self.mode, self.payload
         if d == 1 or (mode == COMPLOG and math.isinf(x)):  # the top
             return self
         if d > _FLOAT_MAX:
             raise DomainError(f"exponent {d!r} beyond the float range")
-        return ExtendedUnitValue(*_power(mode, x, int(d)))
+        return ExtendedUnitValue(*_power(mode, x, d))
 
     def times_pow2(self, k: int) -> "ExtendedUnitValue":
         """min(top, z * 2^k) for an integer k >= 0; saturates above the interval."""
-        if not (integral(k) and k >= 0):
-            raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
+        k = whole(k, "scaling exponent", 0)
         mode, x = self.mode, self.payload
         if k == 0 or (mode == COMPLOG and math.isinf(x)):  # the top
             return self
-        return ExtendedUnitValue(*_scaled(mode, x, int(k)))
+        return ExtendedUnitValue(*_scaled(mode, x, k))
 
     # -- misc -------------------------------------------------------------
 

@@ -631,8 +631,10 @@ def ref_cmp(a, b) -> int:
 
 def ref_pow_int(v, d):
     E = ExtendedUnitValue
-    if not (d >= 1 and d % 1 == 0):
-        raise DomainError(f"exponent {d!r} must be a positive integer")
+    if not d % 1 == 0:  # nan and inf included
+        raise DomainError(f"exponent {d!r} is not an integer")
+    if d < 1:
+        raise DomainError(f"exponent {d!r} is not an integer >= 1")
     d = int(d)
     if d == 1 or ref_is_top(v):
         return v
@@ -662,8 +664,10 @@ def ref_pow_int(v, d):
 
 def ref_times_pow2(v, k):
     E = ExtendedUnitValue
-    if not (k >= 0 and k % 1 == 0):
-        raise DomainError(f"scaling exponent {k!r} must be a nonnegative integer")
+    if not k % 1 == 0:
+        raise DomainError(f"scaling exponent {k!r} is not an integer")
+    if k < 0:
+        raise DomainError(f"scaling exponent {k!r} is not an integer >= 0")
     if k == 0 or ref_is_top(v):
         return v
     if v.mode == LINEAR:
@@ -689,8 +693,10 @@ def ref_interval(lo, hi):
 def ref_propagate(lo, hi, digit, profile, comp=False):
     """(lo, hi) after one branch step of the Z-side (or comp-side) sandwich."""
     ell = profile.ell
-    if not (digit % 1 == 0 and 0 <= digit < ell):
-        raise DomainError(f"digit {digit!r} outside 0..{ell - 1}")
+    if not digit % 1 == 0:
+        raise DomainError(f"digit {digit!r} is not an integer")
+    if not 0 <= digit < ell:
+        raise DomainError(f"digit {digit!r} is not an integer in 0..{ell - 1}")
     digit = int(digit)
     if comp:
         if not profile.comp_map_consistent:
@@ -715,7 +721,7 @@ def ref_check_process_conditions(trace, c) -> dict:
         if not isinstance(x, ExtendedUnitValue):
             x = float(x)
             if not 0.0 < x < 1.0:
-                raise DomainError("trace values must lie strictly inside (0,1)")
+                raise DomainError(f"value {x!r} outside the open unit interval")
             x = ExtendedUnitValue.from_float(x)
         xs.append(x)
     ss = [float(s) for _, s in trace]

@@ -118,10 +118,15 @@ class TestLogLog:
     def test_near_one_is_minus_inf_like(self):
         z = ExtendedUnitValue.from_complog2(60.0)
         assert loglog_exponent(z, 2) < -50
+        # the saturated top is the one value whose -log2 z is 0
+        assert loglog_exponent(ExtendedUnitValue.top(), 2) == -math.inf
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            loglog_exponent(0.5, 1)
+        # the float 1.0 is no value of (0,1)
+        for z, ell in ((0.5, 1), (0.5, 2.5), (1.0, 2), (0.0, 2), (math.nan, 2)):
+            with pytest.raises(DomainError):
+                loglog_exponent(z, ell)
+        assert loglog_exponent(2.0**-8, 2.0) == loglog_exponent(2.0**-8, 2)
 
 
 class TestDoubleExponent:
@@ -195,6 +200,15 @@ class TestThresholdAndPrediction:
             polar_threshold(10, 0.0, arikan, side="ugly")
         with pytest.raises(DomainError):
             predicted_cdf(10, 5.0, 1.5, arikan)
+        for bad in (1.5, 2.5, math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError):
+                polar_threshold(bad, 0.0, arikan)
+            with pytest.raises(DomainError):
+                predicted_cdf(bad, 5.0, 0.5, arikan)
+        # an integral float is the int it equals
+        assert polar_threshold(3.0, 1.0, arikan) == polar_threshold(3, 1.0, arikan)
+        pred = predicted_cdf(np.float64(3.0), 2.0, 0.5, arikan)
+        assert type(pred.n) is int and pred == predicted_cdf(3, 2.0, 0.5, arikan)
 
 
 class TestOrthant:

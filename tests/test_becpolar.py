@@ -264,6 +264,23 @@ class TestEvolveExact:
                 evolve_exact(ExtendedUnitValue(*z0), [0], polys)
         assert evolve_exact(ExtendedUnitValue.top(), [0], polys).is_top
 
+    def test_log_start_below_one_takes_its_canonical_pair(self):
+        # NEGLOG 2^-45 is z = 1 - 2^-45.53, so Arikan branch 0 squares 1 - z:
+        # -2 log2(1 - 2^-(2^-45)) = 91.05753274588982365 (50-digit mpmath);
+        # the COMPLOG mirror on branch 1 squares z to the same payload
+        polys = split_erasure_polynomials(ARIKAN)
+        want = float(-2 * mp.log(1 - mp.mpf(2) ** -(mp.mpf(2) ** -45), 2))
+        for mode, b, out in ((NEGLOG, 0, COMPLOG), (COMPLOG, 1, NEGLOG)):
+            z = evolve_exact(ExtendedUnitValue(mode, 2.0**-45), [b], polys)
+            assert z.mode == out and math.isclose(z.payload, want, rel_tol=1e-12)
+        l3 = split_erasure_polynomials(L3)
+        for pay in (2.0**-45, 0.25, 0.999):
+            for digits in ([0, 2, 1], [2, 2, 0, 1]):
+                assert evolve_exact(ExtendedUnitValue(NEGLOG, pay), digits, l3) == (
+                    evolve_exact(ExtendedUnitValue.from_neglog2(pay), digits, l3))
+                assert evolve_exact(ExtendedUnitValue(COMPLOG, pay), digits, l3) == (
+                    evolve_exact(ExtendedUnitValue.from_complog2(pay), digits, l3))
+
     def test_empty_path_is_identity(self):
         polys = split_erasure_polynomials(ARIKAN)
         assert evolve_exact(0.25, [], polys).value == 0.25
@@ -983,3 +1000,10 @@ class TestSampling:
         want = sample_paths(ARIKAN, 0.5, 5, 3, seed=0)
         for n, count in ((5.0, 3), (5, 3.0), (np.float64(5.0), np.float64(3.0))):
             assert sample_paths(ARIKAN, 0.5, n, count, seed=0).tobytes() == want.tobytes()
+        # so is an integral-float seed, as for simulate and transmit_bec
+        want = sample_paths(ARIKAN, 0.5, 6, 5, seed=1).tobytes()
+        for seed in (1.0, np.float64(1.0), np.int64(1), True):
+            assert sample_paths(ARIKAN, 0.5, 6, 5, seed=seed).tobytes() == want
+        for bad in (1.5, math.nan, math.inf, np.float64(1.5)):
+            with pytest.raises(DomainError):
+                sample_paths(ARIKAN, 0.5, 6, 5, seed=bad)
