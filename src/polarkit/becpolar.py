@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -98,18 +98,19 @@ class ErasurePolynomialSet:
     complement polynomials q_j(d) = 1 - p_j(1-d).  These are the erasure
     counts of the derived matrix H in reverse branch order (the duality
     proved above ``gf2kernel.kernel_profile``), so the leading degrees are
-    the partial distances of the kernel and of H reversed.
+    the partial distances of the kernel and of H reversed.  The fields,
+    ``ell`` set from the kernel, are the JSON keys in order.
     """
 
     kernel: BitMatrix
+    ell: int = field(init=False)
     counts: tuple[tuple[int, ...], ...]
     leading_degree: tuple[int, ...]
     comp_counts: tuple[tuple[int, ...], ...]
     comp_leading_degree: tuple[int, ...]
 
-    @property
-    def ell(self) -> int:
-        return self.kernel.ell
+    def __post_init__(self):
+        object.__setattr__(self, "ell", self.kernel.ell)
 
     def _eval(self, side: int, j, x: float) -> float:
         """p_j(x) on side 0 or q_j(x) on side 1, in float arithmetic."""
@@ -129,9 +130,7 @@ class ErasurePolynomialSet:
         return self._eval(1, j, delta)
 
     def to_json(self) -> str:
-        obj = {"kernel": self.kernel.to_literal(), "ell": self.ell}
-        obj.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
-        return dumps_17g(obj, indent=2)
+        return dumps_17g(self, indent=2)
 
 
 def split_erasure_polynomials(m: BitMatrix) -> ErasurePolynomialSet:

@@ -25,7 +25,7 @@ Also here: the runtime audit of the abstract polarization-process conditions
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import AssumptionUnmet, DomainError, whole
 from .extval import (
@@ -116,7 +116,7 @@ class ConditionReport:
     c5_note: str
 
     def to_json(self) -> str:
-        return dumps_17g(asdict(self), indent=2)
+        return dumps_17g(self, indent=2)
 
 
 _C5_NOTE = (

@@ -98,17 +98,8 @@ class SelectionBounds:
     dmin_upper: int
     map_lower: ExtendedUnitValue
 
-    def to_dict(self) -> dict:
-        return {
-            "union_bound": self.union_bound.as_pair(),
-            "union_neglog2": self.union_neglog2,
-            "sc_lower": self.sc_lower.as_pair(),
-            "dmin_upper": self.dmin_upper,
-            "map_lower": self.map_lower.as_pair(),
-        }
-
     def to_json(self) -> str:
-        return dumps_17g(self.to_dict(), indent=2)
+        return dumps_17g(self, indent=2)
 
 
 def _target_size(ell: int, n: int, rate: float) -> int:

@@ -33,10 +33,10 @@ def whole(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
 def integral_array(values, what: str) -> np.ndarray:
     """``values`` as a numpy array, checked as ``whole`` checks a scalar:
     raises DomainError unless every entry is a finite whole number of a
-    numeric dtype."""
+    numeric dtype, bools counting as 0 and 1."""
     arr = np.asarray(values)
     with np.errstate(invalid="ignore"):  # inf % 1 is nan, also != 0
-        if arr.size and (arr.dtype.kind not in "iuf" or (arr % 1 != 0).any()):
+        if arr.size and (arr.dtype.kind not in "biuf" or (arr % 1 != 0).any()):
             raise DomainError(f"{what} must be integers")
     return arr
 

@@ -122,6 +122,8 @@ def _neglog_pair(lam: float) -> tuple[int, float]:
     if lam > SWITCH_BITS:
         return NEGLOG, lam
     d = -math.expm1(-lam * _LN2)
+    if d < _TINY:  # a subnormal d has lost bits; -log2(d) is this up to O(lam)
+        return COMPLOG, -math.log2(lam) - math.log2(_LN2)
     if d < _BAND_EDGE:
         return COMPLOG, -math.log2(d)
     return LINEAR, _exp2(-lam)

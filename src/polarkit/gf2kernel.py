@@ -28,7 +28,7 @@ lattice, are kept on the kernel as read-only packed words
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -140,10 +140,9 @@ class BitMatrix:
     def _subset_tables(self) -> tuple:
         """The determination lattice, each branch's determiners closed
         upward by ell lattice passes, as read-only (ell, ceil(2^ell/64))
-        uint64 words; the ``determined_masks`` table they unpack to; their
-        set bits by known weight, the ``determined_counts``; and from the
-        other side the ``undetermined_counts``, C(ell, k) less those of
-        weight ell - k."""
+        uint64 words; their set bits by known weight, the
+        ``determined_counts``; and from the other side the
+        ``undetermined_counts``, C(ell, k) less those of weight ell - k."""
         ell = self.ell
         gb = self._parities
         # row by row: one (ell, 2^ell) uint16 shift raises a process's peak RSS
@@ -151,12 +150,17 @@ class BitMatrix:
         for c in range(ell):
             _lattice_or(words, words, c)
         words.setflags(write=False)
-        table = _unpack_bits(words, 1 << ell)
-        table.setflags(write=False)
         det = _weight_counts(words, ell)
         undet = tuple(tuple(math.comb(ell, k) - row[ell - k] for k in range(ell + 1))
                       for row in det)
-        return words, table, det, undet
+        return words, det, undet
+
+    @cached_property
+    def _determined_table(self) -> np.ndarray:
+        """The lattice words unpacked to the ``determined_masks`` table."""
+        table = _unpack_bits(self._subset_tables[0], 1 << self.ell)
+        table.setflags(write=False)
+        return table
 
 
 # for the coordinates c < 6, which index bits inside a word: the shift 2^c
@@ -301,26 +305,24 @@ def determined_masks(m: BitMatrix) -> np.ndarray:
     exactly the coordinates in K are known and so is every earlier input:
     iff some determiner of branch j lies inside K.
 
-    Built once per ``BitMatrix`` instance with its other subset tables and
-    kept on it; their readers call this first, so the build is timed here.
+    Unpacked from the lattice words on the first call and kept on the
+    ``BitMatrix`` instance.
     """
-    return m._subset_tables[1]
+    return m._determined_table
 
 
 def determined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
     """Per branch j, entry k counts the known masks of weight k that
     determine the branch-j input: the pattern counts of its complement
     polynomial q_j."""
-    determined_masks(m)
-    return m._subset_tables[2]
+    return m._subset_tables[1]
 
 
 def undetermined_counts(m: BitMatrix) -> tuple[tuple[int, ...], ...]:
     """Per branch j, entry k counts the weight-k erasure patterns that leave
     the branch-j input undetermined: the pattern counts of its erasure
     polynomial."""
-    determined_masks(m)
-    return m._subset_tables[3]
+    return m._subset_tables[2]
 
 
 def minimal_determining_sets(m: BitMatrix) -> tuple:
@@ -333,7 +335,6 @@ def minimal_determining_sets(m: BitMatrix) -> tuple:
     undetermined: one lattice pass per coordinate on the kept packed words
     marks the sets that stay determined without it.
     """
-    determined_masks(m)
     words = m._subset_tables[0]
     ell = m.ell
     shrinks = np.zeros(words.shape, dtype=np.uint64)
@@ -360,6 +361,7 @@ def _mean_pop_var(values) -> tuple[float, float]:
 class KernelProfile:
     """Distance/exponent summary of a polarizing kernel.
 
+    The fields, ``ell`` set from the kernel, are the JSON keys in order.
     Exponents are in base-ell logs.  ``second_exponent`` is the population
     variance (divisor ell) of log_ell D_i; the weight and derived-matrix
     variants follow the same convention.
@@ -377,6 +379,7 @@ class KernelProfile:
     """
 
     kernel: BitMatrix
+    ell: int = field(init=False)
     partial_distances: tuple[int, ...]
     exponent: float
     second_exponent: float
@@ -393,9 +396,8 @@ class KernelProfile:
     comp_branch_indices: tuple[int, ...]
     comp_map_consistent: bool
 
-    @property
-    def ell(self) -> int:
-        return self.kernel.ell
+    def __post_init__(self):
+        object.__setattr__(self, "ell", self.kernel.ell)
 
 
 # Duality of G and its derived matrix H = J (G^-1)^T, J the row reversal.
@@ -467,7 +469,4 @@ def kernel_profile(m: BitMatrix) -> KernelProfile:
 
 def profile_to_json(p: KernelProfile) -> str:
     """Profile as JSON with reals at 17 significant digits."""
-    obj = {"kernel": p.kernel.to_literal(), "ell": p.ell}
-    obj.update((f.name, getattr(p, f.name)) for f in fields(p)[1:])
-    obj["derived_h"] = p.derived_h.to_literal()
-    return dumps_17g(obj, indent=2)
+    return dumps_17g(p, indent=2)

@@ -24,6 +24,7 @@ does, but in numpy.  For x in its domain, +0.0 and 0 < x < 1e300:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -197,7 +198,10 @@ def csv_text(header: str, rows) -> str:
 
 
 def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with floats rendered at 17 significant digits."""
+    """JSON text with floats rendered at 17 significant digits.  A kernel
+    (a value with ``to_literal``) prints as its literal, an extended value
+    (with ``as_pair``) as its [mode name, payload] pair, and any other
+    dataclass instance as the object of its fields in declaration order."""
     pad = " " * indent
 
     def rec(v, depth):
@@ -226,6 +230,12 @@ def dumps_17g(obj, indent: int = 0) -> str:
             ) + "}"
         if isinstance(v, (list, tuple)):
             return "[" + ", ".join(rec(w, depth) for w in v) + "]"
+        if hasattr(v, "to_literal"):  # duck-typed: gf2kernel imports this module
+            return json.dumps(v.to_literal())
+        if hasattr(v, "as_pair"):
+            return rec(v.as_pair(), depth)
+        if dataclasses.is_dataclass(v):
+            return rec({f.name: getattr(v, f.name) for f in dataclasses.fields(v)}, depth)
         raise TypeError(f"cannot serialize {type(v).__name__}")
 
     return rec(obj, 0)

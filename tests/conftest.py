@@ -161,7 +161,7 @@ def selection_report_json(sel, bounds=None) -> str:
         "metadata": dict(sorted(sel.metadata.items())),
     }
     if bounds is not None:
-        doc["bounds"] = bounds.to_dict()
+        doc["bounds"] = bounds
     return dumps_17g(doc, indent=2)
 
 

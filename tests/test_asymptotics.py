@@ -220,6 +220,11 @@ class TestOrthant:
                     want = orthant_oracle(t, v, rho)
                     assert abs(got - want) <= 1e-10
 
+    def test_both_thresholds_past_the_cut(self):
+        # the integral runs over [max(t, v), 9.5]; past 9.5 it is empty
+        got = bivariate_orthant(10.0, 12.0, 0.5)
+        assert got == 0.0 and abs(got - orthant_oracle(10.0, 12.0, 0.5)) <= 1e-8
+
     def test_near_singular_rho_breakpoints(self):
         # points placed around the conditional-tail switchover x0 = v/rho
         for rho, v in ((0.95, 0.5), (-0.95, 0.5), (0.99, -1.0), (0.999, 0.8)):

@@ -281,6 +281,19 @@ class TestEvolveExact:
                 assert evolve_exact(ExtendedUnitValue(COMPLOG, pay), digits, l3) == (
                     evolve_exact(ExtendedUnitValue.from_complog2(pay), digits, l3))
 
+    def test_subnormal_log_start_keeps_its_fraction(self):
+        # z0 = 2^-(2^-1074), so 1 - z0 is subnormal; Arikan branch 0 doubles
+        # mu = -log2(1 - z), branch 1 takes log2(1 + z) off it
+        with mp.workdps(80):
+            mu = -mp.log(-mp.expm1(-mp.mpf(2) ** -1074 * mp.log(2)), 2)
+            mu = 2 * mu
+            mu = 2 * (mu - mp.log(2 - mp.mpf(2) ** -mu, 2))
+            want = float(mu)
+        z = evolve_exact(ExtendedUnitValue(NEGLOG, 2.0**-1074), [0, 1, 0],
+                         split_erasure_polynomials(ARIKAN))
+        assert z.mode == COMPLOG and math.isclose(z.payload, want, rel_tol=1e-15)
+        assert math.isclose(want, 4296.115, rel_tol=1e-6)
+
     def test_empty_path_is_identity(self):
         polys = split_erasure_polynomials(ARIKAN)
         assert evolve_exact(0.25, [], polys).value == 0.25

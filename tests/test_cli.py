@@ -113,6 +113,13 @@ class TestExitCodes:
             ["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4"], capsys)
         assert rc == EXIT_BAD_CONFIG and "must lie inside" in err
 
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--paths", "0"], ["--budget", "-3"]],
+                             ids=" ".join)
+    def test_counts_must_be_positive(self, bad, capsys):
+        rc, out, err = run(["polarize", "--n", "4", *bad], capsys)
+        assert rc == EXIT_BAD_CONFIG and out == ""
+        assert err == "polarkit: bad config: trials, paths and budget must be positive\n"
+
     def test_map_bound_defaults_sit_on_the_capacity(self, capsys):
         # the default eps 0.5 and rate 0.5 put the rate on I = 1 - eps, which
         # map-bound rejects: it needs --rate below I

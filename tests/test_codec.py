@@ -156,6 +156,11 @@ class TestPolarCode:
             assert type(code.block_length) is int
         code = PolarCode(profile=arikan, n=2, frozen=frozenset({2.0, np.int64(3)}))
         assert code.frozen == {2, 3}
+        # a bool is the 1 or 0 it equals, as a scalar bool is to ``whole``
+        flagged = PolarCode(profile=arikan, n=1, frozen=frozenset([np.True_]))
+        assert flagged.frozen == {1} and all(type(i) is int for i in flagged.frozen)
+        with pytest.raises(IndexOutOfRange):
+            PolarCode(profile=arikan, n=1, frozen=frozenset([False]))
         assert code._info_mask.tolist() == [True, False, False, True]
         sel = polar_selection(cdf_cache(ARIKAN, 0.5, 4), 0.5)
         with pytest.raises(MismatchedLevel):

@@ -186,6 +186,11 @@ class TestSelectionSet:
         # integral floats are indices like any other
         ok = SelectionSet(n=2, ell=2, rate=0.5, indices=[1.0, 4.0], rule="x")
         assert ok.indices.dtype == np.int64 and ok.indices.tolist() == [1, 4]
+        # and bools, the 0 and 1 that ``whole`` takes them as
+        ok = SelectionSet(n=1, ell=2, rate=0.5, indices=np.array([True]), rule="x")
+        assert ok.indices.dtype == np.int64 and ok.indices.tolist() == [1]
+        with pytest.raises(DomainError, match="1..ell"):
+            SelectionSet(n=1, ell=2, rate=0.5, indices=np.array([False]), rule="x")
         # and levels: 2^2.5 channels would admit a fractional level
         for n, ell in ((2.5, 2), (-1, 2), (2, 2.5), (2, 0), (math.nan, 2)):
             with pytest.raises(DomainError):

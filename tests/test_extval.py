@@ -50,6 +50,21 @@ class TestConstructors:
             with pytest.raises(DomainError):
                 ExtendedUnitValue.from_neglog2(bad)
 
+    def test_subnormal_complement_keeps_its_fraction(self):
+        # below lam ~ 2^-1022 / ln 2, d = 1 - 2^-lam is subnormal, and
+        # -log2(d) of the float d would lose the payload's fraction
+        with mp.workdps(80):
+            for lam in (2.0**-1074, 3 * 2.0**-1074, 2.0**-1060, 2.0**-1023, 2.0**-1000):
+                want = float(-mp.log(-mp.expm1(-mp.mpf(lam) * mp.log(2)), 2))
+                v = ExtendedUnitValue.from_neglog2(lam)
+                assert v.mode == COMPLOG and math.isclose(v.payload, want, rel_tol=1e-15)
+                w = ExtendedUnitValue.from_complog2(lam)
+                assert w.mode == NEGLOG and w.payload == v.payload
+        assert math.isclose(ExtendedUnitValue.from_neglog2(2.0**-1074).payload,
+                            1074.5287663729449, rel_tol=1e-15)
+        assert math.isclose(ExtendedUnitValue.from_neglog2(3 * 2.0**-1074).payload,
+                            1072.9438038722237, rel_tol=1e-15)
+
     def test_from_complog2_bands(self):
         assert ExtendedUnitValue.from_complog2(64.0) == ExtendedUnitValue(
             COMPLOG, 64.0
@@ -100,6 +115,11 @@ class TestViews:
     def test_value_underflow_and_round_to_one(self):
         assert ExtendedUnitValue(NEGLOG, 1e9).value == 0.0
         assert ExtendedUnitValue(COMPLOG, 1e9).value == 1.0
+
+    def test_complog_zero_payload_is_outside_the_interval(self):
+        # 1 - 2^-0 = 0 is no value of the open unit interval
+        with pytest.raises(DomainError, match="outside"):
+            ExtendedUnitValue(COMPLOG, 0.0).neglog2
 
 
 class TestComplement:

@@ -154,6 +154,12 @@ class TestBitMatrix:
         with pytest.raises(DimensionTooLarge):
             BitMatrix.from_rows([[1] * 17] * 17)
 
+    def test_constructor_checks_its_rows(self):
+        with pytest.raises(ValueError, match="row count"):
+            BitMatrix(2, (1,))
+        with pytest.raises(ValueError, match="outside the matrix width"):
+            BitMatrix(2, (4, 1))
+
 
 class TestInvert:
     def test_inverse_product_is_identity(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from polarkit import rng
+from polarkit.extval import ExtendedUnitValue
+from polarkit.gf2kernel import BitMatrix
 from polarkit.rng import (
     DRAW_BLOCK,
     GAMMA,
@@ -286,6 +289,29 @@ class TestSerialize:
                 csv_text("flag", [(flag,)])
         with pytest.raises(TypeError):
             dumps_17g({"flag": np.bool_(True)})
+
+    def test_dumps_17g_records(self):
+        # a dataclass prints as its fields in declaration order, a kernel
+        # as its literal and an extended value as its [mode, payload] pair
+        @dataclasses.dataclass(frozen=True)
+        class Inner:
+            z: ExtendedUnitValue
+            k: BitMatrix
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            b: int
+            a: Inner
+            rows: tuple
+
+        rec = Outer(3, Inner(ExtendedUnitValue.from_neglog2(50.0),
+                             BitMatrix.from_literal("10;11")), (0.1, -0.0))
+        want = {"b": 3, "a": {"z": ["neglog", 50.0], "k": "10;11"}, "rows": [0.1, -0.0]}
+        for indent in (0, 2):
+            assert dumps_17g(rec, indent=indent) == dumps_17g(want, indent=indent)
+        assert dumps_17g(rec) == (
+            '{"b": 3, "a": {"z": ["neglog", 50], "k": "10;11"}, '
+            '"rows": [0.10000000000000001, -0]}')
 
     def test_dumps_17g_specials_as_strings(self):
         assert json.loads(dumps_17g({"x": math.inf}))["x"] == "inf"

@@ -18,3 +18,17 @@ def test_one_whole_number_rule():
             assert "integral(" not in text, path.name
         for name in ("_digit", "_branch", "_as_extval"):
             assert not re.search(rf"^\s*def {name}\(", text, re.M), (path.name, name)
+
+
+def test_one_json_record_writer():
+    """``serialize.dumps_17g`` alone turns a report into JSON: no other
+    module imports ``json``, flattens a record with ``asdict`` or defines a
+    ``to_dict`` of its own."""
+    sources = sorted(pathlib.Path(polarkit.__file__).parent.glob("*.py"))
+    assert "serialize.py" in {p.name for p in sources}
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*def to_dict\(", text, re.M), path.name
+        if path.name != "serialize.py":
+            assert not re.search(r"^\s*(import|from) json\b", text, re.M), path.name
+            assert "asdict" not in text, path.name
