@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, DomainError, whole
+from .errors import DegenerateVariance, DomainError, real, whole
 from .extval import ExtendedUnitValue
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -50,7 +50,7 @@ def q_function(t: float) -> float:
     checked against mpmath).  Q(-t) = 1 - Q(t) holds by construction
     (negative arguments are reflected).
     """
-    if math.isnan(t):
+    if math.isnan(t):  # not errors.real: the orthant calls this ~800 times
         raise DomainError("q_function requires a real argument")
     if t < 0.0:
         return 1.0 - q_function(-t)
@@ -61,8 +61,7 @@ def q_function(t: float) -> float:
 
 def q_inverse(p: float) -> float:
     """Inverse of q_function on (0, 1): |Q(q_inverse(p)) - p| <= 1e-12."""
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise DomainError("q_inverse requires p in the open interval (0,1)")
+    p = real(p, "p", 0.0, 1.0, "()")
     if p == 0.5:
         return 0.0
     if p > 0.5:
@@ -165,8 +164,7 @@ def predicted_cdf(n: int, nu: float, channel_I: float, profile,
     limiting fraction is I*Q(t) on the good side, (1-I)*Q(t) on the bad.
     """
     n = whole(n, "n", 1)
-    if not 0.0 <= channel_I <= 1.0:
-        raise DomainError("channel_I must lie in [0,1]")
+    channel_I = real(channel_I, "channel_I", 0.0, 1.0)
     e, v = _side_moments(profile, side)
     if v == 0.0:
         raise DegenerateVariance(
@@ -197,10 +195,8 @@ def bivariate_orthant(t: float, v: float, rho: float) -> float:
     their degenerate limits.  Arguments are sorted first, so the value is
     exactly symmetric under swapping t and v.
     """
-    if math.isnan(t) or math.isnan(v):
-        raise DomainError("orthant thresholds must be real")
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError("correlation must lie in [-1,1]")
+    t, v = real(t, "threshold t"), real(v, "threshold v")
+    rho = real(rho, "correlation", -1.0, 1.0)
     a, b = (t, v) if t <= v else (v, t)
     if rho == 1.0:
         return q_function(b)
@@ -231,8 +227,7 @@ def overlap_limit(channel_I: float, r: float, r_prime: float) -> float:
     Equals I * min(r/I, r'), computed as min(r, I*r') so the saturated case
     returns r exactly.
     """
-    if not 0.0 < r < channel_I <= 1.0:
-        raise DomainError("need 0 < r < channel_I <= 1")
-    if not 0.0 < r_prime < 1.0:
-        raise DomainError("need 0 < r_prime < 1")
+    channel_I = real(channel_I, "channel_I", 0.0, 1.0)
+    r = real(r, "r", 0.0, channel_I, "()")
+    r_prime = real(r_prime, "r_prime", 0.0, 1.0, "()")
     return min(r, channel_I * r_prime)

@@ -69,7 +69,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, whole
+from .errors import BudgetExceeded, DomainError, NotPolarizing, RequiresExactCdf, real, whole
 from .extval import (
     COMPLOG,
     LINEAR,
@@ -115,8 +115,7 @@ class ErasurePolynomialSet:
     def _eval(self, side: int, j, x: float) -> float:
         """p_j(x) on side 0 or q_j(x) on side 1, in float arithmetic."""
         row = (self.counts, self.comp_counts)[side][whole(j, "branch", 0, self.ell - 1)]
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"{('erasure probability', 'argument')[side]} outside [0,1]")
+        x = real(x, ("erasure probability", "argument")[side], 0.0, 1.0)
         ell = self.ell
         c = 1.0 - x
         return math.fsum(a * x**k * c ** (ell - k) for k, a in enumerate(row) if a)
@@ -527,7 +526,8 @@ def evolve_exact(z0, digits, polys: ErasurePolynomialSet) -> ExtendedUnitValue:
     canonical pair instead.
     """
     z0 = ExtendedUnitValue.of(z0)
-    # the step classes take every payload >= SATURATED for a log-domain one
+    # not errors.real: the valid payloads depend on the mode, and the step
+    # classes take every payload >= SATURATED for a log-domain one
     if z0.mode == LINEAR:
         valid = 0.0 < z0.payload < 1.0
     else:
@@ -592,9 +592,7 @@ class LevelCdf:
         if isinstance(z, ExtendedUnitValue):
             lam = z.neglog2
         else:
-            z = float(z)
-            if not 0.0 <= z <= 1.0:
-                raise DomainError("cdf argument outside [0,1]")
+            z = real(z, "cdf argument", 0.0, 1.0)
             if z == 0.0:
                 return Fraction(0, 1)
             lam = -math.log2(z)
@@ -677,8 +675,7 @@ class LevelWalk:
         """n as an int; raises DomainError for a bad depth or eps and
         BudgetExceeded when ell^n exceeds the budget."""
         n = _check_depth(self.g.ell, n)
-        if not 0.0 < self.eps < 1.0:
-            raise DomainError("erasure probability must lie strictly inside (0,1)")
+        self.eps = real(self.eps, "erasure probability", 0.0, 1.0, "()")
         if self.g.ell**n > self.budget:
             raise BudgetExceeded(
                 f"{self.g.ell}^{n} exceeds the enumeration budget {self.budget}")
@@ -758,8 +755,7 @@ def sample_paths(
     end.  Every update is element-wise, so the output is bit-identical to
     stepping each path alone along its digits.
     """
-    if not 0.0 < eps < 1.0:
-        raise DomainError("erasure probability must lie strictly inside (0,1)")
+    eps = real(eps, "erasure probability", 0.0, 1.0, "()")
     count = whole(count, "path count", 0)
     n = _check_depth(g.ell, n)
     seed = whole(seed, "seed")

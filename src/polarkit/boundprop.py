@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AssumptionUnmet, DomainError, whole
+from .errors import AssumptionUnmet, DomainError, real, whole
 from .extval import (
     ExtendedUnitValue,
     _exp2,
@@ -139,12 +139,8 @@ def check_process_conditions(trace, c: float) -> ConditionReport:
     if not trace:
         raise DomainError("empty trace")
     xs = [ExtendedUnitValue.of(x) for x, _ in trace]
-    ss = [float(s) for _, s in trace]
-    for s in ss[:-1]:
-        if not 1.0 <= s < math.inf:
-            raise DomainError("exponents must be finite and satisfy s >= 1")
-    if not 0.0 < c < math.inf:
-        raise DomainError("constant c must be positive and finite")
+    ss = [real(s, "exponent", 1.0, math.inf, "[)") for _, s in trace[:-1]]
+    c = real(c, "constant c", 0.0, math.inf, "()")
     log2c = math.log2(c)
     k_c = int(log2c)
     # times_pow2 scales by 2^k for integers k >= 0 only

@@ -25,9 +25,10 @@ from .errors import (
     NotPolarizing,
     PolarkitError,
     SingularMatrix,
+    real,
 )
 from .gf2kernel import BitMatrix, kernel_profile, profile_to_json
-from .serialize import csv_text, fmt_cell, fmt_real
+from .serialize import csv_text, fmt_cell
 
 EXIT_OK = 0
 EXIT_BAD_KERNEL = 2
@@ -122,10 +123,9 @@ def _resolve(args) -> ExperimentConfig:
     for key in ("rate", "t", "beta"):
         if not getattr(cfg, key):
             raise ConfigError(f"{key} must list at least one value")
-        if any(math.isnan(v) for v in getattr(cfg, key)):
-            raise ConfigError(f"{key} must not be nan")
-    if math.isnan(cfg.eps) or not 0.0 <= cfg.eps <= 1.0:
-        raise ConfigError("eps must lie in [0, 1]")
+        for v in getattr(cfg, key):
+            real(v, key)
+    real(cfg.eps, "eps", 0.0, 1.0)
     if cfg.trials < 1 or cfg.paths < 1 or cfg.budget < 1:
         raise ConfigError("trials, paths and budget must be positive")
     return cfg
@@ -274,10 +274,7 @@ def cmd_map_bound(cfg: ExperimentConfig) -> str:
     for depth in cfg.n:
         cdf = walk.cdf(depth)
         for r in cfg.rate:
-            if not 0.0 < r < channel_i:
-                raise ConfigError(
-                    f"rate {fmt_real(r)} must lie inside (0, I={fmt_real(channel_i)})"
-                )
+            real(r, "rate", 0.0, channel_i, "()")
             sel = construct.polar_selection(cdf, r)
             bounds = construct.selection_bounds(sel, cdf, prof, cfg.eps)
             rhs = depth * prof.weight_exponent + math.sqrt(

@@ -97,6 +97,7 @@ from .errors import (
     IndexOutOfRange,
     MismatchedLevel,
     integral_array,
+    real,
     whole,
 )
 from .gf2kernel import (
@@ -279,15 +280,17 @@ class PolarCode:
 
     def _generator_rows(self, index: np.ndarray) -> list:
         """Generator rows of the 0-based channel indices ``index`` as Python
-        ints, the Kronecker factors taken for all rows at once."""
+        ints, built by Kronecker doubling on ints: the row of the top digits
+        q of an index spreads, shifted by c * span, over the columns c of
+        kernel row q % ell, and indices sharing top digits share the row."""
         ell = self.profile.ell
-        kernel = self._kernel_array.astype(bool)
-        rows = np.ones((index.size, 1), dtype=bool)
+        cols = [np.flatnonzero(r).tolist() for r in self._kernel_array]
+        rows, span = {0: 1}, 1
         for p in reversed(range(self.n)):  # digit p of the index, innermost first
-            factor = kernel[index // ell**p % ell]
-            rows = (factor[:, :, None] & rows[:, None, :]).reshape(-1, ell ** (self.n - p))
-        return [int.from_bytes(r.tobytes(), "little")
-                for r in np.packbits(rows, axis=1, bitorder="little")]
+            rows = {q: sum(rows[q // ell] << c * span for c in cols[q % ell])
+                    for q in set((index // ell**p).tolist())}
+            span *= ell
+        return [rows[q] for q in index.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +358,7 @@ def transmit_bec(x, eps: float, seed: int) -> ErasureWord:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DomainError("codeword must be one-dimensional")
-    if not (0.0 <= eps <= 1.0) or math.isnan(eps):
-        raise DomainError("eps must lie in [0, 1]")
+    eps = real(eps, "eps", 0.0, 1.0)
     if not np.isin(x, (0, 1)).all():
         raise DomainError("codeword bits must be 0 or 1")
     seed = whole(seed, "seed")
@@ -743,8 +745,7 @@ def simulate(code: PolarCode, eps: float, trials: int, seed: int) -> SimulationR
     asserts two inclusions: a BP failure is an SC failure, and a MAP
     failure is an SC failure.
     """
-    if not (0.0 <= eps <= 1.0) or math.isnan(eps):
-        raise DomainError("eps must lie in [0, 1]")
+    eps = real(eps, "eps", 0.0, 1.0)
     trials = whole(trials, "trials", 1)
     seed = whole(seed, "seed")
     size = code.block_length

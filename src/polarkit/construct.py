@@ -32,6 +32,7 @@ from .errors import (
     MismatchedLevel,
     RequiresExactCdf,
     integral_array,
+    real,
     whole,
 )
 from .extval import LINEAR, NEGLOG, ExtendedUnitValue, _exp2
@@ -58,8 +59,7 @@ class SelectionSet:
     def __post_init__(self):
         object.__setattr__(self, "n", whole(self.n, "n", 0))
         object.__setattr__(self, "ell", whole(self.ell, "ell", 1))
-        if not 0.0 <= self.rate <= 1.0:
-            raise DomainError("rate must lie in [0, 1]")
+        object.__setattr__(self, "rate", real(self.rate, "rate", 0.0, 1.0))
         size = self.ell**self.n
         want = math.floor(size * self.rate)
         idx = np.asarray(integral_array(self.indices, "indices"), dtype=np.int64)
@@ -103,9 +103,7 @@ class SelectionBounds:
 
 
 def _target_size(ell: int, n: int, rate: float) -> int:
-    if not 0.0 < rate <= 1.0:
-        raise DomainError("rate must lie in (0, 1]")
-    return math.floor(ell**n * rate)
+    return math.floor(ell**n * real(rate, "rate", 0.0, 1.0, "(]"))
 
 
 def digit_reverse(i: int, ell: int, n: int) -> int:
@@ -189,8 +187,7 @@ def default_prefix_depth(n: int, beta: float, profile: KernelProfile) -> int:
     enumeration budget is checked by the level walk that builds the prefix.
     """
     n = whole(n, "n", 1)
-    if not 0.0 < beta < math.inf:
-        raise DomainError("beta must be positive and finite")
+    beta = real(beta, "beta", 0.0, math.inf, "()")
     ratio = (math.log2(n) + math.log2(math.log2(profile.c3_constant))) / beta
     # compared before the ceil, which a subnormal beta's inf would overflow
     return n if ratio >= n else max(1, math.ceil(ratio))
@@ -225,7 +222,7 @@ def hybrid_selection_recursive(
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be a strictly increasing sequence")
     if schedule[0] < 0 or schedule[-1] > n:
-        raise DomainError("breakpoints must lie in 0..n")
+        raise DomainError(f"breakpoints {schedule} are not all in 0..{n}")
     m0 = schedule[0]
     if m0 == 0:
         if cdf_prefix is not None:
@@ -241,10 +238,8 @@ def hybrid_selection_recursive(
     prof = kernel_profile(g)
     e2 = prof.exponent * math.log2(ell)
     v2 = prof.second_exponent * math.log2(ell) ** 2
-    if not 0.0 < beta < e2:
-        raise DomainError(f"beta must lie in (0, {e2}) for this kernel")
-    if math.isnan(t) or math.isinf(t):
-        raise DomainError("t must be finite")
+    beta = real(beta, "beta", 0.0, e2, "()")
+    t = real(t, "t", -math.inf, math.inf, "()")
     k = _target_size(ell, n, rate)
     logd = np.log2(np.array(prof.partial_distances, dtype=np.float64))
 
@@ -328,8 +323,7 @@ def selection_bounds(sel: SelectionSet, cdf: LevelCdf,
         raise RequiresExactCdf("bounds need exact per-index values")
     if cdf.n != sel.n or cdf.ell != sel.ell or profile.ell != sel.ell:
         raise MismatchedLevel("selection, cdf and profile disagree on n/ell")
-    if not 0.0 < root_z < 1.0:
-        raise DomainError("root_z must lie in (0,1)")
+    root_z = real(root_z, "root_z", 0.0, 1.0, "()")
     if sel.size == 0:
         raise DomainError("bounds of an empty selection are undefined")
     sel0 = sel.indices - 1

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the one rule for the
-integer arguments raising them: ``whole`` for a scalar, ``integral_array``
-for an array."""
+"""Exception types shared across the package, and the one rule for each
+kind of argument raising them: ``whole`` for a scalar integer,
+``integral_array`` for an integer array and ``real`` for a scalar real."""
 
 import math
 
@@ -39,6 +39,26 @@ def integral_array(values, what: str) -> np.ndarray:
         if arr.size and (arr.dtype.kind not in "biuf" or (arr % 1 != 0).any()):
             raise DomainError(f"{what} must be integers")
     return arr
+
+
+def real(x, what: str, lo: float = -math.inf, hi: float = math.inf,
+         ends: str = "[]") -> float:
+    """x as a float; raises DomainError unless x is a number in the interval
+    from lo to hi, each end closed by ``[``/``]`` and open by ``(``/``)``.
+
+    Python and numpy ints and floats count as the float they equal, and
+    bools as 0.0 and 1.0, as in ``whole``.  nan fails every comparison.
+    """
+    if type(x) is float:
+        v = x
+    elif isinstance(x, (int, float, np.integer, np.floating, np.bool_)):
+        v = float(x)
+    else:
+        v = math.nan
+    if (lo < v or v == lo and ends[0] == "[") and (v < hi or v == hi and ends[1] == "]"):
+        return v
+    a, b = (repr(float(e)).removesuffix(".0") for e in (lo, hi))
+    raise DomainError(f"{what} {x!r} is not a number in {ends[0]}{a}, {b}{ends[1]}")
 
 
 class PolarkitError(Exception):

@@ -98,7 +98,9 @@ def _neglog2(mode: int, payload: float) -> float:
 
 # The arithmetic below runs on (mode, payload) pairs, so that a chain of
 # steps builds no ExtendedUnitValue until its result; the methods of the
-# class check their arguments and wrap these.
+# class check their arguments and wrap these.  The pair constructors test
+# their float inline, not by errors.real: the band tests right after it
+# sort the same float at every step of a chain.
 
 _TOP = (COMPLOG, math.inf)  # the saturated top element
 

@@ -6,8 +6,10 @@ weights are popcounts and row combinations are single XORs.  Kernels have
 ell <= 16, so a row span is one numpy array of at most 65536 uint16 masks,
 built by one routine, XOR doubling over a matrix's rows: the codewords uG
 of the kernel, and the parities G b (bit t: row t against b) as those of
-its transpose.  This module alone builds the kernel tables; every other
-module reads them.
+its transpose.  This module builds the kernel tables.  ``codec`` derives
+two more from them: BP's minimal dual supports from the parities
+(``PolarCode._bp_checks``) and the re-encoding erasure masks from the rows
+(``PolarCode._reencode``).
 
 Every erasure rule reads the parities, whose pairs (G b, b) are the
 dual codewords of the local code {(u, uG)}.  As parity(uG & b) sums the u_t

@@ -237,6 +237,20 @@ def ref_branch_rule(g: BitMatrix, j: int, kmask: int, pmask: int):
     return (True, alpha, beta)
 
 
+def ref_generator_rows(code, index: np.ndarray) -> list:
+    """``PolarCode._generator_rows`` built as a (K, N) bool matrix: the
+    Kronecker factors are taken for all rows at once, then each row is
+    packed into a Python int."""
+    ell = code.profile.ell
+    kernel = code._kernel_array.astype(bool)
+    rows = np.ones((index.size, 1), dtype=bool)
+    for p in reversed(range(code.n)):  # digit p of the index, innermost first
+        factor = kernel[index // ell**p % ell]
+        rows = (factor[:, :, None] & rows[:, None, :]).reshape(-1, ell ** (code.n - p))
+    return [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(rows, axis=1, bitorder="little")]
+
+
 def sc_batch(y: np.ndarray, code) -> np.ndarray:
     """Reference SC decoder: B ternary words at once, (B, N) ternary inputs.
 
@@ -727,9 +741,9 @@ def ref_check_process_conditions(trace, c) -> dict:
     ss = [float(s) for _, s in trace]
     for s in ss[:-1]:
         if not 1.0 <= s < math.inf:
-            raise DomainError("exponents must be finite and satisfy s >= 1")
+            raise DomainError(f"exponent {s!r} is not a number in [1, inf)")
     if not 0.0 < c < math.inf:
-        raise DomainError("constant c must be positive and finite")
+        raise DomainError(f"constant c {c!r} is not a number in (0, inf)")
     log2c = math.log2(c)
     exact_c = log2c >= 0 and log2c == int(log2c)
     c2 = c3 = 0
@@ -782,10 +796,11 @@ def ref_panel(lo, hi, b, rho, s):
 
 def ref_bivariate_orthant(t, v, rho) -> float:
     """``bivariate_orthant`` with the panel loop on numpy float64 nodes."""
-    if math.isnan(t) or math.isnan(v):
-        raise DomainError("orthant thresholds must be real")
+    for name, x in (("threshold t", t), ("threshold v", v)):
+        if math.isnan(x):
+            raise DomainError(f"{name} {x!r} is not a number in [-inf, inf]")
     if not -1.0 <= rho <= 1.0:
-        raise DomainError("correlation must lie in [-1,1]")
+        raise DomainError(f"correlation {rho!r} is not a number in [-1, 1]")
     a, b = (t, v) if t <= v else (v, t)
     if rho == 1.0:
         return q_function(b)

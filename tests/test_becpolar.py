@@ -635,8 +635,10 @@ class TestEnumerate:
         assert cdf.cdf_at(1.0) == Fraction(1, 1)
         assert cdf.cdf_at(0.0) == Fraction(0, 1)
         assert cdf.cdf_at(ExtendedUnitValue(NEGLOG, 64.0)) == cdf.cdf_at_neglog(64.0)
-        with pytest.raises(DomainError):
-            cdf.cdf_at(-0.1)
+        # a str is not a number, though float() would read it
+        for bad in (-0.1, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                cdf.cdf_at(bad)
         # non-increasing in lambda; inclusive at exact values
         lams = [0.5, 1.0, 2.0, 64.0, 100.0]
         vals = [cdf.cdf_at_neglog(l) for l in lams]
@@ -693,8 +695,11 @@ class TestEnumerate:
             enumerate_level(ARIKAN, 0.5, 23)
         with pytest.raises(BudgetExceeded):
             enumerate_level(ARIKAN, 0.5, 8, budget=100)
-        with pytest.raises(DomainError):
-            enumerate_level(ARIKAN, 0.0, 4)
+        for eps in (0.0, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                enumerate_level(ARIKAN, eps, 4)
+            with pytest.raises(DomainError):
+                LevelWalk(ARIKAN, eps).cdf(2)
 
     def test_csv(self, cdf_cache):
         cdf = cdf_cache("10;11", 0.5, 6)
@@ -998,8 +1003,9 @@ class TestSampling:
             level_from_samples(samples, ARIKAN, 0.5, 8, seed=1)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sample_paths(ARIKAN, 1.0, 4, 2, seed=0)
+        for eps in (1.0, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                sample_paths(ARIKAN, eps, 4, 2, seed=0)
         with pytest.raises(DomainError):
             sample_paths(ARIKAN, 0.5, 4, -1, seed=0)
         for bad in (2.5, math.nan, math.inf, np.float64(0.5)):

@@ -22,6 +22,7 @@ from polarkit.cli import (
     parse_config,
     _resolve,
 )
+from polarkit.errors import DomainError
 from polarkit.gf2kernel import BitMatrix, kernel_profile
 
 from conftest import ARIKAN, L3, equivalent_kernel, kron_power, random_polarizing
@@ -74,7 +75,7 @@ class TestConfig:
 
     def test_resolve_validation(self):
         args = build_parser().parse_args(["polarize", "--eps", "1.5"])
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match=r"^eps 1\.5 is not a number in \[0, 1\]$"):
             _resolve(args)
         args = build_parser().parse_args(["polarize", "--n", ""])
         with pytest.raises(ConfigError):
@@ -111,7 +112,7 @@ class TestExitCodes:
         assert rc == EXIT_BAD_CONFIG and "bad config" in err
         rc, _, err = run(
             ["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4"], capsys)
-        assert rc == EXIT_BAD_CONFIG and "must lie inside" in err
+        assert rc == EXIT_BAD_CONFIG and "is not a number in (0, 0.5)" in err
 
     @pytest.mark.parametrize("bad", [["--trials", "0"], ["--paths", "0"], ["--budget", "-3"]],
                              ids=" ".join)
@@ -125,7 +126,7 @@ class TestExitCodes:
         # map-bound rejects: it needs --rate below I
         rc, out, err = run(["map-bound", "--n", "4"], capsys)
         assert rc == EXIT_BAD_CONFIG and out == ""
-        assert err == "polarkit: bad config: rate 0.5 must lie inside (0, I=0.5)\n"
+        assert err == "polarkit: bad config: rate 0.5 is not a number in (0, 0.5)\n"
 
     def test_huge_polarize_depth_is_rejected_at_once(self, capsys):
         # ell^n against the budget must not be evaluated as a giant integer
@@ -157,7 +158,7 @@ class TestExitCodes:
             assert out == "" and err.startswith("polarkit: ") and err.count("\n") == 1
         if "nan" in edge:
             assert rc == EXIT_BAD_CONFIG
-            assert err == "polarkit: bad config: beta must not be nan\n"
+            assert err == "polarkit: bad config: beta nan is not a number in [-inf, inf]\n"
         elif command in ("kernel-analyze", "polarize", "exponent-verify"):
             # level-0 tables; kernel-analyze reads no depth
             assert rc == EXIT_OK and err == ""
@@ -426,25 +427,25 @@ FIRST_ERRORS = [
      "budget exceeded: 2^30 exceeds the enumeration budget 4194304"),
     # the rate test at depth 4 comes before depth 30's budget check
     (["map-bound", "--eps", "0.5", "--rate", "0.6", "--n", "4,30"], EXIT_BAD_CONFIG,
-     "bad config: rate 0.59999999999999998 must lie inside (0, I=0.5)"),
+     "bad config: rate 0.6 is not a number in (0, 0.5)"),
     # the default beta 0.4 is past E' = 0.25 of this kernel
     (["selection-compare", "--kernel", "1001;1111;1101;0101", "--n", "3,30"],
-     EXIT_BAD_CONFIG, "bad config: beta must lie in (0, 0.25) for this kernel"),
+     EXIT_BAD_CONFIG, "bad config: beta 0.4 is not a number in (0, 0.25)"),
     (["selection-compare", "--kernel", "1001;1111;1101;0101", "--n", "30,3"],
      EXIT_BUDGET, "budget exceeded: 4^30 exceeds the enumeration budget 4194304"),
     # selection-compare: depth checks, then rates, then the prefix depth
     (["selection-compare", "--n", "30,4", "--beta", "-1"], EXIT_BUDGET,
      "budget exceeded: 2^30 exceeds the enumeration budget 4194304"),
     (["selection-compare", "--n", "4", "--beta", "-1", "--eps", "0"], EXIT_BAD_CONFIG,
-     "bad config: erasure probability must lie strictly inside (0,1)"),
+     "bad config: erasure probability 0.0 is not a number in (0, 1)"),
     (["selection-compare", "--n", "4", "--beta", "-1", "--rate", "2"], EXIT_BAD_CONFIG,
-     "bad config: rate must lie in (0, 1]"),
+     "bad config: rate 2.0 is not a number in (0, 1]"),
     (["selection-compare", "--n", "4,30", "--beta", "-1"], EXIT_BAD_CONFIG,
-     "bad config: beta must be positive and finite"),
+     "bad config: beta -1.0 is not a number in (0, inf)"),
     (["selection-compare", "--n", "6,12", "--budget", "100"], EXIT_BUDGET,
      "budget exceeded: 2^12 exceeds the enumeration budget 100"),
     (["codec-sim", "--n", "4,30", "--rate", "2", "--trials", "10"], EXIT_BAD_CONFIG,
-     "bad config: rate must lie in (0, 1]"),
+     "bad config: rate 2.0 is not a number in (0, 1]"),
     (["exponent-verify", "--n", "2000", "--eps", "0"], EXIT_BAD_CONFIG,
      "bad config: requested depth would push -log2 Z beyond the valid float range"),
 ]

@@ -59,6 +59,7 @@ from conftest import (
     ref_bp_failures,
     ref_branch_rule,
     ref_close_stage,
+    ref_generator_rows,
     ref_sc_failures,
     sc_batch,
 )
@@ -175,6 +176,31 @@ class TestPolarCode:
             assert np.array_equal(row_bits(code, i), want[i - 1])
         with pytest.raises(IndexOutOfRange):
             code.generator_row(0)
+
+    def test_generator_rows_match_the_matrix_build(self, arikan, l3prof):
+        # the int build against the (K, N) bool matrix it replaced, on
+        # every index, a random subset, repeats out of order and no index
+        rs = np.random.default_rng(29)
+        cases = [(arikan, 9), (l3prof, 5)]
+        cases += [(random_polarizing(rs, ell), n) for ell, n in ((3, 4), (4, 3), (5, 3), (6, 2))]
+        for prof, n in cases:
+            code = full_rate(prof, n)
+            size = code.block_length
+            for index in (np.arange(size), np.sort(rs.choice(size, size // 3, replace=False)),
+                          np.array([size - 1, 0, size - 1, 1]), np.array([], dtype=np.int64)):
+                assert code._generator_rows(index) == ref_generator_rows(code, index)
+
+    def test_info_rows_build_no_bool_matrix(self, arikan):
+        # K = 4096 rows of N = 8192 bits: the (K, N) bool matrix alone was
+        # 32 MiB (48 MiB traced peak); the rows themselves take about 3.4 MiB
+        code = PolarCode(profile=arikan, n=13, frozen=frozenset(range(1, 4097)))
+        tracemalloc.start()
+        try:
+            rows = code._info_rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == code.k and peak < 8 << 20
 
     def test_generator_row_takes_integral_indices_only(self, arikan):
         code = full_rate(arikan, 3)
@@ -299,8 +325,9 @@ class TestTransmit:
     def test_domain(self):
         with pytest.raises(DomainError):
             transmit_bec(np.array([0, 2], dtype=np.int8), 0.5, seed=1)
-        with pytest.raises(DomainError):
-            transmit_bec(np.zeros(4, dtype=np.int8), 1.5, seed=1)
+        for eps in (1.5, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                transmit_bec(np.zeros(4, dtype=np.int8), eps, seed=1)
         with pytest.raises(DomainError):
             transmit_bec(np.zeros((2, 2), dtype=np.int8), 0.5, seed=1)
         # values outside {0, 1} that an int8 cast would map into it
@@ -1004,8 +1031,12 @@ class TestSimulate:
 
     def test_domain(self, arikan):
         code = full_rate(arikan, 3)
-        with pytest.raises(DomainError):
-            simulate(code, 1.5, 10, seed=1)
+        for eps in (1.5, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                simulate(code, eps, 10, seed=1)
+        # a bool eps is stored as the float it equals, so the report prints
+        rep = simulate(code, True, 10, seed=1)
+        assert type(rep.eps) is float and rep.to_csv().splitlines()[1].startswith("1,3,")
         with pytest.raises(DomainError):
             simulate(code, 0.5, 0, seed=1)
         for trials, seed in ((3.5, 1), (math.nan, 1), (3, 1.5), (3, math.inf)):

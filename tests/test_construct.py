@@ -231,6 +231,12 @@ class TestPolarSelection:
         with pytest.raises(RequiresExactCdf):
             polar_selection(mc_cdf(), 0.5)
 
+    def test_rate_domain(self, cdf_cache):
+        cdf = cdf_cache(ARIKAN, 0.5, 4)
+        for rate in (0.0, 1.5, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                polar_selection(cdf, rate)
+
 
 class TestRmSelection:
     @pytest.mark.parametrize("literal,n,rate",
@@ -585,8 +591,9 @@ class TestSelectionBounds:
             selection_bounds(sel, cdf_cache(ARIKAN, 0.5, 8), arikan, 0.5)
         with pytest.raises(MismatchedLevel):
             selection_bounds(sel, cdf, l3prof, 0.5)
-        with pytest.raises(DomainError):
-            selection_bounds(sel, cdf, arikan, 1.0)
+        for root_z in (1.0, "0.5", None, math.nan):
+            with pytest.raises(DomainError):
+                selection_bounds(sel, cdf, arikan, root_z)
         empty = SelectionSet(n=10, ell=2, rate=1e-9,
                              indices=np.array([], dtype=np.int64), rule="x")
         with pytest.raises(DomainError):
